@@ -9,7 +9,7 @@ test sees.
 
 import numpy as np
 
-from geoctrl.flows import sample_leaf, shift_drift_set
+from geoctrl.flows import StepControl, sample_leaf, transport_walks
 from geoctrl.lie import generate_bracket_basis
 from geoctrl.fields import VectorField
 
@@ -26,8 +26,11 @@ print("leaf through the origin (steering only moves x3):")
 for pt, _word in leaf.visits[:6]:
     print("  visited", np.round(pt, 3))
 
-shifted = np.array(shift_drift_set([drift], leaf, family=fam).shifted_drifts)
-print("\ndrift transported back to the base from each visit:")
+# one column stack per walk, deepest visit first; None marks a walk
+# whose transport failed (nothing fails without a window)
+walks = transport_walks(leaf, fam.generators, [drift], StepControl())
+shifted = np.array([drift(base)] + [col for W in walks if W is not None for col in W.T])
+print("\ndrift at the base, then shifted back walk by walk (deepest visit first):")
 for row in shifted[:6]:
     print("  ", np.round(row, 3))
 

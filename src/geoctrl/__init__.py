@@ -45,9 +45,8 @@ from .flows import (
     StepUnderflowError,
     integrate_flow,
     pushforward_along,
-    transport_word,
     sample_leaf,
-    shift_drift_set,
+    transport_walks,
 )
 from .criterion import (
     PointVerdict,

@@ -30,13 +30,11 @@ import numpy as np
 
 from .fields import VectorField
 from .flows import (
-    FlowError,
     LeafSample,
-    Segment,
     StepControl,
-    _flow_with_frame,
     inflate_window,
     sample_leaf,
+    transport_walks,
 )
 from .lie import (
     DEFAULT_RANK_TOL,
@@ -259,44 +257,6 @@ def _direction_design(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _walks(leaf: LeafSample) -> list[list[tuple[np.ndarray, tuple[Segment, ...]]]]:
-    """Group flat visits back into their originating walks."""
-    walks: list[list[tuple[np.ndarray, tuple[Segment, ...]]]] = []
-    for y, word in leaf.visits:
-        if len(word) == 1:
-            walks.append([])
-        walks[-1].append((y, word))
-    return walks
-
-
-def _transport_walk(
-    generators: Sequence[VectorField],
-    drifts: Sequence[VectorField],
-    walk: list[tuple[np.ndarray, tuple[Segment, ...]]],
-    step: StepControl,
-) -> np.ndarray:
-    """Shift the drift vectors of every visit in one walk to its origin.
-
-    Works backward from the deepest visit so each flow segment is
-    integrated once: undo segment j while carrying all columns picked up
-    at visits deeper than j, inserting the drift values of visit j-1
-    when passing through it. Returns an (n, len(walk)*len(drifts))
-    column stack expressed at the walk origin.
-    """
-    fields = list(generators)
-    negs = [g.negate() for g in generators]
-    y, word = walk[-1]
-    W = np.column_stack([f(y) for f in drifts])
-    for j in range(len(word) - 1, -1, -1):
-        seg = word[j]
-        V = fields[seg.field_index] if seg.sign > 0 else negs[seg.field_index]
-        y, W = _flow_with_frame(V, y, -seg.duration, W, step)
-        if j >= 1:
-            y_prev = walk[j - 1][0]
-            W = np.column_stack([W] + [f(y_prev) for f in drifts])
-    return W
-
-
 def _condition_at_point(
     drifts: Sequence[VectorField],
     family: BracketFamily,
@@ -340,13 +300,9 @@ def _condition_at_point(
     projected = [Q @ f(x) for f in drifts]
     collected = np.array(projected)
     inside, wit = interior_convex_test(collected, margin)
-    transport_failures = 0
     if not inside:
-        for walk in _walks(leaf):
-            try:
-                moved = _transport_walk(family.generators, drifts, walk, step)
-            except FlowError:
-                transport_failures += 1
+        for moved in transport_walks(leaf, family.generators, drifts, step):
+            if moved is None:
                 continue
             collected = np.vstack([collected, (Q @ moved).T])
             inside, wit = interior_convex_test(collected, margin)
@@ -688,12 +644,9 @@ def verify_supporting_distribution(
                 step=step,
             )
             vecs = [Q @ f(p) for f in system.drifts]
-            for walk in _walks(leaf):
-                try:
-                    moved = _transport_walk(family.generators, system.drifts, walk, step)
-                except FlowError:
-                    continue
-                vecs.extend((Q @ moved).T)
+            for moved in transport_walks(leaf, family.generators, system.drifts, step):
+                if moved is not None:
+                    vecs.extend((Q @ moved).T)
             sides = np.array([float(normal @ v) for v in vecs])
             # orient the normal toward the drift majority at this point
             if sides.sum() < 0:

@@ -1,12 +1,12 @@
-"""Flows, leaf exploration, and drift transport along leaf paths.
+"""Flows, leaf exploration, and drift transport along leaf walks.
 
 The driftless system dx/dt = sum_i u^i g_i(x) foliates the window into
 leaves. This module integrates flows of the generators (both signs,
 since the controls are unconstrained), walks leaves with random
-piecewise-constant words, and transports drift vectors from visited
-points back to the base by solving the variational equation along the
-reversed word. The transported drift sets feed the convex-position
-test.
+piecewise-constant words (`sample_leaf`), and shifts drift vectors from
+the visited points back to the base by solving the variational equation
+along each reversed walk (`transport_walks`, the one transport routine).
+The shifted drifts feed the convex-position test.
 
 Integration is a hand-rolled Dormand-Prince 5(4) pair. The per-call
 overhead of a general-purpose solver dominates at the segment lengths
@@ -16,12 +16,12 @@ so the stepper is local and allocation-light.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import Point, VectorField
+from .fields import VectorField
 from .lie import BracketFamily
 
 __all__ = [
@@ -35,9 +35,8 @@ __all__ = [
     "inflate_window",
     "integrate_flow",
     "pushforward_along",
-    "transport_word",
     "sample_leaf",
-    "shift_drift_set",
+    "transport_walks",
 ]
 
 
@@ -222,27 +221,6 @@ class LeafSample:
     base: np.ndarray
     visits: tuple[tuple[np.ndarray, ControlWord], ...]
     discarded: int  # walk attempts that escaped the window
-    shifted_drifts: tuple[np.ndarray, ...] = ()  # filled by shift_drift_set
-
-
-def _signed_fields(generators: Sequence[VectorField]) -> list[VectorField]:
-    return [g for g in generators] + [g.negate() for g in generators]
-
-
-def apply_word(
-    generators: Sequence[VectorField],
-    x: np.ndarray,
-    word: ControlWord,
-    step: StepControl,
-) -> np.ndarray:
-    """Integrate a word segment by segment from x."""
-    fields = list(generators)
-    neg = [g.negate() for g in generators]
-    y = np.asarray(x, dtype=float)
-    for seg in word:
-        V = fields[seg.field_index] if seg.sign > 0 else neg[seg.field_index]
-        y = _integrate(V.compiled(), y, seg.duration, step)
-    return y
 
 
 def sample_leaf(
@@ -303,63 +281,42 @@ def sample_leaf(
     return LeafSample(base=base, visits=tuple(visits), discarded=discarded)
 
 
-def transport_word(
-    generators: Sequence[VectorField],
-    visit: np.ndarray,
-    word: ControlWord,
-    vectors: np.ndarray,
-    step: StepControl,
-) -> np.ndarray:
-    """Transport tangent columns from a visit back to the word's origin.
-
-    The visit satisfies visit = word(base); the inverse path applies the
-    segments in reverse order with negated durations. Columns of
-    `vectors` (shape (n, k)) are pushed through each stage's variational
-    flow; the result is expressed at the base point.
-    """
-    y = np.asarray(visit, dtype=float)
-    W = np.asarray(vectors, dtype=float)
-    fields = list(generators)
-    neg = [g.negate() for g in generators]
-    for seg in reversed(word):
-        V = fields[seg.field_index] if seg.sign > 0 else neg[seg.field_index]
-        y, W = _flow_with_frame(V, y, -seg.duration, W, step)
-    return W
 
 
-def shift_drift_set(
-    drifts: Sequence[VectorField],
+def transport_walks(
     leaf: LeafSample,
-    generators: Sequence[VectorField] | None = None,
-    family: BracketFamily | None = None,
-    step: StepControl | None = None,
-) -> LeafSample:
-    """Evaluate each drift at every visit and transport it to the base.
+    generators: Sequence[VectorField],
+    drifts: Sequence[VectorField],
+    step: StepControl,
+) -> Iterator[np.ndarray | None]:
+    """Shift the drifts at every visit back to the leaf's base, walk by walk.
 
-    Returns a new LeafSample whose shifted_drifts holds one n-vector per
-    (visit, drift) pair, base-point drift values first (identity
-    transport, empty word). Visits whose transport integration fails are
-    skipped and counted in `discarded`.
+    Visits are regrouped into the walks that made them (a one-segment
+    word starts a new walk). Each walk is undone backward from its
+    deepest visit so every flow segment is integrated once: undoing
+    segment j carries all columns picked up at visits deeper than j, and
+    the drift values at visit j-1 join when the path passes through it.
+    Yields per walk an (n, visits*len(drifts)) column stack expressed at
+    the base, deepest visit first, or None when the transport left the
+    window or underflowed. Lazy, so callers can stop after any walk.
     """
-    if generators is None:
-        if family is None:
-            raise ValueError("need generators or a family")
-        generators = family.generators
-    ctrl = step or StepControl()
-    shifted: list[np.ndarray] = [f(leaf.base) for f in drifts]
-    failures = 0
-    for y, word in leaf.visits:
-        cols = np.column_stack([f(y) for f in drifts])
+    walks: list[list[tuple[np.ndarray, ControlWord]]] = []
+    for visit in leaf.visits:
+        if len(visit[1]) == 1:
+            walks.append([])
+        walks[-1].append(visit)
+    negs = [g.negate() for g in generators]
+    for walk in walks:
+        y, word = walk[-1]
+        W = np.column_stack([f(y) for f in drifts])
         try:
-            moved = transport_word(generators, y, word, cols, ctrl)
+            for j in range(len(word) - 1, -1, -1):
+                seg = word[j]
+                V = generators[seg.field_index] if seg.sign > 0 else negs[seg.field_index]
+                y, W = _flow_with_frame(V, y, -seg.duration, W, step)
+                if j >= 1:
+                    y_prev = walk[j - 1][0]
+                    W = np.column_stack([W] + [f(y_prev) for f in drifts])
         except FlowError:
-            failures += 1
-            continue
-        for j in range(moved.shape[1]):
-            shifted.append(moved[:, j])
-    return LeafSample(
-        base=leaf.base,
-        visits=leaf.visits,
-        discarded=leaf.discarded + failures,
-        shifted_drifts=tuple(shifted),
-    )
+            W = None
+        yield W

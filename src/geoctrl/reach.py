@@ -32,7 +32,6 @@ from .flows import inflate_window
 from .system import SystemSpec
 
 __all__ = [
-    "ControlPolicy",
     "ReachCloud",
     "simulate_reach",
     "coverage",
@@ -49,27 +48,11 @@ COVERAGE_CELLS = 8
 # near the window edge needs room to turn around, and truncation here is
 # only a cost control, not part of any geometric contract.
 ORACLE_INFLATION = 0.5
-
-
-@dataclass(frozen=True)
-class ControlPolicy:
-    kind: str = "piecewise_constant_random"  # or bang_bang, greedy_toward_target
-    amplitude: float = 5.0
-    duration_bounds: tuple[float, float] = (0.05, 0.5)
-    target: tuple[float, ...] | None = None  # for greedy_toward_target
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("amplitude bound must be positive")
-        lo, hi = self.duration_bounds
-        if not (0 < lo <= hi):
-            raise ValueError("duration bounds must be positive and ordered")
-        if self.kind not in (
-            "piecewise_constant_random",
-            "bang_bang",
-            "greedy_toward_target",
-        ):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+# Random piecewise-constant controls: each segment draws every input
+# uniformly from [-CONTROL_AMPLITUDE, CONTROL_AMPLITUDE] and holds it for
+# a duration drawn uniformly from SEGMENT_DURATIONS.
+CONTROL_AMPLITUDE = 5.0
+SEGMENT_DURATIONS = (0.05, 0.5)
 
 
 @dataclass(frozen=True)
@@ -106,25 +89,11 @@ def _cell_indices(
 
 
 def _resample_controls(
-    rng: np.random.Generator,
-    policy: ControlPolicy,
-    m: int,
-    n_drifts: int,
-    x: np.ndarray,
-    control_vals: list[np.ndarray] | None,
+    rng: np.random.Generator, m: int, n_drifts: int
 ) -> tuple[np.ndarray, float, int]:
     """One trajectory's fresh control vector, segment length, drift index."""
-    a = policy.amplitude
-    lo, hi = policy.duration_bounds
-    if policy.kind == "piecewise_constant_random":
-        u = rng.uniform(-a, a, size=m)
-    elif policy.kind == "bang_bang":
-        u = rng.choice([-a, a], size=m)
-    else:  # greedy_toward_target
-        target = np.asarray(policy.target, dtype=float)
-        gap = target - x
-        u = np.array([a * np.sign(float(g @ gap)) for g in control_vals])
-    dur = float(rng.uniform(lo, hi))
+    u = rng.uniform(-CONTROL_AMPLITUDE, CONTROL_AMPLITUDE, size=m)
+    dur = float(rng.uniform(*SEGMENT_DURATIONS))
     j = int(rng.integers(0, n_drifts)) if n_drifts > 1 else 0
     return u, dur, j
 
@@ -134,7 +103,6 @@ def simulate_reach(
     x0: Sequence[float],
     T: float | None = None,
     n_traj: int | None = None,
-    policy: ControlPolicy | None = None,
     sample_stride: float = 0.1,
     seed: int | None = None,
     dt: float = DEFAULT_DT,
@@ -151,7 +119,6 @@ def simulate_reach(
     n_traj = int(n_traj if n_traj is not None else system.n_traj)
     if T <= 0 or n_traj < 1:
         raise ValueError("need T > 0 and n_traj >= 1")
-    policy = policy or ControlPolicy()
     seed = system.seed if seed is None else seed
     n = system.dim
     m = len(system.controls)
@@ -202,15 +169,8 @@ def simulate_reach(
         h = min(dt, T - t)
         expired = active & (seg_end <= t + 1e-12)
         for i in np.flatnonzero(expired):
-            cvals = (
-                [fn(X[i]) for fn in control_fns]
-                if policy.kind == "greedy_toward_target"
-                else None
-            )
-            u, dur, j = _resample_controls(rngs[i], policy, m, n_drifts, X[i], cvals)
-            U[i] = u
+            U[i], dur, drift_idx[i] = _resample_controls(rngs[i], m, n_drifts)
             seg_end[i] = t + dur
-            drift_idx[i] = j
         act = np.flatnonzero(active)
         if len(act) == 0:
             break

@@ -25,9 +25,10 @@ from . import __version__
 from .criterion import (
     STATUS_NOT_REGULAR,
     GlobalVerdict,
+    _prepare,
     global_verdict,
 )
-from .lie import audit_regularity, generate_bracket_basis, window_grid
+from .lie import window_grid
 from .metrics import estimate_cost, loop_length, sr_distance
 from .reach import coverage, cross_validate, simulate_reach
 from .system import SystemSpec, serialize_spec
@@ -204,8 +205,7 @@ def run_pipeline(spec: SystemSpec, command: str, overrides: dict | None = None) 
     cloud = None
 
     if command == "audit":
-        family = generate_bracket_basis(spec.controls)
-        reg = audit_regularity(family, spec.window, spec.grid_per_axis)
+        _, reg = _prepare(spec, None, None, None)
         payload["regularity"] = _regularity_block(reg)
         if not reg.constant_rank:
             exit_code = EXIT_NOT_REGULAR

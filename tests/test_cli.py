@@ -7,7 +7,7 @@ import pytest
 
 from geoctrl.cli import main
 from geoctrl.report import run_pipeline
-from geoctrl.system import loads_spec
+from geoctrl.system import load_spec, loads_spec
 
 SHEAR = """\
 name = shear
@@ -41,6 +41,20 @@ control = 0, 1
 window = -1:1, -1:1
 traj = 40
 horizon = 4
+"""
+
+# the log is undefined on [-1, 1]^n but fine inside the window
+OFF_ORIGIN = """\
+name = off_origin
+vars = x1, x2
+drift = 1, 0
+control = 0, ln(x1)
+window = 2:3, -1:1
+assume_not_dense = true
+grid = 3
+leaf_budget = 4
+traj = 20
+horizon = 1
 """
 
 PLANE = """\
@@ -118,6 +132,13 @@ def test_audit_exit_codes_follow_regularity(specfile, capsys):
     assert code == 3
     assert doc["regularity"]["rank_range"] == [1, 2]
     assert doc["regularity"]["singular_points"]
+
+
+def test_audit_probes_inside_the_window_like_check(specfile):
+    spec = load_spec(specfile(OFF_ORIGIN))
+    audit = run_pipeline(spec, "audit")
+    assert audit.exit_code == 0
+    assert audit.payload["regularity"] == run_pipeline(spec, "check").payload["regularity"]
 
 
 # ----------------------------------------------------------------- reach

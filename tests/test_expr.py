@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +218,11 @@ def test_simplify_never_loses_domain_guards():
     e = parse_expression("ln(x1 - x1 + 1)", NAMES2)
     s = simplify(e)
     assert evaluate(s, (5.0, 1.0)) == 0.0
+
+
+def test_readme_function_list_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"powers, and `([^`]+)`", readme).group(1).split()
+    assert set(listed) == ex.FUNC_NAMES
+    for name in listed:
+        parse_expression(f"{name}(x1)", NAMES2)

@@ -14,13 +14,11 @@ from geoctrl.flows import (
     Segment,
     StepControl,
     WindowEscapeError,
-    apply_word,
     inflate_window,
     integrate_flow,
     pushforward_along,
     sample_leaf,
-    shift_drift_set,
-    transport_word,
+    transport_walks,
 )
 from geoctrl.lie import BracketFamily, generate_bracket_basis
 
@@ -209,48 +207,82 @@ def test_commutator_flow_limit():
 # --- words and transport --------------------------------------------------
 
 
-def test_apply_word_runs_segments_in_order():
-    g = VectorField.parse(["0", "1"], N2)
-    word = (Segment(0, 1, 0.5), Segment(0, -1, 0.2))
-    ctrl = StepControl()
-    end = apply_word([g], np.array([1.0, 0.0]), word, ctrl)
-    assert np.allclose(end, [1.0, 0.3], atol=1e-9)
+def _replay(generators, x, word):
+    """Run a word segment by segment with chained integrate_flow calls."""
+    for seg in word:
+        V = generators[seg.field_index]
+        x = integrate_flow(V if seg.sign > 0 else V.negate(), x, seg.duration)
+    return x
 
 
-def test_transport_word_inverts_to_base():
+def _walk_leaf(generators, base, word):
+    """A leaf holding the single walk `word`, one visit per prefix."""
+    visits = []
+    y = np.asarray(base, dtype=float)
+    for j in range(len(word)):
+        y = _replay(generators, y, word[j:j + 1])
+        visits.append((y, word[:j + 1]))
+    return LeafSample(base=np.asarray(base, dtype=float), visits=tuple(visits), discarded=0)
+
+
+def _shift_by_visit(leaf, generators, drifts):
+    """Per visit, in leaf.visits order, its drifts shifted to the base as (n, d) columns."""
+    d = len(drifts)
+    out = []
+    for W in transport_walks(leaf, generators, drifts, StepControl()):
+        assert W is not None
+        out.extend(reversed([W[:, i:i + d] for i in range(0, W.shape[1], d)]))
+    assert len(out) == len(leaf.visits)
+    return out
+
+
+def test_walk_transport_inverts_to_base():
     # pushforward of a field along its own flow is the field itself
-    ctrl = StepControl()
-    word = (Segment(0, 1, 0.6),)
-    base = np.array([0.2, 0.1])
-    visit = apply_word([ROTATION], base, word, ctrl)
-    moved = transport_word([ROTATION], visit, word, ROTATION(visit).reshape(2, 1), ctrl)
-    assert np.allclose(moved[:, 0], ROTATION(base), atol=1e-7)
+    leaf = _walk_leaf([ROTATION], [0.2, 0.1], (Segment(0, 1, 0.6),))
+    (moved,) = transport_walks(leaf, [ROTATION], [ROTATION], StepControl())
+    assert np.allclose(moved[:, 0], ROTATION(leaf.base), atol=1e-7)
 
 
-def test_transport_word_linear_field_oracle():
+def test_walk_transport_linear_field_oracle():
     # for a linear generator the stage transport is a matrix exponential
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    ctrl = StepControl()
-    base = np.array([0.5, 0.0])
-    word = (Segment(0, 1, 0.4), Segment(0, 1, 0.3))
-    visit = apply_word([ROTATION], base, word, ctrl)
     v = np.array([1.0, 2.0])
-    moved = transport_word([ROTATION], visit, word, v.reshape(2, 1), ctrl)
-    expected = scipy.linalg.expm(-0.7 * A) @ v
-    assert np.allclose(moved[:, 0], expected, atol=1e-7)
+    word = (Segment(0, 1, 0.4), Segment(0, 1, 0.3))
+    leaf = _walk_leaf([ROTATION], [0.5, 0.0], word)
+    (moved,) = transport_walks(leaf, [ROTATION], [VectorField.constant(v, N2)], StepControl())
+    # one walk, deepest visit first
+    assert moved.shape == (2, 2)
+    assert np.allclose(moved[:, 0], scipy.linalg.expm(-0.7 * A) @ v, atol=1e-7)
+    assert np.allclose(moved[:, 1], scipy.linalg.expm(-0.4 * A) @ v, atol=1e-7)
 
 
-def test_transport_word_negated_sign_segments():
-    ctrl = StepControl()
-    word = (Segment(0, -1, 0.5),)
-    base = np.array([0.3, -0.2])
-    visit = apply_word([ROTATION], base, word, ctrl)
+def test_walk_transport_negated_sign_segments():
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     v = np.array([0.0, 1.0])
-    moved = transport_word([ROTATION], visit, word, v.reshape(2, 1), ctrl)
+    leaf = _walk_leaf([ROTATION], [0.3, -0.2], (Segment(0, -1, 0.5),))
+    (moved,) = transport_walks(leaf, [ROTATION], [VectorField.constant(v, N2)], StepControl())
     # inverse of flowing by -g for 0.5 is flowing by +g for 0.5
-    expected = scipy.linalg.expm(0.5 * A) @ v
-    assert np.allclose(moved[:, 0], expected, atol=1e-7)
+    assert np.allclose(moved[:, 0], scipy.linalg.expm(0.5 * A) @ v, atol=1e-7)
+
+
+def test_walk_transport_marks_failed_walk_and_continues():
+    g = VectorField.parse(["1", "0"], N2)
+    f = VectorField.parse(["0", "1"], N2)
+    base = np.zeros(2)
+    # undoing the first walk runs x1 from 0.4 back past 0.3 and leaves the
+    # window; the second walk only undoes 0.45 -> 0.4 and stays inside
+    leaf = LeafSample(
+        base=base,
+        visits=(
+            (np.array([0.4, 0.0]), (Segment(0, 1, 0.4),)),
+            (np.array([0.45, 0.0]), (Segment(0, 1, 0.05),)),
+        ),
+        discarded=0,
+    )
+    ctrl = StepControl(window=((0.3, 0.5), (-1.0, 1.0)))
+    failed, ok = transport_walks(leaf, [g], [f], ctrl)
+    assert failed is None
+    assert np.allclose(ok[:, 0], [0.0, 1.0], atol=1e-9)
 
 
 # --- sample_leaf ----------------------------------------------------------
@@ -309,10 +341,9 @@ def test_sample_leaf_deterministic():
 
 def test_sample_leaf_visits_match_their_words():
     fam = _family(ROTATION, VectorField.parse(["x1", "0"], N2))
-    ctrl = StepControl()
     leaf = sample_leaf(fam, [0.5, 0.5], budget=5, max_duration=0.4, rng_seed=7)
     for y, word in leaf.visits:
-        replayed = apply_word(fam.generators, leaf.base, word, ctrl)
+        replayed = _replay(fam.generators, leaf.base, word)
         assert np.allclose(replayed, y, atol=1e-7)
 
 
@@ -344,7 +375,7 @@ def test_sample_leaf_discards_escaping_segments():
         assert -0.5 <= y[0] <= 0.5
 
 
-# --- shift_drift_set ------------------------------------------------------
+# --- drifts shifted along sampled leaves ----------------------------------
 
 
 def test_shift_identity_transport_shear():
@@ -352,30 +383,24 @@ def test_shift_identity_transport_shear():
     fam = _family(VectorField.parse(["0", "1"], N2))
     f = VectorField.parse(["x2", "0"], N2)
     leaf = sample_leaf(fam, [0.0, 0.0], budget=10, max_duration=1.0, rng_seed=5)
-    out = shift_drift_set([f], leaf, family=fam)
-    assert np.allclose(out.shifted_drifts[0], f(leaf.base), atol=1e-12)
-    assert len(out.shifted_drifts) == 1 + len(leaf.visits)
-    for (y, _), v in zip(leaf.visits, out.shifted_drifts[1:]):
-        assert np.allclose(v, [y[1], 0.0], atol=1e-7)
+    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [f])):
+        assert np.allclose(v[:, 0], [y[1], 0.0], atol=1e-7)
 
 
 def test_shift_heading_traces_circle():
     fam = _family(VectorField.parse(["0", "0", "1"], N3))
-    f = HEADING
     leaf = sample_leaf(fam, [0.0, 0.0, 0.0], budget=12, max_duration=1.5, rng_seed=6)
-    out = shift_drift_set([f], leaf, family=fam)
-    for (y, _), v in zip(leaf.visits, out.shifted_drifts[1:]):
+    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [HEADING])):
         s = y[2]
-        assert np.allclose(v, [np.cos(s), np.sin(s), 0.0], atol=1e-6)
-        assert abs(np.hypot(v[0], v[1]) - 1.0) < 1e-6
+        assert np.allclose(v[:, 0], [np.cos(s), np.sin(s), 0.0], atol=1e-6)
+        assert abs(np.hypot(v[0, 0], v[1, 0]) - 1.0) < 1e-6
 
 
 def test_shift_zero_drift_is_zero():
     fam = _family(ROTATION)
     zero = VectorField.parse(["0", "0"], N2)
     leaf = sample_leaf(fam, [1.0, 0.0], budget=6, rng_seed=8)
-    out = shift_drift_set([zero], leaf, family=fam)
-    for v in out.shifted_drifts:
+    for v in _shift_by_visit(leaf, fam.generators, [zero]):
         assert np.allclose(v, 0.0, atol=1e-9)
 
 
@@ -384,13 +409,11 @@ def test_shift_nontrivial_transport_matrix_oracle():
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     fam = _family(ROTATION)
     f = VectorField.parse(["1", "0"], N2)
-    base = np.array([1.0, 0.0])
-    leaf = sample_leaf(fam, base, budget=6, max_duration=0.8, rng_seed=9)
-    out = shift_drift_set([f], leaf, family=fam)
-    for (y, word), v in zip(leaf.visits, out.shifted_drifts[1:]):
+    leaf = sample_leaf(fam, [1.0, 0.0], budget=6, max_duration=0.8, rng_seed=9)
+    for (y, word), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [f])):
         total = sum(seg.sign * seg.duration for seg in word)
         expected = scipy.linalg.expm(-total * A) @ f(y)
-        assert np.allclose(v, expected, atol=1e-6)
+        assert np.allclose(v[:, 0], expected, atol=1e-6)
 
 
 def test_shift_multiple_drifts_group_per_visit():
@@ -398,13 +421,6 @@ def test_shift_multiple_drifts_group_per_visit():
     f1 = VectorField.parse(["x2", "0"], N2)
     f2 = VectorField.parse(["1", "0"], N2)
     leaf = sample_leaf(fam, [0.0, 0.0], budget=4, rng_seed=10)
-    out = shift_drift_set([f1, f2], leaf, family=fam)
-    assert len(out.shifted_drifts) == 2 * (1 + len(leaf.visits))
-    assert np.allclose(out.shifted_drifts[0], [0.0, 0.0])
-    assert np.allclose(out.shifted_drifts[1], [1.0, 0.0])
-
-
-def test_shift_requires_generator_source():
-    leaf = LeafSample(base=np.zeros(2), visits=(), discarded=0)
-    with pytest.raises(ValueError):
-        shift_drift_set([VectorField.parse(["1", "0"], N2)], leaf)
+    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [f1, f2])):
+        assert np.allclose(v[:, 0], [y[1], 0.0], atol=1e-7)
+        assert np.allclose(v[:, 1], [1.0, 0.0], atol=1e-9)

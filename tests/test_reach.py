@@ -13,7 +13,6 @@ from geoctrl.criterion import (
 )
 from geoctrl.fields import VectorField
 from geoctrl.reach import (
-    ControlPolicy,
     ReachCloud,
     coverage,
     cross_validate,
@@ -104,38 +103,12 @@ def test_switched_drift_engages_both_drifts():
     assert cloud.points[:, 0].max() > 0.05
 
 
-def test_greedy_policy_approaches_target():
-    sys_ = SystemSpec(
-        name="g2",
-        var_names=N2,
-        drifts=(VectorField.parse(["0", "0"], N2),),
-        controls=(
-            VectorField.parse(["1", "0"], N2),
-            VectorField.parse(["0", "1"], N2),
-        ),
-        window=WIN2,
-    )
-    policy = ControlPolicy(kind="greedy_toward_target", target=(1.0, -0.5))
-    cloud = simulate_reach(sys_, [0.0, 0.0], T=5.0, n_traj=10, policy=policy, seed=5)
-    dists = np.linalg.norm(cloud.points - np.array([1.0, -0.5]), axis=1)
-    assert dists.min() < 0.3
-
-
 def test_bad_budgets_raise():
     sys_ = _sys2(["x2", "0"])
     with pytest.raises(ValueError):
         simulate_reach(sys_, [0.0, 0.0], T=0.0)
     with pytest.raises(ValueError):
         simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=0)
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        ControlPolicy(amplitude=0.0)
-    with pytest.raises(ValueError):
-        ControlPolicy(duration_bounds=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        ControlPolicy(kind="resonant")
 
 
 # --- coverage and occupancy ------------------------------------------------
