@@ -8,7 +8,8 @@
 
 Reports are JSON on stdout (or --json PATH); reach clouds go to --csv.
 Exit codes: 0 clean/agreement, 2 oracle disagreement, 3 rank not
-constant on the audit grid, 4 bad input or missing assumption.
+constant on the audit grid, 4 bad input or missing assumption (including
+a field expression undefined at a point the run evaluates: DOMAIN_ERROR).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 
+from .expr import EvalDomainError
 from .report import (
     EXIT_ERROR,
     AssumptionMissingError,
@@ -120,6 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("ASSUMPTION_MISSING", str(exc), args.json)
     except PipelineUsageError as exc:
         return _fail("USAGE", str(exc), args.json)
+    except EvalDomainError as exc:
+        return _fail("DOMAIN_ERROR", str(exc), args.json)
 
     if args.csv and report.cloud is not None:
         export_csv(report.cloud, args.csv)

@@ -45,7 +45,7 @@ __all__ = [
     "differentiate",
     "simplify",
     "to_string",
-    "compile_expr",
+    "compile_exprs",
     "const",
     "var",
 ]
@@ -657,19 +657,24 @@ def _emit(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile to a callable mapping points of shape (..., n) to values (...).
+def compile_exprs(exprs: Sequence[Expr]) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile to one kernel mapping points (..., n) to values (..., len(exprs)).
 
-    Uses numpy semantics: domain violations yield nan/inf rather than
-    exceptions, which downstream integrators detect and report.
+    All expressions share one generated function. Numpy semantics: domain
+    violations yield nan/inf, not exceptions. The kernel enters no
+    np.errstate; callers own it around their integration loop.
     """
-    code = _emit(e)
-    fn = eval(f"lambda X, np=np: {code}")  # noqa: S307 - closed codegen, no user code
+    body = "".join(f"{_emit(e)}, " for e in exprs)
+    fn = eval(f"lambda X, np=np: ({body})")  # noqa: S307 - closed codegen, no user code
 
-    def wrapped(X: np.ndarray) -> np.ndarray:
+    def kernel(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        with np.errstate(all="ignore"):
-            out = fn(X)
-        return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1])
+        values = fn(X)
+        if X.ndim == 1:  # one point: packing scalars is the integrators' hot path
+            return np.array(values, dtype=float)
+        out = np.empty(X.shape[:-1] + (len(values),))
+        for i, v in enumerate(values):
+            out[..., i] = v
+        return out
 
-    return wrapped
+    return kernel

@@ -2,8 +2,8 @@
 
 A VectorField is a tuple of expressions, one per state coordinate. The
 symbolic side supports exact Jacobians and Lie brackets; the numeric
-side compiles once to vectorized numpy callables shared by every
-integrator in the package.
+side compiles once to one vectorized numpy function per field and one
+per Jacobian, shared by every integrator; callers own np.errstate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .expr import (
     Expr,
     Const,
-    compile_expr,
+    compile_exprs,
     differentiate,
     evaluate,
     parse_expression,
@@ -85,33 +85,26 @@ class VectorField:
             object.__setattr__(self, "_negated", cached)
         return cached
 
-    # compiled kernels are cached on first use; the dataclass is frozen so
-    # the cache lives in object.__setattr__-installed slots
+    # compiled kernels (one expr.compile_exprs function each, no errstate)
+    # are cached on first use in object.__setattr__-installed slots
     def compiled(self) -> Callable[[np.ndarray], np.ndarray]:
         """Callable mapping (..., n) arrays of points to (..., n) vectors."""
         cached = self.__dict__.get("_compiled")
         if cached is None:
-            fns = [compile_expr(c) for c in self.components]
-
-            def call(X: np.ndarray) -> np.ndarray:
-                X = np.asarray(X, dtype=float)
-                return np.stack([f(X) for f in fns], axis=-1)
-
-            object.__setattr__(self, "_compiled", call)
-            cached = call
+            cached = compile_exprs(self.components)
+            object.__setattr__(self, "_compiled", cached)
         return cached
 
     def compiled_jacobian(self) -> Callable[[np.ndarray], np.ndarray]:
         """Callable mapping (..., n) points to (..., n, n) Jacobians."""
         cached = self.__dict__.get("_compiled_jac")
         if cached is None:
-            J = jacobian(self)
-            fns = [[compile_expr(J[i][j]) for j in range(self.dim)] for i in range(self.dim)]
+            flat = compile_exprs([e for row in jacobian(self) for e in row])
+            shape = (self.dim, self.dim)
 
             def call(X: np.ndarray) -> np.ndarray:
-                X = np.asarray(X, dtype=float)
-                rows = [np.stack([f(X) for f in row], axis=-1) for row in fns]
-                return np.stack(rows, axis=-2)
+                out = flat(X)
+                return out.reshape(out.shape[:-1] + shape)
 
             object.__setattr__(self, "_compiled_jac", call)
             cached = call

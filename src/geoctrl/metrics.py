@@ -245,7 +245,8 @@ def _drift_orbit_candidate(shooter: _Shooter, system: SystemSpec) -> None:
 
 def _lstsq_candidates(shooter: _Shooter) -> None:
     """Aim a single segment by least squares against the local frame."""
-    M = np.column_stack([fn(shooter.x) for fn in shooter.fns])
+    with np.errstate(all="ignore"):
+        M = np.column_stack([fn(shooter.x) for fn in shooter.fns])
     gap = shooter.y - shooter.x
     for T in (0.5, 1.0, 2.0):
         sol, *_ = np.linalg.lstsq(M, gap / T, rcond=None)

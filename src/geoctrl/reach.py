@@ -165,30 +165,32 @@ def simulate_reach(
     stride_steps = max(1, int(round(sample_stride / dt)))
     record(0.0)
     t = 0.0
-    for step_i in range(n_steps):
-        h = min(dt, T - t)
-        expired = active & (seg_end <= t + 1e-12)
-        for i in np.flatnonzero(expired):
-            U[i], dur, drift_idx[i] = _resample_controls(rngs[i], m, n_drifts)
-            seg_end[i] = t + dur
-        act = np.flatnonzero(active)
-        if len(act) == 0:
-            break
-        Y = X[act]
-        Ua = U[act]
-        da = drift_idx[act]
-        k1 = rhs(Y, Ua, da)
-        k2 = rhs(Y + 0.5 * h * k1, Ua, da)
-        k3 = rhs(Y + 0.5 * h * k2, Ua, da)
-        k4 = rhs(Y + h * k3, Ua, da)
-        X[act] = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        escaped = ~np.all(
-            (X >= inflated[:, 0]) & (X <= inflated[:, 1]) & np.isfinite(X), axis=1
-        )
-        active &= ~escaped
-        if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
-            record(t)
+    # the kernels enter no errstate; a lane that turns nan is retired below
+    with np.errstate(all="ignore"):
+        for step_i in range(n_steps):
+            h = min(dt, T - t)
+            expired = active & (seg_end <= t + 1e-12)
+            for i in np.flatnonzero(expired):
+                U[i], dur, drift_idx[i] = _resample_controls(rngs[i], m, n_drifts)
+                seg_end[i] = t + dur
+            act = np.flatnonzero(active)
+            if len(act) == 0:
+                break
+            Y = X[act]
+            Ua = U[act]
+            da = drift_idx[act]
+            k1 = rhs(Y, Ua, da)
+            k2 = rhs(Y + 0.5 * h * k1, Ua, da)
+            k3 = rhs(Y + 0.5 * h * k2, Ua, da)
+            k4 = rhs(Y + h * k3, Ua, da)
+            X[act] = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            escaped = ~np.all(
+                (X >= inflated[:, 0]) & (X <= inflated[:, 1]) & np.isfinite(X), axis=1
+            )
+            active &= ~escaped
+            if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
+                record(t)
 
     if pts_chunks:
         points = np.vstack(pts_chunks)

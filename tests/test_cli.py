@@ -57,6 +57,20 @@ traj = 20
 horizon = 1
 """
 
+# sqrt is undefined on the left half of the window
+SQRT_DRIFT = """\
+name = sqrt_drift
+vars = x1, x2
+drift = sqrt(x1), 0
+control = 0, 1
+window = -2:2, -2:2
+assume_not_dense = true
+grid = 3
+leaf_budget = 4
+traj = 20
+horizon = 1
+"""
+
 PLANE = """\
 name = plane
 vars = x1, x2
@@ -119,6 +133,16 @@ def test_error_doc_written_to_json_path(specfile, tmp_path, capsys):
     capsys.readouterr()
     assert code == 4
     assert json.loads(target.read_text())["error"]["code"] == "ASSUMPTION_MISSING"
+
+
+def test_domain_error_exits_4_with_json_error(specfile, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code = main(["check", specfile(SQRT_DRIFT), "--json", str(target)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 4
+    assert err["error"]["code"] == "DOMAIN_ERROR"
+    assert "sqrt" in err["error"]["message"]
+    assert json.loads(target.read_text()) == err
 
 
 # ----------------------------------------------------------------- audit

@@ -19,7 +19,7 @@ from geoctrl.expr import (
     Unary,
     UnknownIdentifierError,
     Var,
-    compile_expr,
+    compile_exprs,
     differentiate,
     evaluate,
     parse_expression,
@@ -175,14 +175,17 @@ def test_simplify_preserves_value(e, seed):
 @settings(max_examples=100)
 def test_compiled_matches_interpreter(e):
     rng = np.random.default_rng(7)
-    fn = compile_expr(e)
+    fn = compile_exprs([e, Const(2.5)])
     pts = rng.uniform(-1.0, 1.0, size=(5, 3))
     batch = fn(pts)
-    assert batch.shape == (5,)
+    assert batch.shape == (5, 2)
+    assert np.all(batch[:, 1] == 2.5)
     for i in range(5):
         v = evaluate(e, pts[i])
-        assert abs(batch[i] - v) <= 1e-12 * max(1.0, abs(v))
-        assert abs(fn(pts[i]) - v) <= 1e-12 * max(1.0, abs(v))
+        single = fn(pts[i])
+        assert single.shape == (2,)
+        assert abs(batch[i, 0] - v) <= 1e-12 * max(1.0, abs(v))
+        assert abs(single[0] - v) <= 1e-12 * max(1.0, abs(v))
 
 
 SMOOTH_SOURCES = [

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from geoctrl.expr import evaluate, to_string
+from geoctrl.expr import _emit, evaluate, to_string
 from geoctrl.fields import VectorField, jacobian, lie_bracket
 
 N2 = ("x1", "x2")
@@ -125,3 +125,51 @@ def test_negate():
     W = V.negate()
     p = np.array([0.5, 2.0])
     assert np.allclose(W(p), -V(p), atol=1e-15)
+
+
+# fused kernels against one _emit lambda per component: bit for bit, since
+# the reports hash every float the integrators produce
+FUSED_CASES = [
+    (["2", "-1", "0.5"], N3),
+    (["0", "0", "1"], N3),
+    (["x2", "0"], N2),
+    (["0", "1"], N2),
+    (["2 + cos(x3)", "sin(x3)", "0"], N3),
+    (["sin(x1)*x2 + cos(x2)^2", "exp(x1/2)*tanh(x2)"], N2),
+    (["x1^3 - 2*x1*x2 + x2^2", "sqrt(x1^2 + x2^2 + 1)"], N2),
+    (["ln(x1^2 + 1) + tan(x2/2)", "1/(x1^2 + 2)"], N2),
+    (["x2*x3", "sin(x1)", "x1^2"], N3),
+]
+SHAPES = [(), (7,), (2, 3)]
+
+
+def _per_component(exprs, X):
+    cols = []
+    for e in exprs:
+        fn = eval(f"lambda X, np=np: {_emit(e)}")
+        cols.append(np.broadcast_to(np.asarray(fn(X), dtype=float), X.shape[:-1]))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("sources,names", FUSED_CASES)
+@pytest.mark.parametrize("lead", SHAPES)
+def test_fused_field_kernel_is_bit_identical(sources, names, lead):
+    V = VectorField.parse(sources, names)
+    X = np.random.default_rng(11).uniform(-1.5, 1.5, size=lead + (V.dim,))
+    got = V.compiled()(X)
+    assert got.shape == X.shape
+    assert np.array_equal(got, _per_component(V.components, X))
+
+
+@pytest.mark.parametrize("sources,names", FUSED_CASES)
+@pytest.mark.parametrize("lead", SHAPES)
+def test_fused_jacobian_kernel_is_bit_identical(sources, names, lead):
+    V = VectorField.parse(sources, names)
+    n = V.dim
+    X = np.random.default_rng(12).uniform(-1.5, 1.5, size=lead + (n,))
+    got = V.compiled_jacobian()(X)
+    assert got.shape == lead + (n, n)
+    flat = [e for row in jacobian(V) for e in row]
+    want = _per_component(flat, X).reshape(lead + (n, n))
+    assert np.array_equal(got, want)
+

@@ -1,5 +1,7 @@
 """Flow integration, pushforward transport, and leaf sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -107,6 +109,16 @@ def test_finite_time_blowup_raises():
     V = VectorField.parse(["x1^2"], ("x1",))
     with pytest.raises(FlowError):
         integrate_flow(V, [1.0], 2.0)
+
+
+def test_domain_violation_is_a_flow_error_not_a_warning():
+    # backward along sqrt(x1) the state reaches x1 < 0, where the kernel
+    # returns nan; the integrator owns the errstate, so nothing warns
+    V = VectorField.parse(["sqrt(x1)", "0"], N2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowError):
+            integrate_flow(V, [1.0, 0.0], -3.0)
 
 
 def test_inflate_window():

@@ -1,6 +1,7 @@
 """Monte-Carlo reachability oracle and verdict cross-validation."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def offset_unicycle() -> SystemSpec:
 
 
 # --- simulate_reach --------------------------------------------------------
+
+
+def test_domain_violation_retires_lanes_without_warning():
+    # the drift pushes every lane into x1 < 0, where sqrt(x1) is nan
+    sys_ = _sys2(["-1", "0"], ["0", "sqrt(x1)"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cloud = simulate_reach(sys_, [0.5, 0.0], T=2.0, n_traj=20, seed=0)
+    assert len(cloud.points) > 0
+    assert np.all(np.isfinite(cloud.points))
+    assert np.all(cloud.points[:, 0] >= 0.0)
 
 
 def test_driftless_cloud_stays_on_leaf():
