@@ -15,10 +15,18 @@ so the stepper is local and allocation-light. It calls each field's one
 fused kernel (`VectorField.compiled`/`compiled_jacobian`) per stage and
 owns the np.errstate for them: entered once per integration, since the
 kernels enter none.
+
+`integrate_words` integrates piecewise-constant control words for the
+shooting estimators. Several words step together as lanes of one
+vectorized DP54 with per-lane step sizes, each lane reproducing the
+scalar `_integrate` bit for bit; a single word runs `_integrate` itself.
+Leaf walks and drift transport still use `_integrate` one flow at a time
+(batching them across walks is ROADMAP item 3).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -37,6 +45,7 @@ __all__ = [
     "StepUnderflowError",
     "inflate_window",
     "integrate_flow",
+    "integrate_words",
     "pushforward_along",
     "sample_leaf",
     "transport_walks",
@@ -156,7 +165,228 @@ def _integrate(
             h *= min(5.0, max(0.2, factor))
             if h < ctrl.h_min and h < remaining:
                 raise StepUnderflowError(f"step size underflow at h={h:.2e}")
+    if remaining <= 0.0:  # the last allowed step reached the end
+        return y
     raise StepUnderflowError(f"exceeded {ctrl.max_steps} steps")
+
+
+Kernel = Callable[[np.ndarray], np.ndarray]
+
+
+def integrate_words(
+    fns: Sequence[Kernel],
+    jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ctrl: StepControl,
+) -> list[np.ndarray | None]:
+    """Endpoints of piecewise-constant words x' = sum_i w[i] * fns[i](x).
+
+    A job (x0, durations, rows) flows x0 for durations[s] with channel
+    coefficients rows[s], segment after segment; all-zero rows are
+    skipped. An entry is None where `_integrate` raises FlowError on some
+    segment (escape, non-finite state, step underflow, max_steps).
+
+    One job runs `_integrate` segment by segment. Two or more step
+    together as lanes of one DP54 with per-lane step sizes, whose per-lane
+    arithmetic is `_integrate`'s bit for bit: an endpoint does not depend
+    on which jobs share the call.
+    """
+    if len(jobs) == 1:
+        return [_word_endpoint(fns, *jobs[0], ctrl)]
+    return _lane_words(fns, jobs, ctrl)
+
+
+def _word_endpoint(
+    fns: Sequence[Kernel],
+    x0: np.ndarray,
+    durations: np.ndarray,
+    rows: np.ndarray,
+    ctrl: StepControl,
+) -> np.ndarray | None:
+    z = np.array(x0, dtype=float)
+    try:
+        for tau, w in zip(durations, rows):
+            active = [(float(c), fns[i]) for i, c in enumerate(w) if c != 0.0]
+            if not active:
+                continue
+
+            def rhs(p, active=active):
+                out = active[0][0] * active[0][1](p)
+                for c, fn in active[1:]:
+                    out = out + c * fn(p)
+                return out
+
+            z = _integrate(rhs, z, float(tau), ctrl)
+    except FlowError:
+        return None
+    return z
+
+
+class _LaneField:
+    """Word RHS over a (L, n) batch: lane j is sum_i C[j, i] * fns[i].
+
+    Sums like `_word_endpoint`'s rhs, in channel order from each lane's
+    first nonzero coefficient. A channel is evaluated on every lane once
+    any lane uses it, but never enters the sum of a lane whose
+    coefficient is 0: 0 * f flips signs of zero and 0 * nan poisons the
+    lane where f leaves its domain.
+    """
+
+    def __init__(self, fns: Sequence[Kernel], C: np.ndarray):
+        used = C != 0.0
+        some = used.any(axis=0).tolist()
+        every = used.all(axis=0).tolist()
+        seen = None  # lanes whose sum has started; None while none has
+        self.terms = []
+        for i, fn in enumerate(fns):
+            if not some[i]:
+                continue
+            act = used[:, i]
+            if every[i] and (seen is None or seen.all()):
+                masks = None
+            else:
+                first = act if seen is None else act & ~seen
+                masks = (first[:, None], act[:, None])
+            seen = act if seen is None else seen | act
+            self.terms.append((fn, C[:, i : i + 1].copy(), masks))
+
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        out = None
+        for fn, coef, masks in self.terms:
+            term = coef * fn(Y)
+            if masks is None:
+                if out is None:
+                    out = term
+                else:
+                    out += term
+            else:
+                first, act = masks
+                if out is None:
+                    out = np.zeros_like(term)
+                out = np.where(first, term, np.where(act, out + term, out))
+        return out
+
+
+class _Lane:
+    """One job's place in its word and its DP54 step control."""
+
+    __slots__ = ("job", "segs", "seg", "sign", "remaining", "h", "steps", "fsal")
+
+    def __init__(self, job: int, segs: list, ctrl: StepControl):
+        self.job = job
+        self.segs = segs
+        self.seg = -1
+        self.next_segment(ctrl)
+
+    def next_segment(self, ctrl: StepControl) -> bool:
+        """Start the following segment as `_integrate` starts; False at the end."""
+        self.seg += 1
+        if self.seg == len(self.segs):
+            return False
+        t = self.segs[self.seg][0]
+        self.sign = 1.0 if t > 0 else -1.0
+        self.remaining = abs(t)
+        self.h = min(ctrl.h_init, self.remaining)
+        self.steps = 0
+        # once a step is accepted, _integrate's k0 is a view of k[6]: a
+        # rejected step then restarts from the rejected trial's k[6]
+        self.fsal = False
+        return True
+
+
+def _lane_words(
+    fns: Sequence[Kernel],
+    jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ctrl: StepControl,
+) -> list[np.ndarray | None]:
+    """`integrate_words` for several jobs: one DP54 step per lane per round.
+
+    Each lane keeps its own h, remaining time and step count, resized by
+    the scalar rule in Python floats (numpy's array power differs from
+    `**` in the last ulp). Stacked `_DP_A[i] @ K[:, :i]` and row means
+    reproduce the per-lane products and means exactly. Lanes leave the
+    batch when their word ends or fails; a lane entering a new segment
+    gets k0 = rhs(y) as `_integrate` does.
+    """
+    results: list[np.ndarray | None] = [None] * len(jobs)
+    lanes: list[_Lane] = []
+    starts = []
+    for j, (x0, durations, rows) in enumerate(jobs):
+        rows = np.asarray(rows, dtype=float)
+        taus = np.asarray(durations, dtype=float).tolist()
+        moving = np.any(rows != 0.0, axis=1).tolist()
+        segs = [(t, w) for t, w, m in zip(taus, rows, moving) if m and t != 0.0]
+        if segs:
+            lanes.append(_Lane(j, segs, ctrl))
+            starts.append(x0)
+        else:
+            results[j] = np.array(x0, dtype=float)
+    if not lanes:
+        return results
+    Y = np.array(starts, dtype=float)
+    C = np.array([lane.segs[0][1] for lane in lanes])
+    box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
+    field = _LaneField(fns, C)
+    with np.errstate(all="ignore"):
+        K0 = field(Y)
+        while lanes:
+            L = len(lanes)
+            hs = np.array([lane.sign * lane.h for lane in lanes])[:, None]
+            K = np.empty((L, 7, Y.shape[1]))
+            K[:, 0] = K0
+            for i in range(1, 7):
+                K[:, i] = field(Y + hs * (_DP_A[i] @ K[:, :i]))
+            Y5 = Y + hs * (_DP_B5 @ K)
+            Y4 = Y + hs * (_DP_B4 @ K)
+            scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(Y), np.abs(Y5))
+            errs = np.sqrt(np.mean(((Y5 - Y4) / scale) ** 2, axis=1)).tolist()
+            inside = np.isfinite(Y5).all(axis=1)
+            if box is not None:
+                inside &= ((box[0] <= Y5) & (Y5 <= box[1])).all(axis=1)
+            inside = inside.tolist()
+            accepted = [False] * L
+            fsal = [False] * L
+            keep: list[int] = []  # surviving lanes, by old index
+            fresh: list[int] = []  # lanes in a new segment, by new index
+            done: list[int] = []
+            for k, lane in enumerate(lanes):
+                err = errs[k]
+                if not math.isfinite(err):
+                    err = math.inf
+                if err <= 1.0:
+                    if not inside[k]:
+                        continue  # window escape
+                    accepted[k] = lane.fsal = True
+                    lane.remaining -= lane.h
+                fsal[k] = lane.fsal
+                h = lane.h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
+                if h < ctrl.h_min and h < lane.remaining:
+                    continue  # step underflow
+                lane.steps += 1
+                if lane.remaining <= 0.0:
+                    if not lane.next_segment(ctrl):
+                        done.append(k)
+                        continue
+                    C[k] = lane.segs[lane.seg][1]
+                    fresh.append(len(keep))
+                elif lane.steps == ctrl.max_steps:
+                    continue  # out of steps
+                else:
+                    lane.h = min(h, lane.remaining)
+                keep.append(k)
+            Y = np.where(np.array(accepted)[:, None], Y5, Y)
+            K0 = np.where(np.array(fsal)[:, None], K[:, 6], K0)
+            for k in done:
+                results[lanes[k].job] = Y[k].copy()
+            if len(keep) < L:
+                lanes = [lanes[k] for k in keep]
+                Y, K0, C = Y[keep], K0[keep], C[keep]
+            if fresh or len(keep) < L:
+                field = _LaneField(fns, C)
+            if fresh and len(fresh) == len(lanes):
+                K0 = field(Y)
+            elif fresh:
+                K0[fresh] = _LaneField(fns, C[fresh])(Y[fresh])
+    return results
 
 
 def integrate_flow(

@@ -16,6 +16,15 @@ over piecewise-constant words. The candidate stream is a deterministic
 function of the seed alone (every iteration consumes the same random
 draws whether or not an incumbent exists), so the running best is
 reproducible and can only improve as the budget grows.
+
+Every candidate word is integrated through `flows.integrate_words`.
+estimate_cost and sr_distance run one stream, so each word goes alone
+through the scalar stepper. loop_length runs its out-and-back leg
+searches in lockstep: each round, every leg proposes its next candidate
+from its own stream and incumbent, the words integrate together as lanes
+of one DP54, and each endpoint is folded back into its own leg. Lanes
+repeat the scalar arithmetic exactly, so the result is the same as
+running the legs one after another.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowError, StepControl, _integrate, inflate_window
+from .flows import FlowError, StepControl, _integrate, inflate_window, integrate_words
 from .system import SystemSpec
 
 __all__ = ["CostEstimate", "estimate_cost", "sr_distance", "loop_length"]
@@ -36,6 +45,7 @@ DEFAULT_ENDPOINT_TOL = 0.05
 _MAX_SEGMENTS = 6
 _DUR_RANGE = (0.02, 3.0)
 _AMP_RANGE = (0.1, 60.0)  # log-uniform envelope for control amplitudes
+_FACTORS = (0.4, 0.6, 0.8, 1.25, 1.6, 2.5)  # refinement scale factors
 
 
 @dataclass(frozen=True)
@@ -102,24 +112,11 @@ class _Shooter:
         w = weights if self.drift_in_cost else weights[:, 1:]
         return float(np.sum(np.linalg.norm(w, axis=1) * durations))
 
-    def _endpoint(self, durations: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        z = self.x.copy()
-        for tau, w in zip(durations, weights):
-            active = [(float(c), self.fns[i]) for i, c in enumerate(w) if c != 0.0]
-            if not active:
-                continue
-
-            def rhs(p, active=active):
-                out = active[0][0] * active[0][1](p)
-                for c, fn in active[1:]:
-                    out = out + c * fn(p)
-                return out
-
-            z = _integrate(rhs, z, float(tau), self.ctrl)
-        return z
-
-    def submit(self, durations: np.ndarray, weights: np.ndarray) -> None:
-        """Evaluate one candidate word and fold it into the running best."""
+    def prepare(
+        self, durations: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Count one candidate word and bring it into the evaluated form:
+        durations clamped and capped at TIME_CAP, drift fixed if required."""
         self.evals += 1
         durations = np.maximum(np.asarray(durations, dtype=float), 1e-4)
         total = float(durations.sum())
@@ -128,11 +125,16 @@ class _Shooter:
         weights = np.asarray(weights, dtype=float)
         if self.fixed_drift:
             weights[:, 0] = 1.0
-        try:
-            end = self._endpoint(durations, weights)
-            err = float(np.linalg.norm(end - self.y))
-        except FlowError:
+        return durations, weights
+
+    def fold(
+        self, durations: np.ndarray, weights: np.ndarray, end: np.ndarray | None
+    ) -> None:
+        """Fold a prepared word and its endpoint (None: the flow failed)
+        into the running best and the incumbent."""
+        if end is None:
             return
+        err = float(np.linalg.norm(end - self.y))
         cost = self._cost(durations, weights)
         limit = self.tol
         if self.closure_frac is not None:
@@ -155,6 +157,10 @@ class _Shooter:
             self.inc_key = key
             self.inc = (durations.copy(), weights.copy())
 
+    def submit(self, durations: np.ndarray, weights: np.ndarray) -> None:
+        """Evaluate one candidate word and fold it into the running best."""
+        _evaluate([(self, durations, weights)])
+
     def result(self) -> CostEstimate:
         return CostEstimate(
             value=None if self.best_word is None else self.best_cost,
@@ -164,16 +170,38 @@ class _Shooter:
         )
 
 
+def _evaluate(candidates) -> None:
+    """Evaluate (shooter, durations, weights) candidates of one system.
+
+    All words are prepared, integrated in one `integrate_words` call (as
+    lanes when there are several) and folded in the given order, so the
+    outcome equals submitting them one by one.
+    """
+    if not candidates:
+        return
+    prepared = [(sh, *sh.prepare(d, w)) for sh, d, w in candidates]
+    first = prepared[0][0]
+    ends = integrate_words(
+        first.fns, [(sh.x, d, w) for sh, d, w in prepared], first.ctrl
+    )
+    for (sh, d, w), end in zip(prepared, ends):
+        sh.fold(d, w, end)
+
+
 def _free_channels(shooter: _Shooter) -> slice:
     return slice(1, None) if shooter.fixed_drift else slice(0, None)
 
 
-def _stream_step(shooter: _Shooter, rng: np.random.Generator) -> None:
-    """One shoot-or-refine evaluation.
+def _propose(
+    shooter: _Shooter, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next shoot-or-refine candidate word (durations, weights).
 
     Every call consumes the same random draws whether an incumbent
     exists or not, so the candidate sequence depends on the seed alone
-    and a larger budget replays a smaller one exactly.
+    and a larger budget replays a smaller one exactly. The shooter's
+    eval count and incumbent pick the move, so each candidate must be
+    evaluated before the next is proposed.
     """
     smax = _MAX_SEGMENTS
     nchan = shooter.nchan
@@ -184,14 +212,13 @@ def _stream_step(shooter: _Shooter, rng: np.random.Generator) -> None:
     raw_amp = rng.standard_normal((smax, nchan))
     amp_scale = float(np.exp(rng.uniform(lo_a, hi_a)))
     pick_seg = int(rng.integers(0, smax))
-    factor = float(rng.choice([0.4, 0.6, 0.8, 1.25, 1.6, 2.5]))
+    factor = _FACTORS[int(rng.integers(0, len(_FACTORS)))]
     mode = shooter.evals % 5
     if mode == 0 or shooter.inc is None:
         durations = raw_dur[:nseg].copy()
         weights = np.zeros((nseg, nchan))
         weights[:, free] = raw_amp[:nseg, free] * amp_scale
-        shooter.submit(durations, weights)
-        return
+        return durations, weights
     durations, weights = shooter.inc
     durations = durations.copy()
     weights = weights.copy()
@@ -207,7 +234,7 @@ def _stream_step(shooter: _Shooter, rng: np.random.Generator) -> None:
         # joint reparametrization: same channel integral, less drift
         durations[j] *= factor
         weights[j, free] /= factor
-    shooter.submit(durations, weights)
+    return durations, weights
 
 
 def _run_stream(shooter: _Shooter, budget: int, seed) -> None:
@@ -215,7 +242,7 @@ def _run_stream(shooter: _Shooter, budget: int, seed) -> None:
     # a zero-cost incumbent is already optimal: the functional is
     # nonnegative, so further search cannot change the answer
     while shooter.evals < budget and shooter.best_cost > 0.0:
-        _stream_step(shooter, rng)
+        shooter.submit(*_propose(shooter, rng))
 
 
 def _drift_orbit_candidate(shooter: _Shooter, system: SystemSpec) -> None:
@@ -243,17 +270,19 @@ def _drift_orbit_candidate(shooter: _Shooter, system: SystemSpec) -> None:
         shooter.evals += 1
 
 
-def _lstsq_candidates(shooter: _Shooter) -> None:
-    """Aim a single segment by least squares against the local frame."""
+def _lstsq_candidates(shooter: _Shooter) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Single-segment words aimed by least squares against the local frame."""
     with np.errstate(all="ignore"):
         M = np.column_stack([fn(shooter.x) for fn in shooter.fns])
     gap = shooter.y - shooter.x
+    out = []
     for T in (0.5, 1.0, 2.0):
         sol, *_ = np.linalg.lstsq(M, gap / T, rcond=None)
         w = sol[None, :].copy()
         if shooter.fixed_drift:
             w[0, 0] = 1.0
-        shooter.submit(np.array([T]), w)
+        out.append((np.array([T]), w))
+    return out
 
 
 def estimate_cost(
@@ -276,7 +305,8 @@ def estimate_cost(
     y = np.asarray(y, dtype=float)
     sh = _Shooter(system, x, y, endpoint_tol, fixed_drift=True, drift_in_cost=False)
     _drift_orbit_candidate(sh, system)
-    _lstsq_candidates(sh)
+    for durations, weights in _lstsq_candidates(sh):
+        sh.submit(durations, weights)
     _run_stream(sh, budget, seed)
     return sh.result()
 
@@ -301,15 +331,16 @@ def sr_distance(
     if np.array_equal(x, y):
         return CostEstimate(value=0.0, best_word=(), endpoint_error=0.0, budget_spent=0)
     sh = _Shooter(system, x, y, endpoint_tol, fixed_drift=False, drift_in_cost=True)
-    _lstsq_candidates(sh)
+    for durations, weights in _lstsq_candidates(sh):
+        sh.submit(durations, weights)
     _run_stream(sh, budget, seed)
     return sh.result()
 
 
-def _submit_word(shooter: _Shooter, word) -> None:
+def _word_arrays(word) -> tuple[np.ndarray, np.ndarray]:
     durations = np.array([t for t, _ in word])
     weights = np.array([list(c) for _, c in word])
-    shooter.submit(durations, weights)
+    return durations, weights
 
 
 def loop_length(
@@ -356,28 +387,34 @@ def loop_length(
     leg_budget = checkpoint * max(
         1, (budget - len(probes)) // (2 * len(probes) * checkpoint)
     )
-    leg_evals = 0
-    for pi, yp in enumerate(probes):
-        out = _Shooter(
-            system, x, yp, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
+    # the legs advance in lockstep, one candidate each per round, so a
+    # round's words integrate as lanes of one DP54; each leg still draws
+    # from its own stream and refines its own incumbent
+    legs = [
+        (
+            _Shooter(
+                system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
+            ),
+            np.random.default_rng([seed, pi, k]),
         )
-        back = _Shooter(
-            system, yp, x, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
-        )
-        _lstsq_candidates(out)
-        _lstsq_candidates(back)
-        rng_out = np.random.default_rng([seed, pi, 0])
-        rng_back = np.random.default_rng([seed, pi, 1])
-        done = 0
-        while done < leg_budget:
-            done = min(done + checkpoint, leg_budget)
-            while out.evals < done:
-                _stream_step(out, rng_out)
-            while back.evals < done:
-                _stream_step(back, rng_back)
-            if out.best_word is not None and back.best_word is not None:
-                _submit_word(sh, out.best_word + back.best_word)
-        leg_evals += out.evals + back.evals
+        for pi, yp in enumerate(probes)
+        for k, (a, b) in enumerate(((x, yp), (yp, x)))
+    ]
+    _evaluate([(leg, d, w) for leg, _ in legs for d, w in _lstsq_candidates(leg)])
+    snapshots = []
+    for done in range(checkpoint, leg_budget + 1, checkpoint):
+        while pending := [(leg, rng) for leg, rng in legs if leg.evals < done]:
+            _evaluate([(leg, *_propose(leg, rng)) for leg, rng in pending])
+        snapshots.append([leg.best_word for leg, _ in legs])
+    # out + back of each probe at each checkpoint, in (probe, checkpoint) order
+    loops = [
+        _word_arrays(snap[2 * pi] + snap[2 * pi + 1])
+        for pi in range(len(probes))
+        for snap in snapshots
+        if snap[2 * pi] is not None and snap[2 * pi + 1] is not None
+    ]
+    _evaluate([(sh, d, w) for d, w in loops])
+    leg_evals = sum(leg.evals for leg, _ in legs)
     est = sh.result()
     return CostEstimate(
         value=est.value,

@@ -23,17 +23,30 @@ def test_demo_imports_resolve(demo):
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
 
 
-def test_leaf_demo_runs():
+def _run_demo(name: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "02_leaves_and_shifted_drifts.py")],
+        [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
+        cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr
-    assert "every transported drift pushes forward" in result.stdout
+    return result.stdout
+
+
+def test_leaf_demo_runs():
+    out = _run_demo("02_leaves_and_shifted_drifts.py")
+    assert "every transported drift pushes forward" in out
+
+
+def test_steering_demo_runs_every_estimator():
+    out = _run_demo("07_steering_costs.py")
+    assert "best found cost 1.542" in out
+    assert "l(0.0, 0.5) = 1.582" in out
+    assert "l(0.0, 1.0) = 1.601" in out

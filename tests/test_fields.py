@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from geoctrl.expr import _emit, evaluate, to_string
 from geoctrl.fields import VectorField, jacobian, lie_bracket
+from geoctrl.system import load_spec
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
@@ -173,3 +176,27 @@ def test_fused_jacobian_kernel_is_bit_identical(sources, names, lead):
     want = _per_component(flat, X).reshape(lead + (n, n))
     assert np.array_equal(got, want)
 
+
+
+# the lane stepper evaluates an (L, n) batch where the scalar stepper
+# evaluates each point alone; its endpoints equal the scalar ones only if
+# every row of a batched kernel call equals the call on that row's point
+def _row_cases():
+    cases = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "systems").glob("*.sys")):
+        spec = load_spec(str(path))
+        for k, F in enumerate(spec.drifts + spec.controls):
+            cases.append(pytest.param(F, spec.window, id=f"{spec.name}-{k}"))
+    frac = VectorField.parse(["(x1^2 + 1)^0.37", "sqrt(x1^2 + x2^2 + 1)^1.5"], N2)
+    cases.append(pytest.param(frac, ((-2.0, 2.0), (-2.0, 2.0)), id="fractional-power"))
+    return cases
+
+
+@pytest.mark.parametrize("field,window", _row_cases())
+def test_kernel_rows_equal_pointwise_calls(field, window):
+    lo, hi = np.array(window).T
+    Y = lo + (hi - lo) * np.random.default_rng(13).random((64, field.dim))
+    kernel = field.compiled()
+    batch = kernel(Y)
+    for i in range(len(Y)):
+        assert batch[i].tobytes() == kernel(Y[i]).tobytes()

@@ -15,9 +15,11 @@ from geoctrl.flows import (
     LeafSample,
     Segment,
     StepControl,
+    StepUnderflowError,
     WindowEscapeError,
     inflate_window,
     integrate_flow,
+    integrate_words,
     pushforward_along,
     sample_leaf,
     transport_walks,
@@ -119,6 +121,24 @@ def test_domain_violation_is_a_flow_error_not_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(FlowError):
             integrate_flow(V, [1.0, 0.0], -3.0)
+
+
+def test_last_allowed_step_may_end_the_flow():
+    # steps of 0.01 and 0.05 reach t = 0.06 in exactly max_steps = 2
+    V = VectorField.parse(["1", "0"], N2)
+    two = StepControl(h_init=0.01, max_steps=2)
+    end = integrate_flow(V, [0.0, 0.0], 0.06, two)
+    three = StepControl(h_init=0.01, max_steps=3)
+    assert np.array_equal(end, integrate_flow(V, [0.0, 0.0], 0.06, three))
+    assert np.allclose(end, [0.06, 0.0])
+    with pytest.raises(StepUnderflowError):
+        integrate_flow(V, [0.0, 0.0], 0.06, StepControl(h_init=0.01, max_steps=1))
+    # the lane stepper keeps the same rule
+    job = (np.zeros(2), np.array([0.06]), np.array([[1.0]]))
+    short = (np.zeros(2), np.array([0.01]), np.array([[1.0]]))
+    lanes = integrate_words([V.compiled()], [job, short], two)
+    assert np.array_equal(lanes[0], end)
+    assert np.array_equal(lanes[1], integrate_flow(V, [0.0, 0.0], 0.01, two))
 
 
 def test_inflate_window():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from geoctrl import metrics
 from geoctrl.fields import VectorField
+from geoctrl.flows import StepControl, inflate_window, integrate_words
 from geoctrl.metrics import CostEstimate, estimate_cost, loop_length, sr_distance
 from geoctrl.system import SystemSpec
 
@@ -42,6 +44,20 @@ def unicycle() -> SystemSpec:
         drifts=(VectorField.parse(["cos(x3)", "sin(x3)", "0"], N3),),
         controls=(VectorField.parse(["0", "0", "1"], N3),),
         window=((-2.0, 2.0), (-2.0, 2.0), (-PI, PI)),
+        assume_not_dense=True,
+    )
+
+
+def saddle3d() -> SystemSpec:
+    return SystemSpec(
+        name="saddle3d",
+        var_names=N3,
+        drifts=(VectorField.parse(["0", "0", "sin(x1)"], N3),),
+        controls=(
+            VectorField.parse(["1", "0", "0"], N3),
+            VectorField.parse(["0", "1", "0"], N3),
+        ),
+        window=((-2.0, 2.0),) * 3,
         assume_not_dense=True,
     )
 
@@ -265,3 +281,75 @@ def test_more_budget_never_hurts_loops():
             for b in (200, 400, 800, 1600)
         ]
     )
+
+
+# ------------------------------------------------------------------ lanes
+
+
+def _random_jobs(system: SystemSpec, rng: np.random.Generator, count: int):
+    """Shooting-like words from random points: exact-zero channels and
+    all-zero rows mixed in, the drift fixed at one in some words."""
+    win = np.array(system.window)
+    nchan = 1 + len(system.controls)
+    jobs = []
+    for _ in range(count):
+        nseg = int(rng.integers(1, 7))
+        durations = rng.uniform(0.02, 1.5, size=nseg)
+        weights = rng.standard_normal((nseg, nchan)) * np.exp(rng.uniform(-2.0, 1.5))
+        weights[rng.random((nseg, nchan)) < 0.3] = 0.0
+        weights[rng.random(nseg) < 0.15] = 0.0
+        if rng.random() < 0.5:
+            weights[:, 0] = 1.0
+        x0 = win[:, 0] + (0.25 + 0.5 * rng.random(system.dim)) * (win[:, 1] - win[:, 0])
+        jobs.append((x0, durations, weights))
+    return jobs
+
+
+@pytest.mark.parametrize("system", [shear(), unicycle(), saddle3d()], ids=lambda s: s.name)
+@pytest.mark.parametrize("max_steps", [100_000, 12])
+def test_lanes_equal_each_word_integrated_alone(system, max_steps):
+    fns = [F.compiled() for F in (system.drift,) + tuple(system.controls)]
+    ctrl = StepControl(
+        atol=1e-8, rtol=1e-8, max_steps=max_steps,
+        window=inflate_window(system.window, 0.5),
+    )
+    nchan = len(fns)
+    center = np.mean(np.array(system.window), axis=1)
+    escape = np.zeros((1, nchan))
+    escape[0, 1] = 60.0
+    creep = np.zeros((1, nchan))
+    creep[0, 0] = 1e-9
+    jobs = _random_jobs(system, np.random.default_rng(len(fns) + max_steps), 40) + [
+        (center, np.array([3.0]), escape),  # leaves the window
+        (center, np.array([1e6]), creep),  # steps grow 5x from 0.01: 13 steps
+        (center, np.array([0.5, 0.7]), np.zeros((2, nchan))),  # never moves
+    ]
+    alone = [integrate_words(fns, [job], ctrl)[0] for job in jobs]
+    together = integrate_words(fns, jobs, ctrl)
+    assert alone[-3] is None
+    assert (alone[-2] is None) == (max_steps == 12)
+    assert np.array_equal(alone[-1], center)
+    ends = [end for end in alone if end is not None]
+    assert len(ends) >= 10 and len(alone) - len(ends) >= 2
+    for ref, got in zip(alone, together):
+        if ref is None:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == ref.tobytes()
+
+
+def _one_job_at_a_time(fns, jobs, ctrl):
+    return [end for job in jobs for end in integrate_words(fns, [job], ctrl)]
+
+
+@pytest.mark.parametrize(
+    "system,x,seed",
+    [(shear(), (0.0, 0.5), 2), (unicycle(), (0.0, 0.0, 0.0), 0)],
+    ids=["shear", "unicycle"],
+)
+def test_loop_length_does_not_depend_on_lanes(system, x, seed, monkeypatch):
+    lanes = loop_length(system, x, seed=seed)
+    monkeypatch.setattr(metrics, "integrate_words", _one_job_at_a_time)
+    alone = loop_length(system, x, seed=seed)
+    assert lanes.value is not None
+    assert lanes == alone
