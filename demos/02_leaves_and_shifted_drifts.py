@@ -28,7 +28,7 @@ for pt, _word in leaf.visits[:6]:
 
 # one column stack per walk, deepest visit first; None marks a walk
 # whose transport failed (nothing fails without a window)
-walks = transport_walks(leaf, fam.generators, [drift], StepControl())
+walks = transport_walks(leaf.walks(), fam.generators, [drift], StepControl())
 shifted = np.array([drift(base)] + [col for W in walks if W is not None for col in W.T])
 print("\ndrift at the base, then shifted back walk by walk (deepest visit first):")
 for row in shifted[:6]:

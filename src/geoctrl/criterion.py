@@ -23,7 +23,8 @@ Monte-Carlo reachability oracle corroborates separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -257,76 +258,141 @@ def _direction_design(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _condition_at_point(
-    drifts: Sequence[VectorField],
+class _Hull:
+    """One base point's hull test, fed transported walks as they arrive."""
+
+    __slots__ = ("x", "Q", "leaf", "walks", "taken", "collected", "inside", "wit")
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        Q: np.ndarray,
+        leaf: LeafSample,
+        drifts: Sequence[VectorField],
+        margin: float,
+    ):
+        self.x, self.Q, self.leaf = x, Q, leaf
+        self.walks = leaf.walks()
+        self.taken = 0
+        self.collected = np.array([Q @ f(x) for f in drifts])
+        self.inside, self.wit = interior_convex_test(self.collected, margin)
+
+    def fold(self, moved: np.ndarray | None, margin: float) -> None:
+        if moved is None or self.inside:
+            return
+        self.collected = np.vstack([self.collected, (self.Q @ moved).T])
+        self.inside, self.wit = interior_convex_test(self.collected, margin)
+
+    def verdict(
+        self,
+        drifts: Sequence[VectorField],
+        margin: float,
+        eps_sign: float,
+        det_frame: Sequence[VectorField] | None,
+    ) -> PointVerdict:
+        if self.inside:
+            witness = _interior_certificate(self.collected, margin)
+        else:
+            witness = {"kind": "separating", "covector": self.wit.tolist()}
+        det_agrees = None
+        if det_frame is not None and len(drifts) == 1:
+            det_v = sign_change_on_leaf(
+                self.leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
+            )
+            det_agrees = det_v.condition_holds == self.inside
+        return PointVerdict(
+            base=self.x,
+            condition_holds=self.inside,
+            witness=witness,
+            samples_used=len(self.collected),
+            quotient_frame=self.Q,
+            det_agrees=det_agrees,
+        )
+
+
+def _point_verdicts(
+    system: SystemSpec,
     family: BracketFamily,
     rank: int,
-    x: np.ndarray,
+    points: Sequence[np.ndarray],
+    seeds: Sequence[int],
     leaf_budget: int,
-    max_duration: float,
-    seed: int,
     step: StepControl,
     margin: float = DEFAULT_MARGIN,
     eps_sign: float = DEFAULT_EPS_SIGN,
     det_frame: Sequence[VectorField] | None = None,
-) -> PointVerdict:
-    """Evaluate the interior condition at one base point, early-stopping."""
+) -> list[PointVerdict]:
+    """The interior condition at each base point, early-stopping per point.
+
+    First every point's leaf is sampled, in order and with its own seed.
+    Then the walks of the points still undecided are transported in
+    waves, all in one `transport_walks` call per wave: wave r takes each
+    such point's next 2^r walks. A point folds its results into its hull
+    test in walk order and stops at the first inside, so its verdict is
+    the one of transporting its walks one at a time.
+    """
+    drifts = system.drifts
     n = family.dim
-    k = n - rank
-    try:
-        Q = quotient_projection(family.evaluate_matrix(x), expected_rank=rank)
-    except NotRegularError as exc:
-        return PointVerdict(
-            base=x,
-            condition_holds=False,
-            witness=None,
-            samples_used=0,
-            quotient_frame=np.zeros((0, n)),
-            error=str(exc),
+    verdicts: list[PointVerdict | _Hull] = []
+    for x, seed in zip(points, seeds):
+        try:
+            Q = quotient_projection(family.evaluate_matrix(x), expected_rank=rank)
+        except NotRegularError as exc:
+            verdicts.append(
+                PointVerdict(
+                    base=x,
+                    condition_holds=False,
+                    witness=None,
+                    samples_used=0,
+                    quotient_frame=np.zeros((0, n)),
+                    error=str(exc),
+                )
+            )
+            continue
+        if rank == n:
+            # control span is everything; the hull condition is vacuous
+            verdicts.append(
+                PointVerdict(
+                    base=x,
+                    condition_holds=True,
+                    witness={"kind": "full_span"},
+                    samples_used=0,
+                    quotient_frame=Q,
+                )
+            )
+            continue
+        leaf = sample_leaf(
+            family,
+            x,
+            budget=leaf_budget,
+            max_duration=system.walk_duration(),
+            rng_seed=seed,
+            step=step,
         )
-    if k == 0:
-        # control span is everything; the hull condition is vacuous
-        return PointVerdict(
-            base=x,
-            condition_holds=True,
-            witness={"kind": "full_span"},
-            samples_used=0,
-            quotient_frame=Q,
-        )
+        verdicts.append(_Hull(x, Q, leaf, drifts, margin))
 
-    leaf = sample_leaf(
-        family, x, budget=leaf_budget, max_duration=max_duration, rng_seed=seed, step=step
-    )
-    projected = [Q @ f(x) for f in drifts]
-    collected = np.array(projected)
-    inside, wit = interior_convex_test(collected, margin)
-    if not inside:
-        for moved in transport_walks(leaf, family.generators, drifts, step):
-            if moved is None:
-                continue
-            collected = np.vstack([collected, (Q @ moved).T])
-            inside, wit = interior_convex_test(collected, margin)
-            if inside:
-                break
-
-    samples = len(collected)
-    if inside:
-        witness = _interior_certificate(collected, margin)
-    else:
-        witness = {"kind": "separating", "covector": wit.tolist()}
-    verdict = PointVerdict(
-        base=x,
-        condition_holds=inside,
-        witness=witness,
-        samples_used=samples,
-        quotient_frame=Q,
-    )
-    if det_frame is not None and len(drifts) == 1:
-        det_v = sign_change_on_leaf(
-            leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
+    hulls = [v for v in verdicts if isinstance(v, _Hull)]
+    width = 1
+    while True:
+        wave = [(h, h.walks[h.taken : h.taken + width]) for h in hulls if not h.inside]
+        wave = [(h, walks) for h, walks in wave if walks]
+        if not wave:
+            break
+        moved = iter(
+            transport_walks(
+                [w for _, walks in wave for w in walks], family.generators, drifts, step
+            )
         )
-        verdict = replace(verdict, det_agrees=det_v.condition_holds == inside)
-    return verdict
+        for h, walks in wave:
+            h.taken += len(walks)
+            for W in islice(moved, len(walks)):
+                h.fold(W, margin)
+        width *= 2
+
+    return [
+        v.verdict(drifts, margin, eps_sign, det_frame) if isinstance(v, _Hull) else v
+        for v in verdicts
+    ]
 
 
 def _interior_certificate(collected: np.ndarray, margin: float) -> dict:
@@ -417,20 +483,23 @@ def switched_condition(
     family, regularity = _prepare(system, family, regularity, None)
     if not regularity.constant_rank:
         raise NotRegularError(regularity.note)
-    det_frame = _global_frame(system, family, regularity)
-    return _condition_at_point(
-        drifts=system.drifts,
-        family=family,
-        rank=regularity.rank,
-        x=np.asarray(x, dtype=float),
-        leaf_budget=leaf_budget or system.leaf_budget,
-        max_duration=system.walk_duration(),
-        seed=seed,
-        step=_step_control(system),
+    (verdict,) = _point_verdicts(
+        system,
+        family,
+        regularity.rank,
+        [np.asarray(x, dtype=float)],
+        [seed],
+        leaf_budget or system.leaf_budget,
+        _step_control(system),
         margin=margin,
         eps_sign=eps_sign,
-        det_frame=det_frame,
+        det_frame=_global_frame(system, family, regularity),
     )
+    return verdict
+
+
+def _child_seed(child: np.random.SeedSequence) -> int:
+    return int(child.generate_state(1, dtype=np.uint64)[0])
 
 
 def _global_frame(
@@ -455,7 +524,12 @@ def global_verdict(
 
     The condition is per-point, so every grid point is checked; this is
     redundant across a shared leaf but sound. Point seeds derive from
-    the master seed, keeping reports reproducible.
+    the master seed, keeping reports reproducible. It runs in two
+    phases: every point's leaf is sampled first, in grid order; then
+    the walks of the points whose hull is still open are transported in
+    waves across points, wave r taking each such point's next 2^r walks
+    (1, 2, 4, ...). Each point folds its walks into its hull test in
+    walk order, so a verdict does not depend on the waves.
     """
     family, regularity = _prepare(system, family, regularity, grid_per_axis)
     assumptions = {
@@ -473,24 +547,16 @@ def global_verdict(
         seed = system.seed
     pts = window_grid(system.window, grid_per_axis or system.grid_per_axis)
     children = np.random.SeedSequence(seed).spawn(len(pts))
-    det_frame = _global_frame(system, family, regularity)
-    step = _step_control(system)
-    budget = leaf_budget or system.leaf_budget
-    verdicts = []
-    for p, child in zip(pts, children):
-        verdicts.append(
-            _condition_at_point(
-                drifts=system.drifts,
-                family=family,
-                rank=regularity.rank,
-                x=p,
-                leaf_budget=budget,
-                max_duration=system.walk_duration(),
-                seed=int(child.generate_state(1, dtype=np.uint64)[0]),
-                step=step,
-                det_frame=det_frame,
-            )
-        )
+    verdicts = _point_verdicts(
+        system,
+        family,
+        regularity.rank,
+        pts,
+        [_child_seed(child) for child in children],
+        leaf_budget or system.leaf_budget,
+        _step_control(system),
+        det_frame=_global_frame(system, family, regularity),
+    )
     errored = [v for v in verdicts if v.error is not None]
     failed = [v for v in verdicts if v.error is None and not v.condition_holds]
     if failed:
@@ -620,12 +686,12 @@ def verify_supporting_distribution(
             if not clauses["control_invariance"]:
                 break
 
-    # (c) shifted drifts confined to one side of the projected S
+    # (c) shifted drifts confined to one side of the projected S; the
+    # walks of every point are transported in one call
     if clauses["complement_rank"] and clauses["control_invariance"]:
         step = _step_control(system)
         children = np.random.SeedSequence(seed).spawn(len(pts))
-        worst = np.inf
-        skipped = 0
+        planes = []  # per point (Q, normal, walks), or None where S degenerates
         for p, child in zip(pts, children):
             Q = quotient_projection(family.evaluate_matrix(p), expected_rank=regularity.rank)
             PS = np.column_stack([Q @ S(p) for S in S_candidate])
@@ -633,20 +699,30 @@ def verify_supporting_distribution(
                 normal = quotient_projection(PS, expected_rank=k - 1)[0]
             except NotRegularError:
                 # isolated degeneration of the candidate; no hyperplane here
-                skipped += 1
+                planes.append(None)
                 continue
             leaf = sample_leaf(
                 family,
                 p,
                 budget=leaf_budget,
                 max_duration=system.walk_duration(),
-                rng_seed=int(child.generate_state(1, dtype=np.uint64)[0]),
+                rng_seed=_child_seed(child),
                 step=step,
             )
+            planes.append((Q, normal, leaf.walks()))
+        every_walk = [w for plane in planes if plane is not None for w in plane[2]]
+        moved = iter(transport_walks(every_walk, family.generators, system.drifts, step))
+        worst = np.inf
+        skipped = 0
+        for p, plane in zip(pts, planes):
+            if plane is None:
+                skipped += 1
+                continue
+            Q, normal, walks = plane
             vecs = [Q @ f(p) for f in system.drifts]
-            for moved in transport_walks(leaf, family.generators, system.drifts, step):
-                if moved is not None:
-                    vecs.extend((Q @ moved).T)
+            for W in islice(moved, len(walks)):
+                if W is not None:
+                    vecs.extend((Q @ W).T)
             sides = np.array([float(normal @ v) for v in vecs])
             # orient the normal toward the drift majority at this point
             if sides.sum() < 0:

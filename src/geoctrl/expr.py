@@ -23,6 +23,7 @@ cuts never enter the picture.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -128,6 +129,16 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def _folds(a: Expr, b: Expr, op: Callable[[float, float], float]) -> Const | None:
+    """Fold two constants, unless the result is inf or nan: the grammar has
+    no literal for those, so a folded tree would not print and parse back."""
+    if isinstance(a, Const) and isinstance(b, Const):
+        v = op(a.value, b.value)
+        if math.isfinite(v):
+            return Const(v)
+    return None
+
+
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)
@@ -135,8 +146,9 @@ def neg(e: Expr) -> Expr:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+    folded = _folds(a, b, operator.add)
+    if folded is not None:
+        return folded
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -145,8 +157,9 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    folded = _folds(a, b, operator.sub)
+    if folded is not None:
+        return folded
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -155,8 +168,9 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    folded = _folds(a, b, operator.mul)
+    if folded is not None:
+        return folded
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -167,8 +181,10 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+    if not _is_const(b, 0.0):
+        folded = _folds(a, b, operator.truediv)
+        if folded is not None:
+            return folded
     if _is_const(b, 1.0):
         return a
     return Binary("div", a, b)

@@ -16,19 +16,20 @@ fused kernel (`VectorField.compiled`/`compiled_jacobian`) per stage and
 owns the np.errstate for them: entered once per integration, since the
 kernels enter none.
 
-`integrate_words` integrates piecewise-constant control words for the
-shooting estimators. Several words step together as lanes of one
-vectorized DP54 with per-lane step sizes, each lane reproducing the
-scalar `_integrate` bit for bit; a single word runs `_integrate` itself.
-Leaf walks and drift transport still use `_integrate` one flow at a time
-(batching them across walks is ROADMAP item 3).
+`_step_lanes` steps many flows as lanes of one vectorized DP54 with
+per-lane step sizes, each lane reproducing the scalar `_integrate` bit
+for bit. `integrate_words` runs the piecewise-constant control words of
+the shooting estimators on it (a single word runs `_integrate` itself),
+and `transport_walks` the reversed segments of any number of leaf walks
+with their variational frames. Leaf walks (`sample_leaf`) still step
+one flow at a time with `_integrate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "FlowError",
     "WindowEscapeError",
     "StepUnderflowError",
+    "Walk",
     "inflate_window",
     "integrate_flow",
     "integrate_words",
@@ -267,7 +269,11 @@ class _LaneField:
 
 
 class _Lane:
-    """One job's place in its word and its DP54 step control."""
+    """One job's place in its segments and its DP54 step control.
+
+    A segment is (duration, payload); the payload says which rhs the
+    segment flows (a coefficient row of a word, a signed field of a walk).
+    """
 
     __slots__ = ("job", "segs", "seg", "sign", "remaining", "h", "steps", "fsal")
 
@@ -298,15 +304,7 @@ def _lane_words(
     jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     ctrl: StepControl,
 ) -> list[np.ndarray | None]:
-    """`integrate_words` for several jobs: one DP54 step per lane per round.
-
-    Each lane keeps its own h, remaining time and step count, resized by
-    the scalar rule in Python floats (numpy's array power differs from
-    `**` in the last ulp). Stacked `_DP_A[i] @ K[:, :i]` and row means
-    reproduce the per-lane products and means exactly. Lanes leave the
-    batch when their word ends or fails; a lane entering a new segment
-    gets k0 = rhs(y) as `_integrate` does.
-    """
+    """`integrate_words` for several jobs, as lanes of `_step_lanes`."""
     results: list[np.ndarray | None] = [None] * len(jobs)
     lanes: list[_Lane] = []
     starts = []
@@ -320,28 +318,57 @@ def _lane_words(
             starts.append(x0)
         else:
             results[j] = np.array(x0, dtype=float)
-    if not lanes:
-        return results
-    Y = np.array(starts, dtype=float)
-    C = np.array([lane.segs[0][1] for lane in lanes])
+    if lanes:
+
+        def field(lanes: list[_Lane]) -> _LaneField:
+            return _LaneField(fns, np.array([lane.segs[lane.seg][1] for lane in lanes]))
+
+        ends = _step_lanes(lanes, np.array(starts, dtype=float), field, ctrl)
+        for j, end in ends.items():
+            results[j] = end
+    return results
+
+
+def _step_lanes(
+    lanes: list[_Lane],
+    Y: np.ndarray,
+    field: Callable[[list[_Lane]], Kernel],
+    ctrl: StepControl,
+    guard_dim: int | None = None,
+) -> dict[int, np.ndarray]:
+    """Step every lane through its segments: one DP54 step per lane per round.
+
+    Row k of Y is lane k's state; `field(lanes)` builds the rhs of the
+    lanes' current segments over such rows. Each lane keeps its own h,
+    remaining time and step count, resized by the scalar rule in Python
+    floats (numpy's array power differs from `**` in the last ulp).
+    Stacked `_DP_A[i] @ K[:, :i]` and row means reproduce `_integrate`'s
+    products and means exactly, and the window box is tested on the
+    first guard_dim columns. Lanes leave the batch when their segments
+    end or fail; a lane entering a new segment gets k0 = rhs(y) as
+    `_integrate` does. Returns the endpoint of every lane that finished,
+    keyed by its job.
+    """
+    ends: dict[int, np.ndarray] = {}
     box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
-    field = _LaneField(fns, C)
+    rhs = field(lanes)
     with np.errstate(all="ignore"):
-        K0 = field(Y)
+        K0 = rhs(Y)
         while lanes:
             L = len(lanes)
             hs = np.array([lane.sign * lane.h for lane in lanes])[:, None]
             K = np.empty((L, 7, Y.shape[1]))
             K[:, 0] = K0
             for i in range(1, 7):
-                K[:, i] = field(Y + hs * (_DP_A[i] @ K[:, :i]))
+                K[:, i] = rhs(Y + hs * (_DP_A[i] @ K[:, :i]))
             Y5 = Y + hs * (_DP_B5 @ K)
             Y4 = Y + hs * (_DP_B4 @ K)
             scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(Y), np.abs(Y5))
             errs = np.sqrt(np.mean(((Y5 - Y4) / scale) ** 2, axis=1)).tolist()
             inside = np.isfinite(Y5).all(axis=1)
             if box is not None:
-                inside &= ((box[0] <= Y5) & (Y5 <= box[1])).all(axis=1)
+                probe = Y5[:, :guard_dim]
+                inside &= ((box[0] <= probe) & (probe <= box[1])).all(axis=1)
             inside = inside.tolist()
             accepted = [False] * L
             fsal = [False] * L
@@ -366,7 +393,6 @@ def _lane_words(
                     if not lane.next_segment(ctrl):
                         done.append(k)
                         continue
-                    C[k] = lane.segs[lane.seg][1]
                     fresh.append(len(keep))
                 elif lane.steps == ctrl.max_steps:
                     continue  # out of steps
@@ -376,17 +402,19 @@ def _lane_words(
             Y = np.where(np.array(accepted)[:, None], Y5, Y)
             K0 = np.where(np.array(fsal)[:, None], K[:, 6], K0)
             for k in done:
-                results[lanes[k].job] = Y[k].copy()
+                ends[lanes[k].job] = Y[k].copy()
             if len(keep) < L:
                 lanes = [lanes[k] for k in keep]
-                Y, K0, C = Y[keep], K0[keep], C[keep]
+                if not lanes:
+                    break
+                Y, K0 = Y[keep], K0[keep]
             if fresh or len(keep) < L:
-                field = _LaneField(fns, C)
+                rhs = field(lanes)
             if fresh and len(fresh) == len(lanes):
-                K0 = field(Y)
+                K0 = rhs(Y)
             elif fresh:
-                K0[fresh] = _LaneField(fns, C[fresh])(Y[fresh])
-    return results
+                K0[fresh] = field([lanes[k] for k in fresh])(Y[fresh])
+    return ends
 
 
 def integrate_flow(
@@ -441,6 +469,38 @@ def _flow_with_frame(
     return x_end, (W_end[:, 0] if single else W_end)
 
 
+class _FrameLanes:
+    """`_flow_with_frame`'s rhs over a (L, n + n*c) batch of lane states.
+
+    Lane j flows kernels[keys[j]] = (field, Jacobian). Each field and its
+    Jacobian are evaluated once per call on the rows of the lanes that
+    flow it, and dW = J @ W is one stacked matmul per field.
+    """
+
+    def __init__(self, kernels: dict, keys: Sequence, n: int, c: int):
+        self.n, self.c = n, c
+        rows: dict = {}
+        for j, key in enumerate(keys):
+            rows.setdefault(key, []).append(j)
+        every = len(keys)
+        self.groups = [
+            (kernels[key], None if len(idx) == every else np.array(idx))
+            for key, idx in rows.items()
+        ]
+
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        n, c = self.n, self.c
+        out = np.empty_like(Y)
+        for (fn, jac), idx in self.groups:
+            Z = Y if idx is None else Y[idx]
+            X = Z[:, :n]
+            dW = jac(X) @ Z[:, n:].reshape(len(Z), n, c)
+            rows = slice(None) if idx is None else idx
+            out[rows, :n] = fn(X)
+            out[rows, n:] = dW.reshape(len(Z), n * c)
+        return out
+
+
 # a control word is a sequence of (field_index, sign, duration) segments
 @dataclass(frozen=True)
 class Segment:
@@ -450,6 +510,8 @@ class Segment:
 
 
 ControlWord = tuple[Segment, ...]
+# a walk is its visits (point, prefix word), one per segment, in order
+Walk = tuple[tuple[np.ndarray, ControlWord], ...]
 
 
 @dataclass(frozen=True)
@@ -457,6 +519,19 @@ class LeafSample:
     base: np.ndarray
     visits: tuple[tuple[np.ndarray, ControlWord], ...]
     discarded: int  # walk attempts that escaped the window
+
+    def walks(self) -> list[Walk]:
+        """The visits regrouped into the walks that made them, in draw order.
+
+        A one-segment word starts a new walk, so a walk whose first
+        segment never fitted the window made no visit and is no walk.
+        """
+        walks: list[list[tuple[np.ndarray, ControlWord]]] = []
+        for visit in self.visits:
+            if len(visit[1]) == 1:
+                walks.append([])
+            walks[-1].append(visit)
+        return [tuple(walk) for walk in walks]
 
 
 def sample_leaf(
@@ -517,42 +592,59 @@ def sample_leaf(
     return LeafSample(base=base, visits=tuple(visits), discarded=discarded)
 
 
-
-
 def transport_walks(
-    leaf: LeafSample,
+    walks: Sequence[Walk],
     generators: Sequence[VectorField],
     drifts: Sequence[VectorField],
     step: StepControl,
-) -> Iterator[np.ndarray | None]:
-    """Shift the drifts at every visit back to the leaf's base, walk by walk.
+) -> list[np.ndarray | None]:
+    """Shift the drifts at every visit of every walk back to its walk's base.
 
-    Visits are regrouped into the walks that made them (a one-segment
-    word starts a new walk). Each walk is undone backward from its
-    deepest visit so every flow segment is integrated once: undoing
-    segment j carries all columns picked up at visits deeper than j, and
-    the drift values at visit j-1 join when the path passes through it.
-    Yields per walk an (n, visits*len(drifts)) column stack expressed at
-    the base, deepest visit first, or None when the transport left the
-    window or underflowed. Lazy, so callers can stop after any walk.
+    Each walk is undone backward from its deepest visit so every flow
+    segment is integrated once: undoing segment j carries all columns
+    picked up at visits deeper than j, and the drift values at visit j-1
+    join when the path passes through it. The walks, from any number of
+    leaves, undo their segments in lockstep: round r undoes the r-th
+    segment from the end of every walk that has one, so its lanes carry
+    equally many columns and step together through `_step_lanes`, each
+    lane bit for bit the `_flow_with_frame` of its segment. Returns per
+    walk an (n, visits*len(drifts)) column stack expressed at the base,
+    deepest visit first, or None when the transport left the window or
+    underflowed. Segment durations are positive, as `sample_leaf` draws
+    them.
     """
-    walks: list[list[tuple[np.ndarray, ControlWord]]] = []
-    for visit in leaf.visits:
-        if len(visit[1]) == 1:
-            walks.append([])
-        walks[-1].append(visit)
-    negs = [g.negate() for g in generators]
-    for walk in walks:
-        y, word = walk[-1]
-        W = np.column_stack([f(y) for f in drifts])
-        try:
-            for j in range(len(word) - 1, -1, -1):
-                seg = word[j]
-                V = generators[seg.field_index] if seg.sign > 0 else negs[seg.field_index]
-                y, W = _flow_with_frame(V, y, -seg.duration, W, step)
-                if j >= 1:
-                    y_prev = walk[j - 1][0]
-                    W = np.column_stack([W] + [f(y_prev) for f in drifts])
-        except FlowError:
-            W = None
-        yield W
+    n = drifts[0].dim
+    d = len(drifts)
+    kernels = {}  # (field_index, sign) -> the signed field's kernels
+    for i, sign in {(s.field_index, s.sign) for walk in walks for s in walk[-1][1]}:
+        V = generators[i] if sign > 0 else generators[i].negate()
+        kernels[i, sign] = (V.compiled(), V.compiled_jacobian())
+    out: list[np.ndarray | None] = [None] * len(walks)
+    states = {}  # walk -> state (x, W.ravel()) at its next segment's end
+    for w, walk in enumerate(walks):
+        y = walk[-1][0]
+        states[w] = np.concatenate([y, np.column_stack([f(y) for f in drifts]).ravel()])
+    depth = 0
+    while states:
+        depth += 1
+        c = depth * d
+        lanes = []
+        for w in states:
+            seg = walks[w][-depth][1][-1]
+            lanes.append(_Lane(w, [(-seg.duration, (seg.field_index, seg.sign))], step))
+
+        def field(lanes: list[_Lane]) -> _FrameLanes:
+            return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], n, c)
+
+        ends = _step_lanes(lanes, np.array(list(states.values())), field, step, guard_dim=n)
+        states = {}
+        for w in sorted(ends):
+            end, walk = ends[w], walks[w]
+            W = end[n:].reshape(n, c)
+            if depth == len(walk):
+                out[w] = W
+            else:
+                y = walk[-depth - 1][0]
+                W = np.column_stack([W] + [f(y) for f in drifts])
+                states[w] = np.concatenate([end[:n], W.ravel()])
+    return out

@@ -1,11 +1,14 @@
 """Determinant criterion, quotient convex-position test, and the
 supporting-distribution verifier."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoctrl import criterion
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
     STATUS_NOT_REGULAR,
@@ -20,9 +23,11 @@ from geoctrl.criterion import (
     verify_supporting_distribution,
 )
 from geoctrl.fields import VectorField
-from geoctrl.flows import LeafSample, Segment, sample_leaf
+from geoctrl.flows import LeafSample, Segment, sample_leaf, transport_walks
 from geoctrl.lie import NotRegularError, generate_bracket_basis
-from geoctrl.system import SystemSpec
+from geoctrl.system import SystemSpec, load_spec
+
+SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
@@ -489,3 +494,45 @@ def test_verifier_needs_codimension_two():
         verify_supporting_distribution(
             planar_forward(), [VectorField.parse(["1", "0"], N2)]
         )
+
+
+# --- transport waves ---------------------------------------------------------
+
+
+def _one_walk_at_a_time(walks, generators, drifts, step):
+    return [W for w in walks for W in transport_walks([w], generators, drifts, step)]
+
+
+def _point_fields(gv):
+    return [
+        (
+            p.base.tobytes(),
+            p.condition_holds,
+            p.witness,
+            p.samples_used,
+            p.quotient_frame.tobytes(),
+            p.det_agrees,
+            p.error,
+        )
+        for p in gv.points
+    ]
+
+
+@pytest.mark.parametrize("name", ["planar_shear", "planar_forward", "saddle3d", "unicycle_offset"])
+def test_global_verdict_does_not_depend_on_waves(name, monkeypatch):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    waves = global_verdict(spec, grid_per_axis=2)
+    monkeypatch.setattr(criterion, "transport_walks", _one_walk_at_a_time)
+    alone = global_verdict(spec, grid_per_axis=2)
+    assert waves.status == alone.status
+    assert _point_fields(waves) == _point_fields(alone)
+
+
+def test_verifier_does_not_depend_on_batching(monkeypatch):
+    spec = load_spec(SYS_DIR / "unicycle_offset.sys")
+    S = VectorField.parse(["0", "1", "0"], spec.var_names)
+    batched = verify_supporting_distribution(spec, [S], grid_per_axis=3)
+    monkeypatch.setattr(criterion, "transport_walks", _one_walk_at_a_time)
+    alone = verify_supporting_distribution(spec, [S], grid_per_axis=3)
+    assert batched.accepted
+    assert batched == alone

@@ -1,6 +1,7 @@
 """Flow integration, pushforward transport, and leaf sampling."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoctrl.criterion import _child_seed, _prepare, _step_control
 from geoctrl.expr import add, const, mul, sin, var
 from geoctrl.fields import VectorField, lie_bracket
 from geoctrl.flows import (
@@ -23,11 +25,16 @@ from geoctrl.flows import (
     pushforward_along,
     sample_leaf,
     transport_walks,
+    _flow_with_frame,
 )
-from geoctrl.lie import BracketFamily, generate_bracket_basis
+from geoctrl.lie import BracketFamily, generate_bracket_basis, window_grid
+from geoctrl.system import load_spec
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
+
+SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
+BUNDLED = sorted(p.stem for p in SYS_DIR.glob("*.sys"))
 
 ROTATION = VectorField.parse(["-x2", "x1"], N2)
 HEADING = VectorField.parse(["cos(x3)", "sin(x3)", "0"], N3)
@@ -261,7 +268,7 @@ def _shift_by_visit(leaf, generators, drifts):
     """Per visit, in leaf.visits order, its drifts shifted to the base as (n, d) columns."""
     d = len(drifts)
     out = []
-    for W in transport_walks(leaf, generators, drifts, StepControl()):
+    for W in transport_walks(leaf.walks(), generators, drifts, StepControl()):
         assert W is not None
         out.extend(reversed([W[:, i:i + d] for i in range(0, W.shape[1], d)]))
     assert len(out) == len(leaf.visits)
@@ -271,7 +278,7 @@ def _shift_by_visit(leaf, generators, drifts):
 def test_walk_transport_inverts_to_base():
     # pushforward of a field along its own flow is the field itself
     leaf = _walk_leaf([ROTATION], [0.2, 0.1], (Segment(0, 1, 0.6),))
-    (moved,) = transport_walks(leaf, [ROTATION], [ROTATION], StepControl())
+    (moved,) = transport_walks(leaf.walks(), [ROTATION], [ROTATION], StepControl())
     assert np.allclose(moved[:, 0], ROTATION(leaf.base), atol=1e-7)
 
 
@@ -281,7 +288,9 @@ def test_walk_transport_linear_field_oracle():
     v = np.array([1.0, 2.0])
     word = (Segment(0, 1, 0.4), Segment(0, 1, 0.3))
     leaf = _walk_leaf([ROTATION], [0.5, 0.0], word)
-    (moved,) = transport_walks(leaf, [ROTATION], [VectorField.constant(v, N2)], StepControl())
+    (moved,) = transport_walks(
+        leaf.walks(), [ROTATION], [VectorField.constant(v, N2)], StepControl()
+    )
     # one walk, deepest visit first
     assert moved.shape == (2, 2)
     assert np.allclose(moved[:, 0], scipy.linalg.expm(-0.7 * A) @ v, atol=1e-7)
@@ -292,7 +301,9 @@ def test_walk_transport_negated_sign_segments():
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     v = np.array([0.0, 1.0])
     leaf = _walk_leaf([ROTATION], [0.3, -0.2], (Segment(0, -1, 0.5),))
-    (moved,) = transport_walks(leaf, [ROTATION], [VectorField.constant(v, N2)], StepControl())
+    (moved,) = transport_walks(
+        leaf.walks(), [ROTATION], [VectorField.constant(v, N2)], StepControl()
+    )
     # inverse of flowing by -g for 0.5 is flowing by +g for 0.5
     assert np.allclose(moved[:, 0], scipy.linalg.expm(0.5 * A) @ v, atol=1e-7)
 
@@ -300,21 +311,117 @@ def test_walk_transport_negated_sign_segments():
 def test_walk_transport_marks_failed_walk_and_continues():
     g = VectorField.parse(["1", "0"], N2)
     f = VectorField.parse(["0", "1"], N2)
-    base = np.zeros(2)
-    # undoing the first walk runs x1 from 0.4 back past 0.3 and leaves the
-    # window; the second walk only undoes 0.45 -> 0.4 and stays inside
-    leaf = LeafSample(
-        base=base,
-        visits=(
-            (np.array([0.4, 0.0]), (Segment(0, 1, 0.4),)),
-            (np.array([0.45, 0.0]), (Segment(0, 1, 0.05),)),
-        ),
-        discarded=0,
-    )
-    ctrl = StepControl(window=((0.3, 0.5), (-1.0, 1.0)))
-    failed, ok = transport_walks(leaf, [g], [f], ctrl)
+
+    def walk(*steps):
+        # visits along x2 = 0 where x1 ends each segment of +g
+        word = tuple(Segment(0, 1, tau) for _, tau in steps)
+        return tuple((np.array([x1, 0.0]), word[: i + 1]) for i, (x1, _) in enumerate(steps))
+
+    # undoing the first walk runs x1 from 0.5 back to 0.4 (inside), then
+    # from 0.4 back past 0.3 and leaves the window in its second round; the
+    # other walks stay inside at depths 1 and 3
+    walks = [
+        walk((0.45, 0.05)),
+        walk((0.4, 0.4), (0.5, 0.1)),
+        walk((0.35, 0.03), (0.55, 0.2), (0.6, 0.05)),
+    ]
+    ctrl = StepControl(window=((0.3, 0.9), (-1.0, 1.0)))
+    shallow, failed, deep = transport_walks(walks, [g], [f], ctrl)
     assert failed is None
-    assert np.allclose(ok[:, 0], [0.0, 1.0], atol=1e-9)
+    assert shallow.shape == (2, 1) and deep.shape == (2, 3)
+    assert np.allclose(shallow, [[0.0], [1.0]], atol=1e-9)
+    assert np.allclose(deep, [[0.0] * 3, [1.0] * 3], atol=1e-9)
+    for w, moved in zip(walks, (shallow, failed, deep)):
+        (alone,) = transport_walks([w], [g], [f], ctrl)
+        assert (alone is None) == (moved is None)
+        assert moved is None or alone.tobytes() == moved.tobytes()
+
+
+def _flow_back(walk, generators, drifts, step):
+    """One walk undone segment by segment with the scalar variational flow.
+
+    `_flow_with_frame` is the integrator behind `pushforward_along`; it
+    also returns the endpoint the next segment starts from.
+    """
+    y, word = walk[-1]
+    W = np.column_stack([f(y) for f in drifts])
+    try:
+        for j in range(len(word) - 1, -1, -1):
+            V = generators[word[j].field_index]
+            V = V if word[j].sign > 0 else V.negate()
+            y, W = _flow_with_frame(V, y, -word[j].duration, W, step)
+            if j >= 1:
+                W = np.column_stack([W] + [f(walk[j - 1][0]) for f in drifts])
+    except FlowError:
+        return None
+    return W
+
+
+def _assert_lanes_equal_walks_alone(walks, generators, drifts, step):
+    moved = transport_walks(walks, generators, drifts, step)
+    assert len(moved) == len(walks)
+    for walk, W in zip(walks, moved):
+        alone = _flow_back(walk, generators, drifts, step)
+        assert (alone is None) == (W is None)
+        assert W is None or alone.tobytes() == W.tobytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_lanes_equal_each_walk_transported_alone(name):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    family, regularity = _prepare(spec, None, None, 2)
+    step = _step_control(spec)
+    pts = window_grid(spec.window, 2)
+    children = np.random.SeedSequence(spec.seed).spawn(len(pts))
+    walks = [
+        w
+        for p, child in zip(pts, children)
+        for w in sample_leaf(
+            family,
+            p,
+            budget=spec.leaf_budget,
+            max_duration=spec.walk_duration(),
+            rng_seed=_child_seed(child),
+            step=step,
+        ).walks()
+    ]
+    assert len(walks) > len(pts)
+    _assert_lanes_equal_walks_alone(walks, family.generators, spec.drifts, step)
+
+
+def test_lanes_equal_walks_alone_through_rejected_steps():
+    # wiggly generators make the variational flows reject steps after
+    # accepting some, where `_integrate` restarts from the trial's k[6]
+    fam = _family(
+        VectorField.parse(["sin(6*x2)", "1"], N2), VectorField.parse(["1", "sin(9*x1)*x1"], N2)
+    )
+    drifts = [VectorField.parse(["x2", "x1^2"], N2), VectorField.parse(["1", "x1"], N2)]
+    step = StepControl(window=inflate_window(((-2.0, 2.0), (-2.0, 2.0))))
+    leaf = sample_leaf(fam, [0.3, -0.2], budget=24, max_duration=2.0, rng_seed=1, step=step)
+    _assert_lanes_equal_walks_alone(leaf.walks(), fam.generators, drifts, step)
+
+
+def test_leaf_walks_regroup_visits():
+    seg = Segment(0, 1, 0.1)
+    words = [(seg,), (seg, seg), (seg, seg, seg), (seg,), (seg,), (seg, seg)]
+    visits = tuple((np.full(2, float(i)), word) for i, word in enumerate(words))
+    leaf = LeafSample(base=np.zeros(2), visits=visits, discarded=0)
+    assert [[int(y[0]) for y, _ in w] for w in leaf.walks()] == [[0, 1, 2], [3], [4, 5]]
+
+
+def test_leaf_walks_skip_walks_dead_at_their_first_segment():
+    fam = _family(VectorField.parse(["1", "0"], N2))
+    ctrl = StepControl(window=((-0.5, 0.5), (-0.5, 0.5)))
+    budget = 8
+    leaf = sample_leaf(fam, [0.45, 0.0], budget=budget, max_duration=2.0, rng_seed=1, step=ctrl)
+    walks = leaf.walks()
+    assert 0 < len(walks) < budget
+    regrouped = [v for w in walks for v in w]
+    assert len(regrouped) == len(leaf.visits)
+    assert all(a is b for a, b in zip(regrouped, leaf.visits))
+    for w in walks:
+        assert [len(word) for _, word in w] == list(range(1, len(w) + 1))
+        assert all(word == w[-1][1][: len(word)] for _, word in w)
 
 
 # --- sample_leaf ----------------------------------------------------------
