@@ -59,7 +59,18 @@ class FlowError(RuntimeError):
 
 
 class WindowEscapeError(FlowError):
-    """Trajectory left the inflated analysis window."""
+    """Trajectory left the inflated analysis window.
+
+    Keeps the state it left at as `probe` and formats the message only
+    when printed: most escapes are caught and dropped by their caller.
+    """
+
+    def __init__(self, probe: np.ndarray):
+        super().__init__(probe)
+        self.probe = probe
+
+    def __str__(self) -> str:
+        return f"trajectory left the inflated window near {self.probe}"
 
 
 class StepUnderflowError(FlowError):
@@ -159,9 +170,7 @@ def _integrate(
                 remaining -= h
                 probe = y if guard_dim is None else y[:guard_dim]
                 if not np.all(np.isfinite(y)) or not _in_box(probe, ctrl.window):
-                    raise WindowEscapeError(
-                        f"trajectory left the inflated window near {probe}"
-                    )
+                    raise WindowEscapeError(probe)
             # standard step resize with safety factor
             factor = 0.9 * (err + 1e-16) ** -0.2
             h *= min(5.0, max(0.2, factor))

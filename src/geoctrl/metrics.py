@@ -17,18 +17,23 @@ function of the seed alone (every iteration consumes the same random
 draws whether or not an incumbent exists), so the running best is
 reproducible and can only improve as the budget grows.
 
-Every candidate word is integrated through `flows.integrate_words`.
-estimate_cost and sr_distance run one stream, so each word goes alone
-through the scalar stepper. loop_length runs its out-and-back leg
-searches in lockstep: each round, every leg proposes its next candidate
-from its own stream and incumbent, the words integrate together as lanes
-of one DP54, and each endpoint is folded back into its own leg. Lanes
-repeat the scalar arithmetic exactly, so the result is the same as
-running the legs one after another.
+Every candidate word is integrated through `flows.integrate_words`,
+and every search runs on one stream driver (`_shoot`). estimate_cost
+and sr_distance drive one stream; loop_length drives its out-and-back
+leg searches together. Each round, every live stream builds a small
+tree of its next candidates: the next word against the current
+incumbent, then, for each word built, the word after it if its fold
+keeps the incumbent and the one if its fold replaces it. The words of
+all streams integrate as lanes of one DP54, and each stream folds the
+one path through its tree that its incumbent actually takes, until the
+path leaves the tree. Lanes repeat the scalar arithmetic exactly, so
+every incumbent and result is what one-at-a-time shooting gives.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,11 @@ _MAX_SEGMENTS = 6
 _DUR_RANGE = (0.02, 3.0)
 _AMP_RANGE = (0.1, 60.0)  # log-uniform envelope for control amplitudes
 _FACTORS = (0.4, 0.6, 0.8, 1.25, 1.6, 2.5)  # refinement scale factors
+# speculative candidates per round: a lone stream builds up to
+# _ROUND_LANES, streams that shoot together share them, and every stream
+# builds at least _MIN_TREE
+_ROUND_LANES = 32
+_MIN_TREE = 6
 
 
 @dataclass(frozen=True)
@@ -115,9 +125,8 @@ class _Shooter:
     def prepare(
         self, durations: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Count one candidate word and bring it into the evaluated form:
-        durations clamped and capped at TIME_CAP, drift fixed if required."""
-        self.evals += 1
+        """Bring a candidate word into the evaluated form: durations
+        clamped and capped at TIME_CAP, drift fixed if required."""
         durations = np.maximum(np.asarray(durations, dtype=float), 1e-4)
         total = float(durations.sum())
         if total > TIME_CAP:
@@ -129,11 +138,13 @@ class _Shooter:
 
     def fold(
         self, durations: np.ndarray, weights: np.ndarray, end: np.ndarray | None
-    ) -> None:
-        """Fold a prepared word and its endpoint (None: the flow failed)
-        into the running best and the incumbent."""
+    ) -> bool:
+        """Count a prepared word and fold its endpoint (None: the flow
+        failed) into the running best and the incumbent. True when the
+        incumbent changed."""
+        self.evals += 1
         if end is None:
-            return
+            return False
         err = float(np.linalg.norm(end - self.y))
         cost = self._cost(durations, weights)
         limit = self.tol
@@ -156,6 +167,45 @@ class _Shooter:
         if better:
             self.inc_key = key
             self.inc = (durations.copy(), weights.copy())
+        return better
+
+    def build(
+        self,
+        draws: _Draws,
+        eval_index: int,
+        incumbent: tuple[np.ndarray, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The shoot-or-refine candidate word (durations, weights) that
+        draws give as evaluation number eval_index against incumbent.
+
+        Every fifth evaluation, and every one without an incumbent,
+        shoots a fresh random word; the others refine the incumbent.
+        """
+        nchan = self.nchan
+        free = slice(1, None) if self.fixed_drift else slice(0, None)
+        mode = eval_index % 5
+        if mode == 0 or incumbent is None:
+            nseg = draws.nseg
+            durations = draws.raw_dur[:nseg].copy()
+            weights = np.zeros((nseg, nchan))
+            weights[:, free] = draws.raw_amp[:nseg, free] * draws.amp_scale
+            return durations, weights
+        durations, weights = incumbent
+        durations = durations.copy()
+        weights = weights.copy()
+        j = draws.pick_seg % len(durations)
+        if mode == 1:
+            weights[j, free] *= draws.factor
+        elif mode == 2:
+            durations[j] *= draws.factor
+        elif mode == 3:
+            rms = max(float(np.abs(weights[:, free]).max()), 1.0)
+            weights[:, free] += 0.1 * rms * draws.raw_amp[: len(durations), free]
+        else:
+            # joint reparametrization: same channel integral, less drift
+            durations[j] *= draws.factor
+            weights[j, free] /= draws.factor
+        return durations, weights
 
     def submit(self, durations: np.ndarray, weights: np.ndarray) -> None:
         """Evaluate one candidate word and fold it into the running best."""
@@ -174,8 +224,9 @@ def _evaluate(candidates) -> None:
     """Evaluate (shooter, durations, weights) candidates of one system.
 
     All words are prepared, integrated in one `integrate_words` call (as
-    lanes when there are several) and folded in the given order, so the
-    outcome equals submitting them one by one.
+    lanes when there are several) and folded in the given order. No word
+    depends on an earlier one's result, so the outcome equals submitting
+    them one by one.
     """
     if not candidates:
         return
@@ -188,61 +239,137 @@ def _evaluate(candidates) -> None:
         sh.fold(d, w, end)
 
 
-def _free_channels(shooter: _Shooter) -> slice:
-    return slice(1, None) if shooter.fixed_drift else slice(0, None)
+@dataclass(frozen=True)
+class _Draws:
+    """The random draws behind one shoot-or-refine candidate."""
+
+    nseg: int
+    raw_dur: np.ndarray
+    raw_amp: np.ndarray
+    amp_scale: float
+    pick_seg: int
+    factor: float
 
 
-def _propose(
-    shooter: _Shooter, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The next shoot-or-refine candidate word (durations, weights).
-
-    Every call consumes the same random draws whether an incumbent
-    exists or not, so the candidate sequence depends on the seed alone
-    and a larger budget replays a smaller one exactly. The shooter's
-    eval count and incumbent pick the move, so each candidate must be
-    evaluated before the next is proposed.
-    """
+def _draw(rng: np.random.Generator, nchan: int) -> _Draws:
+    """The next candidate's draws. They come from the seed alone, in the
+    same order whether an incumbent exists or not, so the candidate
+    sequence is reproducible and a larger budget replays a smaller one."""
     smax = _MAX_SEGMENTS
-    nchan = shooter.nchan
-    free = _free_channels(shooter)
     lo_a, hi_a = np.log(_AMP_RANGE)
-    nseg = int(rng.integers(1, smax + 1))
-    raw_dur = rng.uniform(_DUR_RANGE[0], _DUR_RANGE[1], size=smax)
-    raw_amp = rng.standard_normal((smax, nchan))
-    amp_scale = float(np.exp(rng.uniform(lo_a, hi_a)))
-    pick_seg = int(rng.integers(0, smax))
-    factor = _FACTORS[int(rng.integers(0, len(_FACTORS)))]
-    mode = shooter.evals % 5
-    if mode == 0 or shooter.inc is None:
-        durations = raw_dur[:nseg].copy()
-        weights = np.zeros((nseg, nchan))
-        weights[:, free] = raw_amp[:nseg, free] * amp_scale
-        return durations, weights
-    durations, weights = shooter.inc
-    durations = durations.copy()
-    weights = weights.copy()
-    j = pick_seg % len(durations)
-    if mode == 1:
-        weights[j, free] *= factor
-    elif mode == 2:
-        durations[j] *= factor
-    elif mode == 3:
-        rms = max(float(np.abs(weights[:, free]).max()), 1.0)
-        weights[:, free] += 0.1 * rms * raw_amp[: len(durations), free]
-    else:
-        # joint reparametrization: same channel integral, less drift
-        durations[j] *= factor
-        weights[j, free] /= factor
-    return durations, weights
+    return _Draws(
+        nseg=int(rng.integers(1, smax + 1)),
+        raw_dur=rng.uniform(_DUR_RANGE[0], _DUR_RANGE[1], size=smax),
+        raw_amp=rng.standard_normal((smax, nchan)),
+        amp_scale=float(np.exp(rng.uniform(lo_a, hi_a))),
+        pick_seg=int(rng.integers(0, smax)),
+        factor=_FACTORS[int(rng.integers(0, len(_FACTORS)))],
+    )
 
 
-def _run_stream(shooter: _Shooter, budget: int, seed) -> None:
-    rng = np.random.default_rng(seed)
-    # a zero-cost incumbent is already optimal: the functional is
-    # nonnegative, so further search cannot change the answer
-    while shooter.evals < budget and shooter.best_cost > 0.0:
-        shooter.submit(*_propose(shooter, rng))
+class _Stream:
+    """A shooter with its candidate generator, the draws it has not yet
+    folded, and its counts of folds and incumbent changes."""
+
+    def __init__(self, shooter: _Shooter, rng: np.random.Generator):
+        self.shooter = shooter
+        self.rng = rng
+        self.draws: list[_Draws] = []
+        self.folds = 0
+        self.changes = 0
+
+
+class _Node:
+    """A speculative candidate word, its lane in the round, and the
+    candidates that follow it if its fold keeps or replaces the incumbent."""
+
+    __slots__ = ("word", "lane", "kept", "replaced")
+
+    def __init__(self, word: tuple[np.ndarray, np.ndarray], lane: int):
+        self.word = word
+        self.lane = lane
+        self.kept: _Node | None = None
+        self.replaced: _Node | None = None
+
+
+def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
+    """Build up to `budget` of the stream's next candidates as a tree and
+    append their words to `jobs`; returns the root.
+
+    The root is the next candidate against the current incumbent. A
+    node's `kept` child is the candidate after it against the same
+    incumbent, its `replaced` child the one against the node's own word,
+    which a fold that replaces the incumbent makes the new incumbent.
+    Nodes are built most probable first, a path's probability following
+    the stream's rate of incumbent changes so far (rule of succession),
+    and never past `limit` evaluations.
+    """
+    sh = stream.shooter
+    p = (stream.changes + 1) / (stream.folds + 2)
+    tie = itertools.count()  # equal probabilities: build in push order
+    frontier = [(-1.0, next(tie), 0, sh.inc, None, "")]
+    root = None
+    built = 0
+    while frontier and built < budget:
+        neg_prob, _, level, inc, parent, branch = heapq.heappop(frontier)
+        if sh.evals + level >= limit:
+            continue
+        while len(stream.draws) <= level:
+            stream.draws.append(_draw(stream.rng, sh.nchan))
+        word = sh.prepare(*sh.build(stream.draws[level], sh.evals + level, inc))
+        node = _Node(word, len(jobs))
+        jobs.append((sh.x, *word))
+        built += 1
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, branch, node)
+        for prob, after, branch in (
+            (neg_prob * (1 - p), inc, "kept"),
+            (neg_prob * p, word, "replaced"),
+        ):
+            heapq.heappush(frontier, (prob, next(tie), level + 1, after, node, branch))
+    return root
+
+
+def _fold_path(stream: _Stream, node: _Node | None, ends: list) -> None:
+    """Fold the stream's tree along the path its folds take, up to a
+    missing node or a zero-cost best, and drop the draws it used."""
+    sh = stream.shooter
+    folded = 0
+    while node is not None and sh.best_cost > 0.0:
+        changed = sh.fold(*node.word, ends[node.lane])
+        folded += 1
+        stream.changes += changed
+        node = node.replaced if changed else node.kept
+    stream.folds += folded
+    del stream.draws[:folded]
+
+
+def _shoot(streams: list[_Stream], limit: int) -> None:
+    """Run every stream up to `limit` evaluations or a zero-cost best.
+
+    A zero-cost incumbent is already optimal: the functional is
+    nonnegative, so further search cannot change the answer. Each round,
+    every live stream builds a tree of its next candidates, the words of
+    all trees integrate as lanes of one `integrate_words` call, and each
+    stream folds the one path of its tree that its incumbent takes. Every
+    node is built against the incumbent it meets on its path, so a stream
+    sees exactly the candidates one-at-a-time shooting would; draws it
+    did not reach are built again in the next round. All streams must
+    shoot on the same system.
+    """
+    while live := [
+        s for s in streams
+        if s.shooter.evals < limit and s.shooter.best_cost > 0.0
+    ]:
+        budget = max(_MIN_TREE, _ROUND_LANES // len(live))
+        jobs: list = []
+        roots = [_speculate(s, budget, limit, jobs) for s in live]
+        first = live[0].shooter
+        ends = integrate_words(first.fns, jobs, first.ctrl)
+        for s, root in zip(live, roots):
+            _fold_path(s, root, ends)
 
 
 def _drift_orbit_candidate(shooter: _Shooter, system: SystemSpec) -> None:
@@ -305,9 +432,8 @@ def estimate_cost(
     y = np.asarray(y, dtype=float)
     sh = _Shooter(system, x, y, endpoint_tol, fixed_drift=True, drift_in_cost=False)
     _drift_orbit_candidate(sh, system)
-    for durations, weights in _lstsq_candidates(sh):
-        sh.submit(durations, weights)
-    _run_stream(sh, budget, seed)
+    _evaluate([(sh, d, w) for d, w in _lstsq_candidates(sh)])
+    _shoot([_Stream(sh, np.random.default_rng(seed))], budget)
     return sh.result()
 
 
@@ -331,9 +457,8 @@ def sr_distance(
     if np.array_equal(x, y):
         return CostEstimate(value=0.0, best_word=(), endpoint_error=0.0, budget_spent=0)
     sh = _Shooter(system, x, y, endpoint_tol, fixed_drift=False, drift_in_cost=True)
-    for durations, weights in _lstsq_candidates(sh):
-        sh.submit(durations, weights)
-    _run_stream(sh, budget, seed)
+    _evaluate([(sh, d, w) for d, w in _lstsq_candidates(sh)])
+    _shoot([_Stream(sh, np.random.default_rng(seed))], budget)
     return sh.result()
 
 
@@ -387,11 +512,10 @@ def loop_length(
     leg_budget = checkpoint * max(
         1, (budget - len(probes)) // (2 * len(probes) * checkpoint)
     )
-    # the legs advance in lockstep, one candidate each per round, so a
-    # round's words integrate as lanes of one DP54; each leg still draws
-    # from its own stream and refines its own incumbent
+    # the legs shoot together, each from its own stream and incumbent,
+    # and stop at every checkpoint so their bests can be snapshot
     legs = [
-        (
+        _Stream(
             _Shooter(
                 system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
             ),
@@ -400,12 +524,13 @@ def loop_length(
         for pi, yp in enumerate(probes)
         for k, (a, b) in enumerate(((x, yp), (yp, x)))
     ]
-    _evaluate([(leg, d, w) for leg, _ in legs for d, w in _lstsq_candidates(leg)])
+    _evaluate([
+        (leg.shooter, d, w) for leg in legs for d, w in _lstsq_candidates(leg.shooter)
+    ])
     snapshots = []
     for done in range(checkpoint, leg_budget + 1, checkpoint):
-        while pending := [(leg, rng) for leg, rng in legs if leg.evals < done]:
-            _evaluate([(leg, *_propose(leg, rng)) for leg, rng in pending])
-        snapshots.append([leg.best_word for leg, _ in legs])
+        _shoot(legs, done)
+        snapshots.append([leg.shooter.best_word for leg in legs])
     # out + back of each probe at each checkpoint, in (probe, checkpoint) order
     loops = [
         _word_arrays(snap[2 * pi] + snap[2 * pi + 1])
@@ -414,7 +539,7 @@ def loop_length(
         if snap[2 * pi] is not None and snap[2 * pi + 1] is not None
     ]
     _evaluate([(sh, d, w) for d, w in loops])
-    leg_evals = sum(leg.evals for leg, _ in legs)
+    leg_evals = sum(leg.shooter.evals for leg in legs)
     est = sh.result()
     return CostEstimate(
         value=est.value,

@@ -98,6 +98,21 @@ def _resample_controls(
     return u, dur, j
 
 
+def _cloud_arrays(
+    pts_chunks: list[np.ndarray],
+    ids_chunks: list[np.ndarray],
+    rec_times: list[float],
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points, trajectory ids and times of the recorded chunks, in record
+    order: each chunk is copied once, and a record's time is repeated
+    once per point it stored."""
+    times = np.repeat(np.array(rec_times, dtype=float), [len(c) for c in ids_chunks])
+    if not pts_chunks:
+        return np.zeros((0, n)), np.zeros(0, dtype=int), times
+    return np.concatenate(pts_chunks), np.concatenate(ids_chunks), times
+
+
 def simulate_reach(
     system: SystemSpec,
     x0: Sequence[float],
@@ -150,16 +165,16 @@ def simulate_reach(
             out = out + U[:, i:i + 1] * control_fns[i](Y)
         return out
 
-    ids_chunks: list[np.ndarray] = []
-    t_chunks: list[float] = []
     pts_chunks: list[np.ndarray] = []
+    ids_chunks: list[np.ndarray] = []
+    rec_times: list[float] = []
 
     def record(t: float):
         inside = active & np.all((X >= win[:, 0]) & (X <= win[:, 1]), axis=1)
         if inside.any():
-            pts_chunks.append(X[inside].copy())
+            pts_chunks.append(X[inside])  # a mask index copies
             ids_chunks.append(np.flatnonzero(inside))
-            t_chunks.extend([t] * int(inside.sum()))
+            rec_times.append(t)
 
     n_steps = int(np.ceil(T / dt))
     stride_steps = max(1, int(round(sample_stride / dt)))
@@ -192,14 +207,7 @@ def simulate_reach(
             if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
                 record(t)
 
-    if pts_chunks:
-        points = np.vstack(pts_chunks)
-        ids = np.concatenate(ids_chunks)
-        times = np.array(t_chunks)
-    else:
-        points = np.zeros((0, n))
-        ids = np.zeros(0, dtype=int)
-        times = np.zeros(0)
+    points, ids, times = _cloud_arrays(pts_chunks, ids_chunks, rec_times, n)
     return ReachCloud(
         origin=x0,
         horizon=T,

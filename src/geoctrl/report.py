@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -155,7 +156,21 @@ def _estimate_block(est, extra: dict | None = None) -> dict:
     return block
 
 
+# override -> (command-line flag, admissible, requirement)
+_OVERRIDE_RULES = {
+    "grid_per_axis": ("--grid", lambda v: v >= 2, "at least 2"),
+    "leaf_budget": ("--leaf-budget", lambda v: v >= 1, "at least 1"),
+    "n_traj": ("--traj", lambda v: v >= 1, "at least 1"),
+    "horizon": ("--horizon", lambda v: 0 < v < math.inf, "positive and finite"),
+    "endpoint_tol": ("--tol", lambda v: v > 0, "positive"),
+}
+
+
 def _apply_overrides(spec: SystemSpec, overrides: dict) -> SystemSpec:
+    for key, (flag, admissible, requirement) in _OVERRIDE_RULES.items():
+        value = overrides.get(key)
+        if value is not None and not admissible(value):
+            raise PipelineUsageError(f"{flag} must be {requirement}, got {value}")
     fields = {"grid_per_axis", "leaf_budget", "n_traj", "horizon", "seed"}
     updates = {k: v for k, v in overrides.items() if k in fields and v is not None}
     return dataclasses.replace(spec, **updates) if updates else spec

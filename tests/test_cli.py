@@ -227,6 +227,28 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
     assert "not conclusive" in m["boundedness_note"]
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["dist", "--from", "0,0", "--to", "1,0", "--tol", "0"], "--tol"),
+        (["loop", "--tol", "-1"], "--tol"),
+        (["check", "--grid", "0"], "--grid"),
+        (["check", "--leaf-budget", "0"], "--leaf-budget"),
+        (["reach", "--traj", "0"], "--traj"),
+        (["reach", "--horizon", "-1"], "--horizon"),
+    ],
+    ids=["dist-tol", "loop-tol", "check-grid", "check-leaf-budget", "reach-traj", "reach-horizon"],
+)
+def test_inadmissible_overrides_are_usage_errors(specfile, tmp_path, capsys, argv, flag):
+    target = tmp_path / "report.json"
+    code = main([argv[0], specfile(PLANE), *argv[1:], "--json", str(target)])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert err["code"] == "USAGE"
+    assert err["message"].startswith(f"{flag} must be")
+    assert json.loads(target.read_text())["error"] == err
+
+
 # ------------------------------------------------------------ plumbing
 
 

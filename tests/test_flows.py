@@ -113,6 +113,25 @@ def test_window_escape_raises():
         integrate_flow(V, [0.0, 0.0], 10.0, ctrl)
 
 
+def test_window_escape_formats_its_message_only_when_printed():
+    V = VectorField.parse(["1", "0"], N2)
+    ctrl = StepControl(window=((-1.0, 1.0), (-1.0, 1.0)))
+    formatted = []
+
+    def fmt(v):
+        formatted.append(v)
+        return repr(v)
+
+    with np.printoptions(formatter={"float": fmt}):
+        with pytest.raises(WindowEscapeError) as info:
+            integrate_flow(V, [0.0, 0.0], 10.0, ctrl)
+        assert formatted == []
+        probe = info.value.probe
+        assert probe[0] > 1.0 and probe[1] == 0.0
+        assert str(info.value) == f"trajectory left the inflated window near {probe}"
+        assert formatted
+
+
 def test_finite_time_blowup_raises():
     # x' = x^2 from 1 blows up at t=1; the stepper must not loop forever
     V = VectorField.parse(["x1^2"], ("x1",))

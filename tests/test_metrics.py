@@ -342,14 +342,127 @@ def _one_job_at_a_time(fns, jobs, ctrl):
     return [end for job in jobs for end in integrate_words(fns, [job], ctrl)]
 
 
+def _one_at_a_time(monkeypatch):
+    """Shoot one candidate per round, each word integrated alone."""
+    monkeypatch.setattr(metrics, "_ROUND_LANES", 1)
+    monkeypatch.setattr(metrics, "_MIN_TREE", 1)
+    monkeypatch.setattr(metrics, "integrate_words", _one_job_at_a_time)
+
+
 @pytest.mark.parametrize(
     "system,x,seed",
-    [(shear(), (0.0, 0.5), 2), (unicycle(), (0.0, 0.0, 0.0), 0)],
-    ids=["shear", "unicycle"],
+    [
+        (shear(), (0.0, 0.5), 2),
+        (unicycle(), (0.0, 0.0, 0.0), 0),
+        (saddle3d(), (0.5, 0.5, 0.5), 0),
+    ],
+    ids=["shear", "unicycle", "saddle3d"],
 )
 def test_loop_length_does_not_depend_on_lanes(system, x, seed, monkeypatch):
     lanes = loop_length(system, x, seed=seed)
-    monkeypatch.setattr(metrics, "integrate_words", _one_job_at_a_time)
+    _one_at_a_time(monkeypatch)
     alone = loop_length(system, x, seed=seed)
     assert lanes.value is not None
     assert lanes == alone
+
+
+# ---------------------------------------------------------- stream driver
+
+
+def fast_plane() -> SystemSpec:
+    return make2(("3", "0"), name="fast_plane")
+
+
+@pytest.mark.parametrize(
+    "system,x,y",
+    [
+        (shear(), (0.0, 0.5), (1.0, -0.5)),
+        (unicycle(), (0.0, 0.0, 0.0), (0.5, 0.3, 1.0)),
+        (saddle3d(), (0.2, -0.3, 0.1), (-0.4, 0.5, 0.6)),
+    ],
+    ids=["shear", "unicycle", "saddle3d"],
+)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_dist_streams_do_not_depend_on_speculation(system, x, y, seed, monkeypatch):
+    rounds = [estimate_cost(system, x, y, seed=seed), sr_distance(system, x, y, seed=seed)]
+    _one_at_a_time(monkeypatch)
+    alone = [estimate_cost(system, x, y, seed=seed), sr_distance(system, x, y, seed=seed)]
+    assert rounds == alone
+    assert all(est.budget_spent == metrics.DEFAULT_BUDGET for est in rounds)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_zero_cost_stop_mid_round_matches_one_at_a_time(seed, monkeypatch):
+    # the target lies on the drift orbit between two samples of the orbit
+    # scan, so a rescaled drift ride (cost 0) is found by the stream and
+    # stops it while later candidates of its round are still unfolded
+    jobs = []
+
+    def counting(fns, batch, ctrl):
+        jobs.append(len(batch))
+        return integrate_words(fns, batch, ctrl)
+
+    monkeypatch.setattr(metrics, "integrate_words", counting)
+    rounds = estimate_cost(fast_plane(), (0.0, 0.0), (0.1875, 0.0), endpoint_tol=0.02, seed=seed)
+    assert rounds.value == 0.0
+    assert rounds.budget_spent < metrics.DEFAULT_BUDGET
+    assert sum(jobs) > rounds.budget_spent  # speculative lanes were dropped
+    _one_at_a_time(monkeypatch)
+    assert rounds == estimate_cost(
+        fast_plane(), (0.0, 0.0), (0.1875, 0.0), endpoint_tol=0.02, seed=seed
+    )
+
+
+def _propose_one_at_a_time(shooter, rng):
+    """The proposal rule as a single function of the shooter's state."""
+    smax = metrics._MAX_SEGMENTS
+    nchan = shooter.nchan
+    free = slice(1, None) if shooter.fixed_drift else slice(0, None)
+    lo_a, hi_a = np.log(metrics._AMP_RANGE)
+    nseg = int(rng.integers(1, smax + 1))
+    raw_dur = rng.uniform(metrics._DUR_RANGE[0], metrics._DUR_RANGE[1], size=smax)
+    raw_amp = rng.standard_normal((smax, nchan))
+    amp_scale = float(np.exp(rng.uniform(lo_a, hi_a)))
+    pick_seg = int(rng.integers(0, smax))
+    factor = metrics._FACTORS[int(rng.integers(0, len(metrics._FACTORS)))]
+    mode = shooter.evals % 5
+    if mode == 0 or shooter.inc is None:
+        durations = raw_dur[:nseg].copy()
+        weights = np.zeros((nseg, nchan))
+        weights[:, free] = raw_amp[:nseg, free] * amp_scale
+        return durations, weights
+    durations, weights = shooter.inc
+    durations = durations.copy()
+    weights = weights.copy()
+    j = pick_seg % len(durations)
+    if mode == 1:
+        weights[j, free] *= factor
+    elif mode == 2:
+        durations[j] *= factor
+    elif mode == 3:
+        rms = max(float(np.abs(weights[:, free]).max()), 1.0)
+        weights[:, free] += 0.1 * rms * raw_amp[: len(durations), free]
+    else:
+        durations[j] *= factor
+        weights[j, free] /= factor
+    return durations, weights
+
+
+@pytest.mark.parametrize("fixed_drift", [True, False])
+@pytest.mark.parametrize("with_incumbent", [True, False])
+def test_draw_and_build_replay_the_proposal_sequence(fixed_drift, with_incumbent):
+    sh = metrics._Shooter(
+        unicycle(), np.zeros(3), np.ones(3), 0.05,
+        fixed_drift=fixed_drift, drift_in_cost=not fixed_drift,
+    )
+    if with_incumbent:
+        sh.inc = (np.array([0.3, 1.2, 0.7]), np.arange(6.0).reshape(3, 2) - 2.5)
+    ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    for i in range(60):
+        sh.evals = i
+        want = _propose_one_at_a_time(sh, ref_rng)
+        got = sh.build(metrics._draw(rng, sh.nchan), i, sh.inc)
+        for a, b in zip(want, got):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # both consumed the same draws
+    assert ref_rng.random() == rng.random()

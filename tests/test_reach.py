@@ -2,10 +2,12 @@
 
 import csv
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geoctrl import reach
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
     STATUS_INCONCLUSIVE,
@@ -21,12 +23,13 @@ from geoctrl.reach import (
     monotone_witness_check,
     simulate_reach,
 )
-from geoctrl.system import SystemSpec
+from geoctrl.system import SystemSpec, load_spec
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
 PI = float(np.pi)
 WIN2 = ((-2.0, 2.0), (-2.0, 2.0))
+SYSTEMS = sorted((Path(__file__).resolve().parents[1] / "systems").glob("*.sys"))
 
 
 def _sys2(drift_exprs, control_exprs=("0", "1"), **kw) -> SystemSpec:
@@ -99,6 +102,39 @@ def test_simulation_is_deterministic():
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.times, b.times)
     assert not np.array_equal(a.points, c.points)
+
+
+def _stacked_cloud_arrays(pts_chunks, ids_chunks, rec_times, n):
+    """Cloud assembly by stacking the chunks and one time per point."""
+    if not pts_chunks:
+        return np.zeros((0, n)), np.zeros(0, dtype=int), np.zeros(0)
+    t_chunks = [t for t, ids in zip(rec_times, ids_chunks) for _ in ids]
+    return np.vstack(pts_chunks), np.concatenate(ids_chunks), np.array(t_chunks)
+
+
+@pytest.mark.parametrize("path", SYSTEMS + ["empty"], ids=lambda p: getattr(p, "stem", p))
+def test_cloud_assembly_matches_stacked_chunks(path, monkeypatch):
+    if path == "empty":  # starts outside the roaming window: nothing stored
+        system, x0 = _sys2(["x2", "0"]), [9.0, 0.0]
+    else:
+        system = load_spec(path)
+        x0 = [(lo + hi) / 2.0 for lo, hi in system.window]
+    calls = []
+    cloud_arrays = reach._cloud_arrays
+
+    def assemble(*args):
+        calls.append((cloud_arrays(*args), _stacked_cloud_arrays(*args)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(reach, "_cloud_arrays", assemble)
+    cloud = simulate_reach(system, x0, T=3.0, n_traj=60)
+    (got, want), = calls
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert all(a is b for a, b in zip((cloud.points, cloud.traj_ids, cloud.times), got))
+    assert cloud.traj_ids.dtype == np.int64 and cloud.times.dtype == np.float64
+    assert (len(cloud.points) == 0) == (path == "empty")
 
 
 def test_switched_drift_engages_both_drifts():
