@@ -46,6 +46,7 @@ from .flows import (
     integrate_flow,
     pushforward_along,
     sample_leaf,
+    sample_leaves,
     transport_walks,
 )
 from .criterion import (

@@ -30,11 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import VectorField
-from .flows import (
+from .flows import (  # noqa: F401 (sample_leaf: perfbench/tracing.py patches it here)
     LeafSample,
     StepControl,
     inflate_window,
     sample_leaf,
+    sample_leaves,
     transport_walks,
 )
 from .lie import (
@@ -324,16 +325,18 @@ def _point_verdicts(
 ) -> list[PointVerdict]:
     """The interior condition at each base point, early-stopping per point.
 
-    First every point's leaf is sampled, in order and with its own seed.
-    Then the walks of the points still undecided are transported in
-    waves, all in one `transport_walks` call per wave: wave r takes each
-    such point's next 2^r walks. A point folds its results into its hull
-    test in walk order and stops at the first inside, so its verdict is
-    the one of transporting its walks one at a time.
+    First the leaves of all points are sampled in one `sample_leaves`
+    call, each point walking from its own seed. Then the walks of the
+    points still undecided are transported in waves, all in one
+    `transport_walks` call per wave: wave r takes each such point's next
+    2^r walks. A point folds its results into its hull test in walk
+    order and stops at the first inside, so its verdict is the one of
+    transporting its walks one at a time.
     """
     drifts = system.drifts
     n = family.dim
-    verdicts: list[PointVerdict | _Hull] = []
+    verdicts: list[PointVerdict | _Hull | None] = []
+    walked = []  # (index, x, Q, seed) of the points whose leaf is walked
     for x, seed in zip(points, seeds):
         try:
             Q = quotient_projection(family.evaluate_matrix(x), expected_rank=rank)
@@ -361,15 +364,18 @@ def _point_verdicts(
                 )
             )
             continue
-        leaf = sample_leaf(
-            family,
-            x,
-            budget=leaf_budget,
-            max_duration=system.walk_duration(),
-            rng_seed=seed,
-            step=step,
-        )
-        verdicts.append(_Hull(x, Q, leaf, drifts, margin))
+        walked.append((len(verdicts), x, Q, seed))
+        verdicts.append(None)
+    leaves = sample_leaves(
+        family,
+        [x for _, x, _, _ in walked],
+        budget=leaf_budget,
+        max_duration=system.walk_duration(),
+        seeds=[s for *_, s in walked],
+        step=step,
+    )
+    for (i, x, Q, _), leaf in zip(walked, leaves):
+        verdicts[i] = _Hull(x, Q, leaf, drifts, margin)
 
     hulls = [v for v in verdicts if isinstance(v, _Hull)]
     width = 1
@@ -525,11 +531,12 @@ def global_verdict(
     The condition is per-point, so every grid point is checked; this is
     redundant across a shared leaf but sound. Point seeds derive from
     the master seed, keeping reports reproducible. It runs in two
-    phases: every point's leaf is sampled first, in grid order; then
-    the walks of the points whose hull is still open are transported in
-    waves across points, wave r taking each such point's next 2^r walks
-    (1, 2, 4, ...). Each point folds its walks into its hull test in
-    walk order, so a verdict does not depend on the waves.
+    phases: the leaves of all points are walked first, as lanes of one
+    pool, each point from its own seed; then the walks of the points
+    whose hull is still open are transported in waves across points,
+    wave r taking each such point's next 2^r walks (1, 2, 4, ...). Each
+    point folds its walks into its hull test in walk order, so a verdict
+    does not depend on the waves.
     """
     family, regularity = _prepare(system, family, regularity, grid_per_axis)
     assumptions = {
@@ -687,11 +694,13 @@ def verify_supporting_distribution(
                 break
 
     # (c) shifted drifts confined to one side of the projected S; the
-    # walks of every point are transported in one call
+    # leaves of every point are walked in one call, their walks
+    # transported in another
     if clauses["complement_rank"] and clauses["control_invariance"]:
         step = _step_control(system)
         children = np.random.SeedSequence(seed).spawn(len(pts))
-        planes = []  # per point (Q, normal, walks), or None where S degenerates
+        planes = []  # per point (Q, normal), or None where S degenerates
+        walked = []  # (point, seed) of the points with a plane
         for p, child in zip(pts, children):
             Q = quotient_projection(family.evaluate_matrix(p), expected_rank=regularity.rank)
             PS = np.column_stack([Q @ S(p) for S in S_candidate])
@@ -701,15 +710,19 @@ def verify_supporting_distribution(
                 # isolated degeneration of the candidate; no hyperplane here
                 planes.append(None)
                 continue
-            leaf = sample_leaf(
+            planes.append((Q, normal))
+            walked.append((p, _child_seed(child)))
+        leaves = iter(
+            sample_leaves(
                 family,
-                p,
+                [p for p, _ in walked],
                 budget=leaf_budget,
                 max_duration=system.walk_duration(),
-                rng_seed=_child_seed(child),
+                seeds=[s for _, s in walked],
                 step=step,
             )
-            planes.append((Q, normal, leaf.walks()))
+        )
+        planes = [None if plane is None else (*plane, next(leaves).walks()) for plane in planes]
         every_walk = [w for plane in planes if plane is not None for w in plane[2]]
         moved = iter(transport_walks(every_walk, family.generators, system.drifts, step))
         worst = np.inf

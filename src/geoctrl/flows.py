@@ -18,18 +18,19 @@ kernels enter none.
 
 `_step_lanes` steps many flows as lanes of one vectorized DP54 with
 per-lane step sizes, each lane reproducing the scalar `_integrate` bit
-for bit. `integrate_words` runs the piecewise-constant control words of
-the shooting estimators on it (a single word runs `_integrate` itself),
-and `transport_walks` the reversed segments of any number of leaf walks
-with their variational frames. Leaf walks (`sample_leaf`) still step
-one flow at a time with `_integrate`.
+for bit; a refill hook admits new lanes as others leave. `integrate_words`
+runs the piecewise-constant control words of the shooting estimators on
+it (a single word runs `_integrate` itself), `sample_leaves` the leaf
+walks of any number of base points, one lane per walking point, and
+`transport_walks` the reversed segments of any number of leaf walks with
+their variational frames.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "integrate_words",
     "pushforward_along",
     "sample_leaf",
+    "sample_leaves",
     "transport_walks",
 ]
 
@@ -338,12 +340,16 @@ def _lane_words(
     return results
 
 
+Settled = list[tuple[int, np.ndarray | None]]
+
+
 def _step_lanes(
     lanes: list[_Lane],
     Y: np.ndarray,
     field: Callable[[list[_Lane]], Kernel],
     ctrl: StepControl,
     guard_dim: int | None = None,
+    refill: Callable[[Settled], list[tuple[_Lane, np.ndarray]]] | None = None,
 ) -> dict[int, np.ndarray]:
     """Step every lane through its segments: one DP54 step per lane per round.
 
@@ -355,10 +361,22 @@ def _step_lanes(
     products and means exactly, and the window box is tested on the
     first guard_dim columns. Lanes leave the batch when their segments
     end or fail; a lane entering a new segment gets k0 = rhs(y) as
-    `_integrate` does. Returns the endpoint of every lane that finished,
-    keyed by its job.
+    `_integrate` does.
+
+    After each round the jobs whose lanes left go to `refill` as (job,
+    endpoint) pairs in lane order, the endpoint None where `_integrate`
+    would raise FlowError. It returns (lane, start) pairs to admit; they
+    step from the next round on, each starting as `_integrate` starts
+    (h = min(h_init, t), k0 = rhs(start)). Without `refill`, returns the
+    endpoint of every lane that finished, keyed by its job.
     """
     ends: dict[int, np.ndarray] = {}
+    if refill is None:
+
+        def refill(settled: Settled) -> list[tuple[_Lane, np.ndarray]]:
+            ends.update((job, end) for job, end in settled if end is not None)
+            return []
+
     box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
     rhs = field(lanes)
     with np.errstate(all="ignore"):
@@ -383,41 +401,50 @@ def _step_lanes(
             fsal = [False] * L
             keep: list[int] = []  # surviving lanes, by old index
             fresh: list[int] = []  # lanes in a new segment, by new index
-            done: list[int] = []
+            left: list[tuple[int, bool]] = []  # (old index, finished) of leaving lanes
             for k, lane in enumerate(lanes):
                 err = errs[k]
                 if not math.isfinite(err):
                     err = math.inf
                 if err <= 1.0:
                     if not inside[k]:
-                        continue  # window escape
+                        left.append((k, False))  # window escape
+                        continue
                     accepted[k] = lane.fsal = True
                     lane.remaining -= lane.h
                 fsal[k] = lane.fsal
                 h = lane.h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
                 if h < ctrl.h_min and h < lane.remaining:
-                    continue  # step underflow
+                    left.append((k, False))  # step underflow
+                    continue
                 lane.steps += 1
                 if lane.remaining <= 0.0:
                     if not lane.next_segment(ctrl):
-                        done.append(k)
+                        left.append((k, True))
                         continue
                     fresh.append(len(keep))
                 elif lane.steps == ctrl.max_steps:
-                    continue  # out of steps
+                    left.append((k, False))  # out of steps
+                    continue
                 else:
                     lane.h = min(h, lane.remaining)
                 keep.append(k)
             Y = np.where(np.array(accepted)[:, None], Y5, Y)
             K0 = np.where(np.array(fsal)[:, None], K[:, 6], K0)
-            for k in done:
-                ends[lanes[k].job] = Y[k].copy()
-            if len(keep) < L:
+            if left:
+                admitted = refill(
+                    [(lanes[k].job, Y[k].copy() if finished else None) for k, finished in left]
+                )
                 lanes = [lanes[k] for k in keep]
+                Y, K0 = Y[keep], K0[keep]
+                if admitted:
+                    fresh.extend(range(len(lanes), len(lanes) + len(admitted)))
+                    lanes += [lane for lane, _ in admitted]
+                    Y = np.vstack([Y, np.array([start for _, start in admitted], dtype=float)])
+                    K0 = np.vstack([K0, np.empty((len(admitted), Y.shape[1]))])
                 if not lanes:
                     break
-                Y, K0 = Y[keep], K0[keep]
-            if fresh or len(keep) < L:
+            if fresh or left:
                 rhs = field(lanes)
             if fresh and len(fresh) == len(lanes):
                 K0 = rhs(Y)
@@ -483,7 +510,9 @@ class _FrameLanes:
 
     Lane j flows kernels[keys[j]] = (field, Jacobian). Each field and its
     Jacobian are evaluated once per call on the rows of the lanes that
-    flow it, and dW = J @ W is one stacked matmul per field.
+    flow it, and dW = J @ W is one stacked matmul per field. With c = 0
+    the states are bare points, no Jacobian is evaluated (it may be
+    None), and lane j's rhs is the field kernel `_integrate` flows.
     """
 
     def __init__(self, kernels: dict, keys: Sequence, n: int, c: int):
@@ -503,10 +532,11 @@ class _FrameLanes:
         for (fn, jac), idx in self.groups:
             Z = Y if idx is None else Y[idx]
             X = Z[:, :n]
-            dW = jac(X) @ Z[:, n:].reshape(len(Z), n, c)
             rows = slice(None) if idx is None else idx
             out[rows, :n] = fn(X)
-            out[rows, n:] = dW.reshape(len(Z), n * c)
+            if c:
+                dW = jac(X) @ Z[:, n:].reshape(len(Z), n, c)
+                out[rows, n:] = dW.reshape(len(Z), n * c)
         return out
 
 
@@ -551,7 +581,7 @@ def sample_leaf(
     rng_seed: int = 0,
     step: StepControl | None = None,
 ) -> LeafSample:
-    """Random-walk exploration of the leaf through x.
+    """Random-walk exploration of the leaf through x: `sample_leaves` on x alone.
 
     Runs `budget` independent walks from the base. Each walk draws a
     word of 1..8 segments with uniform field choice, sign, and duration
@@ -561,21 +591,28 @@ def sample_leaf(
     segment slot is redrawn up to three times before the walk gives up,
     so walks near the window boundary keep exploring inward.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    ctrl = step or StepControl()
-    rng = np.random.default_rng(rng_seed)
-    base = np.asarray(x, dtype=float)
-    gens = family.generators
-    neg = [g.negate() for g in gens]
-    m = len(gens)
+    return sample_leaves(family, [x], budget, max_duration, [rng_seed], step)[0]
+
+
+# one segment attempt of a walk: start point, (field_index, sign), duration
+Attempt = tuple[np.ndarray, tuple[int, int], float]
+
+
+def _walks(
+    base: np.ndarray, m: int, budget: int, max_duration: float, rng: np.random.Generator
+) -> Generator[Attempt, np.ndarray | None, LeafSample]:
+    """`sample_leaf`'s walks from base as a coroutine over its segment attempts.
+
+    Yields each attempt and receives its endpoint, or None where the
+    flow failed; returns the leaf sample. Draws come from rng alone, so
+    they do not depend on when the endpoints arrive.
+    """
     visits: list[tuple[np.ndarray, ControlWord]] = []
     discarded = 0
     for _ in range(budget):
         length = int(rng.integers(1, 9))
         y = base
         word: list[Segment] = []
-        dead = False
         for _ in range(length):
             for _ in range(3):
                 idx = int(rng.integers(0, m))
@@ -584,21 +621,71 @@ def sample_leaf(
                 tau = float(rng.uniform(0.0, max_duration))
                 if tau == 0.0:
                     tau = max_duration * 0.5
-                V = gens[idx] if sign > 0 else neg[idx]
-                try:
-                    y_next = _integrate(V.compiled(), y, tau, ctrl)
-                except FlowError:
+                end = yield y, (idx, sign), tau
+                if end is None:
                     discarded += 1
                     continue
-                y = y_next
+                y = end
                 word.append(Segment(idx, sign, tau))
                 visits.append((y, tuple(word)))
                 break
             else:
-                dead = True
-            if dead:
-                break
+                break  # three failed attempts end the walk
     return LeafSample(base=base, visits=tuple(visits), discarded=discarded)
+
+
+def sample_leaves(
+    family: BracketFamily,
+    points: Sequence[Sequence[float]],
+    budget: int,
+    max_duration: float,
+    seeds: Sequence[int],
+    step: StepControl | None = None,
+) -> list[LeafSample]:
+    """`sample_leaf` at every point, point j walking from rng seed seeds[j].
+
+    Each point's walks run as one lane of a `_step_lanes` pool: when its
+    segment ends or fails, the point's next attempt joins the pool in
+    the same round, so no point waits for another. Lanes are grouped by
+    signed generator, and each lane is `_integrate` of its segment bit
+    for bit, so a point's sample does not depend on the other points.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    ctrl = step or StepControl()
+    gens = family.generators
+    kernels = {}  # (field_index, sign) -> (the signed field's kernel, no Jacobian)
+    for i, g in enumerate(gens):
+        kernels[i, 1] = (g.compiled(), None)
+        kernels[i, -1] = (g.negate().compiled(), None)
+    walks = [
+        _walks(
+            np.asarray(x, dtype=float), len(gens), budget, max_duration, np.random.default_rng(seed)
+        )
+        for x, seed in zip(points, seeds)
+    ]
+    leaves: list[LeafSample | None] = [None] * len(walks)
+
+    def admit(settled: Settled) -> list[tuple[_Lane, np.ndarray]]:
+        new = []
+        for j, end in settled:
+            try:
+                y, key, tau = walks[j].send(end)
+            except StopIteration as stop:
+                leaves[j] = stop.value
+                continue
+            new.append((_Lane(j, [(tau, key)], ctrl), y))
+        return new
+
+    def field(lanes: list[_Lane]) -> _FrameLanes:
+        return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], family.dim, 0)
+
+    # sending None starts each coroutine at its first attempt
+    first = admit([(j, None) for j in range(len(walks))])
+    if first:
+        starts = np.array([y for _, y in first], dtype=float)
+        _step_lanes([lane for lane, _ in first], starts, field, ctrl, refill=admit)
+    return leaves
 
 
 def transport_walks(
@@ -619,7 +706,7 @@ def transport_walks(
     lane bit for bit the `_flow_with_frame` of its segment. Returns per
     walk an (n, visits*len(drifts)) column stack expressed at the base,
     deepest visit first, or None when the transport left the window or
-    underflowed. Segment durations are positive, as `sample_leaf` draws
+    underflowed. Segment durations are positive, as `sample_leaves` draws
     them.
     """
     n = drifts[0].dim

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -32,7 +31,7 @@ from .criterion import (
 from .lie import window_grid
 from .metrics import estimate_cost, loop_length, sr_distance
 from .reach import coverage, cross_validate, simulate_reach
-from .system import SystemSpec, serialize_spec
+from .system import RANGES, SystemSpec, serialize_spec
 
 __all__ = [
     "Report",
@@ -158,12 +157,16 @@ def _estimate_block(est, extra: dict | None = None) -> dict:
 
 # override -> (command-line flag, admissible, requirement)
 _OVERRIDE_RULES = {
-    "grid_per_axis": ("--grid", lambda v: v >= 2, "at least 2"),
-    "leaf_budget": ("--leaf-budget", lambda v: v >= 1, "at least 1"),
-    "n_traj": ("--traj", lambda v: v >= 1, "at least 1"),
-    "horizon": ("--horizon", lambda v: 0 < v < math.inf, "positive and finite"),
+    "grid_per_axis": ("--grid", *RANGES["grid_per_axis"]),
+    "leaf_budget": ("--leaf-budget", *RANGES["leaf_budget"]),
+    "n_traj": ("--traj", *RANGES["n_traj"]),
+    "horizon": ("--horizon", *RANGES["horizon"]),
     "endpoint_tol": ("--tol", lambda v: v > 0, "positive"),
 }
+
+# `estimate_cost` evaluates four fixed candidates before it shoots, so a
+# smaller `dist` budget could not be kept
+_MIN_DIST_BUDGET = 4
 
 
 def _apply_overrides(spec: SystemSpec, overrides: dict) -> SystemSpec:
@@ -266,6 +269,10 @@ def run_pipeline(spec: SystemSpec, command: str, overrides: dict | None = None) 
         x = _parse_point(overrides.get("from_point"), spec.dim, "--from")
         y = _parse_point(overrides.get("to_point"), spec.dim, "--to")
         budget = overrides.get("budget")
+        if budget is not None and budget < _MIN_DIST_BUDGET:
+            raise PipelineUsageError(
+                f"--budget must be at least {_MIN_DIST_BUDGET}, got {budget}"
+            )
         tol = overrides.get("endpoint_tol")
         kwargs = {"seed": seed}
         if budget is not None:

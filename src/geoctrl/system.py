@@ -20,16 +20,39 @@ user's explicit assertion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .fields import VectorField
 
-__all__ = ["SystemSpec", "SpecFileError", "load_spec", "loads_spec", "serialize_spec"]
+__all__ = [
+    "SystemSpec",
+    "SpecFileError",
+    "RANGES",
+    "load_spec",
+    "loads_spec",
+    "serialize_spec",
+]
 
 
 class SpecFileError(ValueError):
     """Malformed system file; message carries the offending line."""
+
+
+def _positive_finite(v: float) -> bool:
+    return 0 < v < math.inf
+
+
+# spec field -> (admissible, requirement); every spec is held to these,
+# and the command-line overrides of the same fields share them
+RANGES = {
+    "grid_per_axis": (lambda v: v >= 2, "at least 2"),
+    "leaf_budget": (lambda v: v >= 1, "at least 1"),
+    "n_traj": (lambda v: v >= 1, "at least 1"),
+    "horizon": (_positive_finite, "positive and finite"),
+    "max_duration": (_positive_finite, "positive and finite"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +90,12 @@ class SystemSpec:
         for lo, hi in self.window:
             if not lo < hi:
                 raise SpecFileError(f"window axis {lo}:{hi} is empty")
+        for field_name, (admissible, requirement) in RANGES.items():
+            value = getattr(self, field_name)
+            if value is not None and not admissible(value):
+                raise SpecFileError(
+                    f"{_FILE_KEYS[field_name]} must be {requirement}, got {value}"
+                )
 
     @property
     def dim(self) -> int:
@@ -122,6 +151,7 @@ _NUMBER_KEYS = {
     "max_duration": ("max_duration", float),
     "seed": ("seed", int),
 }
+_FILE_KEYS = {field_name: key for key, (field_name, _) in _NUMBER_KEYS.items()}
 
 
 def loads_spec(text: str, name_hint: str = "system") -> SystemSpec:

@@ -236,8 +236,17 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         (["check", "--leaf-budget", "0"], "--leaf-budget"),
         (["reach", "--traj", "0"], "--traj"),
         (["reach", "--horizon", "-1"], "--horizon"),
+        (["dist", "--from", "0,0", "--to", "1,0", "--budget", "3"], "--budget"),
     ],
-    ids=["dist-tol", "loop-tol", "check-grid", "check-leaf-budget", "reach-traj", "reach-horizon"],
+    ids=[
+        "dist-tol",
+        "loop-tol",
+        "check-grid",
+        "check-leaf-budget",
+        "reach-traj",
+        "reach-horizon",
+        "dist-budget",
+    ],
 )
 def test_inadmissible_overrides_are_usage_errors(specfile, tmp_path, capsys, argv, flag):
     target = tmp_path / "report.json"
@@ -264,6 +273,28 @@ def test_invalid_specfile(specfile, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert json.loads(err)["error"]["code"] == "SPEC_INVALID"
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("grid = 1", "grid"),
+        ("leaf_budget = 0", "leaf_budget"),
+        ("traj = 0", "traj"),
+        ("horizon = 0", "horizon"),
+        ("horizon = inf", "horizon"),
+        ("max_duration = -0.5", "max_duration"),
+        ("max_duration = nan", "max_duration"),
+    ],
+)
+def test_out_of_range_spec_values_are_invalid_specs(specfile, tmp_path, capsys, line, key):
+    target = tmp_path / "report.json"
+    code = main(["check", specfile(SHEAR + line + "\n"), "--json", str(target)])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert err["code"] == "SPEC_INVALID"
+    assert err["message"].startswith(f"{key} must be")
+    assert json.loads(target.read_text())["error"] == err
 
 
 def test_json_flag_writes_file_quietly(specfile, tmp_path, capsys):

@@ -23,7 +23,7 @@ from geoctrl.criterion import (
     verify_supporting_distribution,
 )
 from geoctrl.fields import VectorField
-from geoctrl.flows import LeafSample, Segment, sample_leaf, transport_walks
+from geoctrl.flows import LeafSample, Segment, sample_leaf, sample_leaves, transport_walks
 from geoctrl.lie import NotRegularError, generate_bracket_basis
 from geoctrl.system import SystemSpec, load_spec
 
@@ -503,6 +503,14 @@ def _one_walk_at_a_time(walks, generators, drifts, step):
     return [W for w in walks for W in transport_walks([w], generators, drifts, step)]
 
 
+def _one_leaf_at_a_time(family, points, budget, max_duration, seeds, step=None):
+    return [
+        leaf
+        for p, seed in zip(points, seeds)
+        for leaf in sample_leaves(family, [p], budget, max_duration, [seed], step)
+    ]
+
+
 def _point_fields(gv):
     return [
         (
@@ -536,3 +544,26 @@ def test_verifier_does_not_depend_on_batching(monkeypatch):
     alone = verify_supporting_distribution(spec, [S], grid_per_axis=3)
     assert batched.accepted
     assert batched == alone
+
+
+# --- leaf walks as lanes -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["planar_shear", "planar_forward", "saddle3d", "unicycle_offset"])
+def test_global_verdict_does_not_depend_on_the_walk_pool(name, monkeypatch):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    pooled = global_verdict(spec, grid_per_axis=2)
+    monkeypatch.setattr(criterion, "sample_leaves", _one_leaf_at_a_time)
+    alone = global_verdict(spec, grid_per_axis=2)
+    assert pooled.status == alone.status
+    assert _point_fields(pooled) == _point_fields(alone)
+
+
+def test_verifier_does_not_depend_on_the_walk_pool(monkeypatch):
+    spec = load_spec(SYS_DIR / "unicycle_offset.sys")
+    S = VectorField.parse(["0", "1", "0"], spec.var_names)
+    pooled = verify_supporting_distribution(spec, [S], grid_per_axis=3)
+    monkeypatch.setattr(criterion, "sample_leaves", _one_leaf_at_a_time)
+    alone = verify_supporting_distribution(spec, [S], grid_per_axis=3)
+    assert pooled.accepted
+    assert pooled == alone

@@ -24,8 +24,10 @@ from geoctrl.flows import (
     integrate_words,
     pushforward_along,
     sample_leaf,
+    sample_leaves,
     transport_walks,
     _flow_with_frame,
+    _integrate,
 )
 from geoctrl.lie import BracketFamily, generate_bracket_basis, window_grid
 from geoctrl.system import load_spec
@@ -531,6 +533,111 @@ def test_sample_leaf_discards_escaping_segments():
     assert leaf.discarded > 0
     for y, _ in leaf.visits:
         assert -0.5 <= y[0] <= 0.5
+
+
+def _scalar_sample_leaf(family, x, budget, max_duration, rng_seed, step):
+    """The scalar walk loop that `sample_leaves` replaced: one `_integrate`
+    call per segment attempt, kept here as the reference for the lanes."""
+    rng = np.random.default_rng(rng_seed)
+    base = np.asarray(x, dtype=float)
+    gens = family.generators
+    neg = [g.negate() for g in gens]
+    m = len(gens)
+    visits = []
+    discarded = 0
+    for _ in range(budget):
+        length = int(rng.integers(1, 9))
+        y = base
+        word = []
+        dead = False
+        for _ in range(length):
+            for _ in range(3):
+                idx = int(rng.integers(0, m))
+                sign = 1 if rng.random() < 0.5 else -1
+                tau = float(rng.uniform(0.0, max_duration))
+                if tau == 0.0:
+                    tau = max_duration * 0.5
+                V = gens[idx] if sign > 0 else neg[idx]
+                try:
+                    y_next = _integrate(V.compiled(), y, tau, step)
+                except FlowError:
+                    discarded += 1
+                    continue
+                y = y_next
+                word.append(Segment(idx, sign, tau))
+                visits.append((y, tuple(word)))
+                break
+            else:
+                dead = True
+            if dead:
+                break
+    return LeafSample(base=base, visits=tuple(visits), discarded=discarded)
+
+
+def _leaf_bytes(leaf: LeafSample):
+    return (
+        leaf.base.tobytes(),
+        [(y.tobytes(), word) for y, word in leaf.visits],
+        leaf.discarded,
+    )
+
+
+def _step_variants(spec):
+    """The spec's own step control, one whose max_steps cuts long segments
+    short, and one whose window is a quarter of the spec's around its center."""
+    step = _step_control(spec)
+    tight = tuple(
+        (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi) for lo, hi in spec.window
+    )
+    return {
+        "spec": step,
+        "max_steps": StepControl(window=step.window, max_steps=4),
+        "tight": StepControl(window=tight),
+    }
+
+
+@pytest.mark.parametrize("variant", ["spec", "max_steps", "tight"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sample_leaves_equals_the_scalar_walk_loop(name, variant):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    family, _ = _prepare(spec, None, None, 2)
+    step = _step_variants(spec)[variant]
+    # the tight window's own grid, its center and its rim
+    pts = list(window_grid(step.window, 3 if variant == "tight" else 2))
+    duration = spec.walk_duration()
+    discarded = 0
+    for seed, budget in ((0, 1), (3, 5), (7, 9)):
+        seeds = [_child_seed(c) for c in np.random.SeedSequence(seed).spawn(len(pts))]
+        lanes = sample_leaves(family, pts, budget, duration, seeds, step)
+        assert len(lanes) == len(pts)
+        for p, s, leaf in zip(pts, seeds, lanes):
+            ref = _scalar_sample_leaf(family, p, budget, duration, s, step)
+            assert _leaf_bytes(leaf) == _leaf_bytes(ref)
+            discarded += ref.discarded
+    if variant != "spec":  # the failure paths: escapes, running out of steps
+        assert discarded > 0
+
+
+def test_a_leaf_does_not_depend_on_the_points_it_walks_with():
+    spec = load_spec(SYS_DIR / "unicycle.sys")
+    family, _ = _prepare(spec, None, None, 2)
+    step = _step_control(spec)
+    duration = spec.walk_duration()
+    pts = list(window_grid(spec.window, 2))
+    seeds = list(range(40, 40 + len(pts)))
+    together = sample_leaves(family, pts, 6, duration, seeds, step)
+    # reversed, and with the first point walked twice from other seeds
+    others = sample_leaves(
+        family, [pts[0], pts[0]] + pts[::-1], 6, duration, [1, 2] + seeds[::-1], step
+    )
+    for p, seed, leaf, again in zip(pts, seeds, together, others[2:][::-1]):
+        alone = sample_leaf(family, p, 6, duration, seed, step)
+        assert _leaf_bytes(leaf) == _leaf_bytes(alone) == _leaf_bytes(again)
+
+
+def test_sample_leaves_of_no_points_is_empty():
+    fam = _family(ROTATION)
+    assert sample_leaves(fam, [], 4, 1.0, [], None) == []
 
 
 # --- drifts shifted along sampled leaves ----------------------------------
