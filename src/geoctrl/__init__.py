@@ -70,7 +70,14 @@ from .reach import (
     cross_validate,
     export_csv,
 )
-from .metrics import CostEstimate, estimate_cost, sr_distance, loop_length
+from .metrics import (
+    CostEstimate,
+    estimate_cost,
+    sr_distance,
+    steering_costs,
+    loop_length,
+    loop_lengths,
+)
 
 __version__ = "0.1.0"
 

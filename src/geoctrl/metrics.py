@@ -17,17 +17,23 @@ function of the seed alone (every iteration consumes the same random
 draws whether or not an incumbent exists), so the running best is
 reproducible and can only improve as the budget grows.
 
-Every candidate word is integrated through `flows.integrate_words`,
-and every search runs on one stream driver (`_shoot`). estimate_cost
-and sr_distance drive one stream; loop_length drives its out-and-back
-leg searches together. Each round, every live stream builds a small
-tree of its next candidates: the next word against the current
-incumbent, then, for each word built, the word after it if its fold
-keeps the incumbent and the one if its fold replaces it. The words of
-all streams integrate as lanes of one DP54, and each stream folds the
-one path through its tree that its incumbent actually takes, until the
-path leaves the tree. Lanes repeat the scalar arithmetic exactly, so
-every incumbent and result is what one-at-a-time shooting gives.
+Searches that belong together run together: `steering_costs` runs the
+two estimate_cost directions and sr_distance of one pair of points, and
+`loop_lengths` runs loop_length at many points. estimate_cost,
+sr_distance and loop_length are their one-search cases. Every candidate
+word is integrated through `flows.integrate_words`, and every search is
+a stream of one stream driver (`_shoot`): the three streams of
+`steering_costs`, the out-and-back leg searches of every point of
+`loop_lengths` that its stationary word does not close. Each round,
+every live stream builds a small tree of its next candidates: the next
+word against the current incumbent, then, for each word built, the word
+after it if its fold keeps the incumbent and the one if its fold
+replaces it. The words of all streams integrate as lanes of one DP54,
+and each stream folds the one path through its tree that its incumbent
+actually takes, until the path leaves the tree. A stream's candidates
+depend only on its own generator and incumbent, and lanes repeat the
+scalar arithmetic exactly, so every incumbent and result is what
+one-at-a-time shooting of each search alone gives.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ import numpy as np
 from .flows import FlowError, StepControl, _integrate, inflate_window, integrate_words
 from .system import SystemSpec
 
-__all__ = ["CostEstimate", "estimate_cost", "sr_distance", "loop_length"]
+__all__ = [
+    "CostEstimate",
+    "estimate_cost",
+    "sr_distance",
+    "steering_costs",
+    "loop_length",
+    "loop_lengths",
+]
 
 TIME_CAP = 50.0
 DEFAULT_BUDGET = 300
@@ -207,10 +220,6 @@ class _Shooter:
             weights[j, free] /= draws.factor
         return durations, weights
 
-    def submit(self, durations: np.ndarray, weights: np.ndarray) -> None:
-        """Evaluate one candidate word and fold it into the running best."""
-        _evaluate([(self, durations, weights)])
-
     def result(self) -> CostEstimate:
         return CostEstimate(
             value=None if self.best_word is None else self.best_cost,
@@ -356,8 +365,11 @@ def _shoot(streams: list[_Stream], limit: int) -> None:
     stream folds the one path of its tree that its incumbent takes. Every
     node is built against the incumbent it meets on its path, so a stream
     sees exactly the candidates one-at-a-time shooting would; draws it
-    did not reach are built again in the next round. All streams must
-    shoot on the same system.
+    did not reach are built again in the next round. Streams never see
+    each other's words or results, so a stream's outcome does not depend
+    on which streams shoot beside it: searches of different points or
+    endpoints can share one pool. All streams must shoot on the same
+    system.
     """
     while live := [
         s for s in streams
@@ -372,8 +384,10 @@ def _shoot(streams: list[_Stream], limit: int) -> None:
             _fold_path(s, root, ends)
 
 
-def _drift_orbit_candidate(shooter: _Shooter, system: SystemSpec) -> None:
-    """u = 0: ride the drift and take the closest approach to the target."""
+def _drift_orbit_words(shooter: _Shooter, system: SystemSpec) -> list:
+    """u = 0: ride the drift to its closest approach to the target, as a
+    list of one word. An orbit that never comes closer than its start
+    gives no word and counts as one evaluation."""
     fn = system.drift.compiled()
     z = shooter.x.copy()
     best_t = 0.0
@@ -389,12 +403,12 @@ def _drift_orbit_candidate(shooter: _Shooter, system: SystemSpec) -> None:
                 best_d, best_t = d, t
     except FlowError:
         pass
-    if best_t > 0.0:
-        w = np.zeros((1, shooter.nchan))
-        w[0, 0] = 1.0
-        shooter.submit(np.array([best_t]), w)
-    else:
+    if best_t == 0.0:
         shooter.evals += 1
+        return []
+    w = np.zeros((1, shooter.nchan))
+    w[0, 0] = 1.0
+    return [(np.array([best_t]), w)]
 
 
 def _lstsq_candidates(shooter: _Shooter) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -412,6 +426,49 @@ def _lstsq_candidates(shooter: _Shooter) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def _steer(
+    system: SystemSpec, searches, budget: int, endpoint_tol: float, seed: int
+) -> list[CostEstimate]:
+    """Run (x, y, extended) searches together to the budget, one estimate
+    per search.
+
+    The drift rides along uncharged unless `extended`, where it becomes a
+    controlled channel charged like the others, and an extended search
+    from x to x is exactly zero. A drifted search opens with its
+    drift-orbit word, which costs nothing; both open with the
+    least-squares words. The opening words of all searches go through one
+    `_evaluate`, then every search is one stream of one `_shoot`, each
+    from its own generator seeded with `seed`.
+    """
+    if endpoint_tol <= 0:
+        raise ValueError("endpoint_tol must be positive")
+    shooters: list[_Shooter | None] = []
+    opening = []
+    for x, y, extended in searches:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if extended and np.array_equal(x, y):
+            shooters.append(None)
+            continue
+        sh = _Shooter(
+            system, x, y, endpoint_tol, fixed_drift=not extended, drift_in_cost=extended
+        )
+        words = [] if extended else _drift_orbit_words(sh, system)
+        opening += [(sh, d, w) for d, w in words + _lstsq_candidates(sh)]
+        shooters.append(sh)
+    _evaluate(opening)
+    _shoot(
+        [_Stream(sh, np.random.default_rng(seed)) for sh in shooters if sh is not None],
+        budget,
+    )
+    return [
+        CostEstimate(value=0.0, best_word=(), endpoint_error=0.0, budget_spent=0)
+        if sh is None
+        else sh.result()
+        for sh in shooters
+    ]
+
+
 def estimate_cost(
     system: SystemSpec,
     x,
@@ -426,15 +483,7 @@ def estimate_cost(
     (x, y); compute both directions separately when that matters. For
     switched drift families the first drift is used.
     """
-    if endpoint_tol <= 0:
-        raise ValueError("endpoint_tol must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sh = _Shooter(system, x, y, endpoint_tol, fixed_drift=True, drift_in_cost=False)
-    _drift_orbit_candidate(sh, system)
-    _evaluate([(sh, d, w) for d, w in _lstsq_candidates(sh)])
-    _shoot([_Stream(sh, np.random.default_rng(seed))], budget)
-    return sh.result()
+    return _steer(system, [(x, y, False)], budget, endpoint_tol, seed)[0]
 
 
 def sr_distance(
@@ -450,22 +499,120 @@ def sr_distance(
 
     Symmetric up to estimator noise; exactly zero when x equals y.
     """
-    if endpoint_tol <= 0:
-        raise ValueError("endpoint_tol must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.array_equal(x, y):
-        return CostEstimate(value=0.0, best_word=(), endpoint_error=0.0, budget_spent=0)
-    sh = _Shooter(system, x, y, endpoint_tol, fixed_drift=False, drift_in_cost=True)
-    _evaluate([(sh, d, w) for d, w in _lstsq_candidates(sh)])
-    _shoot([_Stream(sh, np.random.default_rng(seed))], budget)
-    return sh.result()
+    return _steer(system, [(x, y, True)], budget, endpoint_tol, seed)[0]
+
+
+def steering_costs(
+    system: SystemSpec,
+    x,
+    y,
+    budget: int = DEFAULT_BUDGET,
+    endpoint_tol: float = DEFAULT_ENDPOINT_TOL,
+    seed: int = 0,
+) -> tuple[CostEstimate, CostEstimate, CostEstimate]:
+    """`estimate_cost(x, y)`, `estimate_cost(y, x)` and `sr_distance(x, y)`,
+    searched together: the three streams shoot as lanes of one pool, and
+    each estimate equals its separate call."""
+    searches = [(x, y, False), (y, x, False), (x, y, True)]
+    return tuple(_steer(system, searches, budget, endpoint_tol, seed))
 
 
 def _word_arrays(word) -> tuple[np.ndarray, np.ndarray]:
     durations = np.array([t for t, _ in word])
     weights = np.array([list(c) for _, c in word])
     return durations, weights
+
+
+def loop_lengths(
+    system: SystemSpec,
+    xs,
+    budget: int = DEFAULT_LOOP_BUDGET,
+    endpoint_tol: float = DEFAULT_ENDPOINT_TOL,
+    seed: int = 0,
+    min_duration: float = 0.01,
+) -> list[CostEstimate]:
+    """Extended-metric length of the best found drifted loop at each of xs.
+
+    A candidate only counts as a loop if it closes to within a fifth of
+    its own length (and endpoint_tol at most): without that guard, any
+    word shorter than the tolerance would pass as a loop without ever
+    leaving. Where the drift vanishes the stationary word of duration
+    min_duration closes exactly and certifies a near-zero value; away
+    from drift zeros candidates are built by steering out to probe
+    points and solving the return leg, so the reported value is the
+    extended-metric length of a genuine round trip.
+
+    The points are searched together, and each estimate equals the one
+    a call with that point alone gives: the stationary words share one
+    `_evaluate`, the legs of every point that did not close there share
+    one `_shoot` pool, and the concatenated loops share a last `_evaluate`.
+    """
+    if endpoint_tol <= 0:
+        raise ValueError("endpoint_tol must be positive")
+    points = [np.asarray(x, dtype=float) for x in xs]
+    loops = [
+        _Shooter(
+            system, x, x, endpoint_tol,
+            fixed_drift=True, drift_in_cost=True, closure_frac=0.2,
+        )
+        for x in points
+    ]
+    if not loops:
+        return []
+    stationary = np.zeros((1, loops[0].nchan))
+    stationary[0, 0] = 1.0
+    _evaluate([(sh, np.array([min_duration]), stationary) for sh in loops])
+    shooting = [sh for sh in loops if sh.best_word is None]
+
+    # round trips through probe points, each leg solved by shooting;
+    # concatenations are replayed at fixed eval checkpoints so a larger
+    # budget revisits every candidate a smaller one saw
+    n = system.dim
+    r = 0.2 * min(hi - lo for lo, hi in system.window)
+    nprobes = 2 * n
+    # leg budgets are whole multiples of the checkpoint so that any two
+    # budgets replay concatenations at nested leg states; they depend on
+    # budget and dim alone, so every point's legs stop at the same ones
+    checkpoint = 10
+    leg_budget = checkpoint * max(1, (budget - nprobes) // (2 * nprobes * checkpoint))
+    # the legs of every point shoot together, each from its own stream and
+    # incumbent, and stop at every checkpoint so their bests can be snapshot;
+    # a point's legs are out and back through each probe, in probe order
+    groups = [
+        [
+            _Stream(
+                _Shooter(
+                    system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
+                ),
+                np.random.default_rng([seed, pi, k]),
+            )
+            for pi, yp in enumerate(
+                sh.x + s * r * np.eye(n)[j] for j in range(n) for s in (1.0, -1.0)
+            )
+            for k, (a, b) in enumerate(((sh.x, yp), (yp, sh.x)))
+        ]
+        for sh in shooting
+    ]
+    legs = [leg for group in groups for leg in group]
+    _evaluate([
+        (leg.shooter, d, w) for leg in legs for d, w in _lstsq_candidates(leg.shooter)
+    ])
+    snapshots = []
+    for done in range(checkpoint, leg_budget + 1, checkpoint):
+        _shoot(legs, done)
+        snapshots.append([[leg.shooter.best_word for leg in group] for group in groups])
+    # out + back of each probe at each checkpoint, in (probe, checkpoint)
+    # order for each point
+    _evaluate([
+        (sh, *_word_arrays(snap[i][2 * pi] + snap[i][2 * pi + 1]))
+        for i, sh in enumerate(shooting)
+        for pi in range(nprobes)
+        for snap in snapshots
+        if snap[i][2 * pi] is not None and snap[i][2 * pi + 1] is not None
+    ])
+    for sh, group in zip(shooting, groups):
+        sh.evals += sum(leg.shooter.evals for leg in group)
+    return [sh.result() for sh in loops]
 
 
 def loop_length(
@@ -476,74 +623,5 @@ def loop_length(
     seed: int = 0,
     min_duration: float = 0.01,
 ) -> CostEstimate:
-    """Extended-metric length of the best found drifted loop at x.
-
-    A candidate only counts as a loop if it closes to within a fifth of
-    its own length (and endpoint_tol at most): without that guard, any
-    word shorter than the tolerance would pass as a loop without ever
-    leaving. Where the drift vanishes the stationary word of duration
-    min_duration closes exactly and certifies a near-zero value; away
-    from drift zeros candidates are built by steering out to probe
-    points and solving the return leg, so the reported value is the
-    extended-metric length of a genuine round trip.
-    """
-    if endpoint_tol <= 0:
-        raise ValueError("endpoint_tol must be positive")
-    x = np.asarray(x, dtype=float)
-    sh = _Shooter(
-        system, x, x, endpoint_tol,
-        fixed_drift=True, drift_in_cost=True, closure_frac=0.2,
-    )
-    stationary = np.zeros((1, sh.nchan))
-    stationary[0, 0] = 1.0
-    sh.submit(np.array([min_duration]), stationary)
-    if sh.best_word is not None:
-        return sh.result()
-
-    # round trips through probe points, each leg solved by shooting;
-    # concatenations are replayed at fixed eval checkpoints so a larger
-    # budget revisits every candidate a smaller one saw
-    n = system.dim
-    r = 0.2 * min(hi - lo for lo, hi in system.window)
-    probes = [x + s * r * np.eye(n)[j] for j in range(n) for s in (1.0, -1.0)]
-    # leg budgets are whole multiples of the checkpoint so that any two
-    # budgets replay concatenations at nested leg states
-    checkpoint = 10
-    leg_budget = checkpoint * max(
-        1, (budget - len(probes)) // (2 * len(probes) * checkpoint)
-    )
-    # the legs shoot together, each from its own stream and incumbent,
-    # and stop at every checkpoint so their bests can be snapshot
-    legs = [
-        _Stream(
-            _Shooter(
-                system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
-            ),
-            np.random.default_rng([seed, pi, k]),
-        )
-        for pi, yp in enumerate(probes)
-        for k, (a, b) in enumerate(((x, yp), (yp, x)))
-    ]
-    _evaluate([
-        (leg.shooter, d, w) for leg in legs for d, w in _lstsq_candidates(leg.shooter)
-    ])
-    snapshots = []
-    for done in range(checkpoint, leg_budget + 1, checkpoint):
-        _shoot(legs, done)
-        snapshots.append([leg.shooter.best_word for leg in legs])
-    # out + back of each probe at each checkpoint, in (probe, checkpoint) order
-    loops = [
-        _word_arrays(snap[2 * pi] + snap[2 * pi + 1])
-        for pi in range(len(probes))
-        for snap in snapshots
-        if snap[2 * pi] is not None and snap[2 * pi + 1] is not None
-    ]
-    _evaluate([(sh, d, w) for d, w in loops])
-    leg_evals = sum(leg.shooter.evals for leg in legs)
-    est = sh.result()
-    return CostEstimate(
-        value=est.value,
-        best_word=est.best_word,
-        endpoint_error=est.endpoint_error,
-        budget_spent=est.budget_spent + leg_evals,
-    )
+    """`loop_lengths` at the one point x."""
+    return loop_lengths(system, [x], budget, endpoint_tol, seed, min_duration)[0]

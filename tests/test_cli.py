@@ -237,6 +237,7 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         (["reach", "--traj", "0"], "--traj"),
         (["reach", "--horizon", "-1"], "--horizon"),
         (["dist", "--from", "0,0", "--to", "1,0", "--budget", "3"], "--budget"),
+        (["loop", "--budget", "0"], "--budget"),
     ],
     ids=[
         "dist-tol",
@@ -246,6 +247,7 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         "reach-traj",
         "reach-horizon",
         "dist-budget",
+        "loop-budget",
     ],
 )
 def test_inadmissible_overrides_are_usage_errors(specfile, tmp_path, capsys, argv, flag):

@@ -1,6 +1,7 @@
 """Shooting estimators for steering cost, driftless distance, loops."""
 
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,16 @@ from scipy.integrate import solve_ivp
 from geoctrl import metrics
 from geoctrl.fields import VectorField
 from geoctrl.flows import StepControl, inflate_window, integrate_words
-from geoctrl.metrics import CostEstimate, estimate_cost, loop_length, sr_distance
-from geoctrl.system import SystemSpec
+from geoctrl.lie import window_grid
+from geoctrl.metrics import (
+    CostEstimate,
+    estimate_cost,
+    loop_length,
+    loop_lengths,
+    sr_distance,
+    steering_costs,
+)
+from geoctrl.system import SystemSpec, load_spec
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
@@ -139,6 +148,10 @@ def test_rejects_nonpositive_tolerance():
         sr_distance(plane(), (0.0, 0.0), (1.0, 0.0), endpoint_tol=-1.0)
     with pytest.raises(ValueError):
         loop_length(plane(), (0.0, 0.0), endpoint_tol=0.0)
+    with pytest.raises(ValueError):
+        steering_costs(plane(), (0.0, 0.0), (1.0, 0.0), endpoint_tol=0.0)
+    with pytest.raises(ValueError):
+        loop_lengths(plane(), [(0.0, 0.0)], endpoint_tol=-1.0)
 
 
 def test_budget_is_respected():
@@ -342,10 +355,16 @@ def _one_job_at_a_time(fns, jobs, ctrl):
     return [end for job in jobs for end in integrate_words(fns, [job], ctrl)]
 
 
-def _one_at_a_time(monkeypatch):
-    """Shoot one candidate per round, each word integrated alone."""
+def _round_of_one(monkeypatch):
+    """Every stream builds one candidate per round; the streams of one
+    call still share the round's lanes."""
     monkeypatch.setattr(metrics, "_ROUND_LANES", 1)
     monkeypatch.setattr(metrics, "_MIN_TREE", 1)
+
+
+def _one_at_a_time(monkeypatch):
+    """Shoot one candidate per round, each word integrated alone."""
+    _round_of_one(monkeypatch)
     monkeypatch.setattr(metrics, "integrate_words", _one_job_at_a_time)
 
 
@@ -466,3 +485,146 @@ def test_draw_and_build_replay_the_proposal_sequence(fixed_drift, with_incumbent
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     # both consumed the same draws
     assert ref_rng.random() == rng.random()
+
+
+# ------------------------------------------------------ searches together
+
+
+SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
+BUNDLED = sorted(p.stem for p in SYS_DIR.glob("*.sys"))
+
+
+def _loop_length_reference(
+    system, x, budget=metrics.DEFAULT_LOOP_BUDGET, endpoint_tol=0.05, seed=0,
+    min_duration=0.01,
+):
+    """The per-point loop search as it ran before points shared one pool."""
+    Shooter, Stream = metrics._Shooter, metrics._Stream
+    x = np.asarray(x, dtype=float)
+    sh = Shooter(
+        system, x, x, endpoint_tol,
+        fixed_drift=True, drift_in_cost=True, closure_frac=0.2,
+    )
+    stationary = np.zeros((1, sh.nchan))
+    stationary[0, 0] = 1.0
+    metrics._evaluate([(sh, np.array([min_duration]), stationary)])
+    if sh.best_word is not None:
+        return sh.result()
+    n = system.dim
+    r = 0.2 * min(hi - lo for lo, hi in system.window)
+    probes = [x + s * r * np.eye(n)[j] for j in range(n) for s in (1.0, -1.0)]
+    checkpoint = 10
+    leg_budget = checkpoint * max(
+        1, (budget - len(probes)) // (2 * len(probes) * checkpoint)
+    )
+    legs = [
+        Stream(
+            Shooter(system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True),
+            np.random.default_rng([seed, pi, k]),
+        )
+        for pi, yp in enumerate(probes)
+        for k, (a, b) in enumerate(((x, yp), (yp, x)))
+    ]
+    metrics._evaluate([
+        (leg.shooter, d, w)
+        for leg in legs
+        for d, w in metrics._lstsq_candidates(leg.shooter)
+    ])
+    snapshots = []
+    for done in range(checkpoint, leg_budget + 1, checkpoint):
+        metrics._shoot(legs, done)
+        snapshots.append([leg.shooter.best_word for leg in legs])
+    loops = [
+        metrics._word_arrays(snap[2 * pi] + snap[2 * pi + 1])
+        for pi in range(len(probes))
+        for snap in snapshots
+        if snap[2 * pi] is not None and snap[2 * pi + 1] is not None
+    ]
+    metrics._evaluate([(sh, d, w) for d, w in loops])
+    leg_evals = sum(leg.shooter.evals for leg in legs)
+    est = sh.result()
+    return CostEstimate(
+        value=est.value,
+        best_word=est.best_word,
+        endpoint_error=est.endpoint_error,
+        budget_spent=est.budget_spent + leg_evals,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_loop_lengths_equal_the_per_point_search(name, seed):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    # the default probe grid of `loop` holds the corners, which are grid 2
+    default = window_grid(spec.window, min(spec.grid_per_axis, 3))
+    ref = {
+        tuple(p): _loop_length_reference(spec, p, budget=200, seed=seed)
+        for p in default
+    }
+    for pts in (window_grid(spec.window, 2), default):
+        got = loop_lengths(spec, pts, budget=200, seed=seed)
+        assert got == [ref[tuple(p)] for p in pts]
+
+
+# points where the drift vanishes (the stationary word closes) mixed with
+# points whose legs shoot and find loops: the shear's drift (x2, 0) is zero
+# on x2 = 0, the saddle's (0, 0, sin(x1)) on x1 = 0
+MIXED_POINTS = {
+    "shear": [(0.0, 1.0), (0.7, 0.0), (1.0, -1.0), (0.0, 0.0), (-1.2, 0.5), (0.5, -0.3)],
+    "saddle3d": [(0.5, 0.5, 0.5), (0.0, 0.3, -0.2), (-0.8, 0.2, 0.4), (1.0, -0.5, 0.0)],
+}
+MIXED_SYSTEMS = {"shear": shear(), "saddle3d": saddle3d()}
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_reference(name):
+    return [
+        _loop_length_reference(MIXED_SYSTEMS[name], p, seed=4) for p in MIXED_POINTS[name]
+    ]
+
+
+@pytest.mark.parametrize("round_of_one", [False, True], ids=["rounds", "round-of-one"])
+@pytest.mark.parametrize("name", sorted(MIXED_POINTS))
+def test_closing_and_shooting_points_share_one_call(name, round_of_one, monkeypatch):
+    system, pts = MIXED_SYSTEMS[name], MIXED_POINTS[name]
+    ref = _mixed_reference(name)
+    closed = [e.budget_spent == 1 for e in ref]
+    assert any(closed) and not all(closed)
+    assert all(e.value is not None and e.value > 1.0 for e, c in zip(ref, closed) if not c)
+    if round_of_one:
+        _round_of_one(monkeypatch)
+    assert loop_lengths(system, pts, seed=4) == ref
+    assert loop_length(system, pts[0], seed=4) == ref[0]
+    assert loop_lengths(system, []) == []
+
+
+STEERING_CASES = [
+    (shear(), (0.0, 0.5), (1.0, -0.5), metrics.DEFAULT_BUDGET),
+    (unicycle(), (0.0, 0.0, 0.0), (0.5, 0.3, 1.0), metrics.DEFAULT_BUDGET),
+    (saddle3d(), (0.2, -0.3, 0.1), (-0.4, 0.5, 0.6), 120),
+    (plane(), (0.3, -0.2), (0.3, -0.2), metrics.DEFAULT_BUDGET),  # x == y
+    (shear(), (0.0, 0.5), (1.0, -0.5), 4),  # the openings use the budget
+    (fast_plane(), (0.0, 0.0), (0.1875, 0.0), 80),  # zero-cost stop
+]
+
+
+@pytest.mark.parametrize("round_of_one", [False, True], ids=["rounds", "round-of-one"])
+@pytest.mark.parametrize(
+    "system,x,y,budget",
+    STEERING_CASES,
+    ids=["shear", "unicycle", "saddle3d", "same-point", "budget-4", "zero-cost"],
+)
+def test_steering_costs_equal_three_calls(system, x, y, budget, round_of_one, monkeypatch):
+    kw = {"budget": budget, "seed": 2}
+    alone = (
+        estimate_cost(system, x, y, **kw),
+        estimate_cost(system, y, x, **kw),
+        sr_distance(system, x, y, **kw),
+    )
+    if round_of_one:
+        _round_of_one(monkeypatch)
+    together = steering_costs(system, x, y, **kw)
+    assert together == alone
+    assert all(est.budget_spent <= max(budget, 4) for est in together)
+    if x == y:
+        assert together[2] == CostEstimate(0.0, (), 0.0, 0)

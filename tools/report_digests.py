@@ -9,6 +9,8 @@ points of the window and `loop --grid 2` on every `systems/*.sys`, plus
 two `verify` runs of unicycle_offset at grid 3 (the candidate
 S = (0, 1, 0), which is accepted, and S = (0, x3, 0), which is not), each
 at seeds 0, 3 and 7, and `check` at each spec's own grid at seed 0.
+Last come `dist` from the first of those points to itself and `loop` at
+each spec's own grid, on every system at seeds 0, 3 and 7.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -53,6 +55,10 @@ def _runs(systems: list[str]):
             yield "verify S=(" + ",".join(cand) + ")", "unicycle_offset", seed, 3
     for name in systems:
         yield "check", name, SEEDS[0], None
+    for seed in SEEDS:
+        for name in systems:
+            yield "dist --to = --from", name, seed, None
+            yield "loop", name, seed, None
 
 
 def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, str]:
@@ -66,12 +72,14 @@ def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, st
     overrides: dict = {"seed": seed}
     if grid:
         overrides["grid_per_axis"] = grid
-    if command == "dist":
+    if command.startswith("dist"):
         lo = [a for a, _ in spec.window]
         hi = [b for _, b in spec.window]
         overrides["from_point"] = [a + 0.3 * (b - a) for a, b in zip(lo, hi)]
         overrides["to_point"] = [a + 0.6 * (b - a) for a, b in zip(lo, hi)]
-    rep = g.run_pipeline(spec, command, overrides)
+        if command.endswith("= --from"):
+            overrides["to_point"] = overrides["from_point"]
+    rep = g.run_pipeline(spec, command.split()[0], overrides)
     out = _sha(rep.to_json().encode())
     if rep.cloud is not None:
         c = rep.cloud
