@@ -9,7 +9,8 @@
 Reports are JSON on stdout (or --json PATH); reach clouds go to --csv.
 Exit codes: 0 clean/agreement, 2 oracle disagreement, 3 rank not
 constant on the audit grid, 4 bad input or missing assumption (including
-a field expression undefined at a point the run evaluates: DOMAIN_ERROR).
+a command line argparse refuses: USAGE, and a field expression undefined
+at a point the run evaluates: DOMAIN_ERROR).
 """
 
 from __future__ import annotations
@@ -38,8 +39,20 @@ def _point(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated point: {text!r}") from exc
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses; carries argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line by raising, so `main` reports it as USAGE with
+    exit 4 (argparse would exit 2, which means an oracle disagreement)."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geoctrl",
         description="Global controllability analysis on a rectangular window.",
     )
@@ -97,7 +110,10 @@ def _fail(code: str, message: str, json_path: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail("USAGE", str(exc), None)
     try:
         spec = load_spec(args.specfile)
     except FileNotFoundError:

@@ -75,6 +75,9 @@ STATUS_UNCONTROLLABLE = "UNCONTROLLABLE_EVIDENCE"
 STATUS_INCONCLUSIVE = "INCONCLUSIVE"
 STATUS_NOT_REGULAR = "NOT_REGULAR"
 
+# the error of a point whose hull is open without one transported walk
+NO_LEAF_EVIDENCE = "no leaf evidence"
+
 DEFAULT_MARGIN = 1e-7
 DEFAULT_EPS_SIGN = 1e-9
 
@@ -262,7 +265,7 @@ def _direction_design(k: int) -> np.ndarray:
 class _Hull:
     """One base point's hull test, fed transported walks as they arrive."""
 
-    __slots__ = ("x", "Q", "leaf", "walks", "taken", "collected", "inside", "wit")
+    __slots__ = ("x", "Q", "leaf", "walks", "taken", "folded", "collected", "inside", "wit")
 
     def __init__(
         self,
@@ -275,12 +278,14 @@ class _Hull:
         self.x, self.Q, self.leaf = x, Q, leaf
         self.walks = leaf.walks()
         self.taken = 0
+        self.folded = 0  # transported walks in the hull
         self.collected = np.array([Q @ f(x) for f in drifts])
         self.inside, self.wit = interior_convex_test(self.collected, margin)
 
     def fold(self, moved: np.ndarray | None, margin: float) -> None:
         if moved is None or self.inside:
             return
+        self.folded += 1
         self.collected = np.vstack([self.collected, (self.Q @ moved).T])
         self.inside, self.wit = interior_convex_test(self.collected, margin)
 
@@ -291,6 +296,17 @@ class _Hull:
         eps_sign: float,
         det_frame: Sequence[VectorField] | None,
     ) -> PointVerdict:
+        if not self.inside and not self.folded:
+            # every walk escaped or failed to transport: the base drifts
+            # alone separate, which says nothing about the leaf
+            return PointVerdict(
+                base=self.x,
+                condition_holds=False,
+                witness=None,
+                samples_used=len(self.collected),
+                quotient_frame=self.Q,
+                error=NO_LEAF_EVIDENCE,
+            )
         if self.inside:
             witness = _interior_certificate(self.collected, margin)
         else:

@@ -54,6 +54,11 @@ class VectorField:
     def dim(self) -> int:
         return len(self.components)
 
+    @property
+    def is_constant(self) -> bool:
+        """Every component is a `Const`: the compiled kernel ignores its input."""
+        return all(isinstance(c, Const) for c in self.components)
+
     @staticmethod
     def parse(sources: Sequence[str], var_names: Sequence[str]) -> "VectorField":
         names = tuple(var_names)

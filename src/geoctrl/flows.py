@@ -24,6 +24,15 @@ it (a single word runs `_integrate` itself), `sample_leaves` the leaf
 walks of any number of base points, one lane per walking point, and
 `transport_walks` the reversed segments of any number of leaf walks with
 their variational frames.
+
+A walk along constant generators (every component a `Const`, as in
+every bundled system) is a translation: the field's kernel returns the
+same values whatever point it is given, so all seven DP54 stages of a
+step equal k0. Such walk pools skip the six stage evaluations and add
+the precomputed weighted stage sums instead, which are the very numbers
+`_integrate` forms, so walks stay bit for bit the same. Transport
+frames (dW = J W) and shooting words (state-dependent drifts) keep the
+general stepper.
 """
 
 from __future__ import annotations
@@ -125,6 +134,14 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+
+
+def _steady_sums(v: np.ndarray) -> np.ndarray:
+    """Rows B5 @ k and B4 @ k of a step whose seven stages all equal v,
+    formed as `_integrate` forms them from its (7, n) stage array."""
+    k = np.empty((7, v.size))
+    k[:] = v
+    return np.array([_DP_B5 @ k, _DP_B4 @ k])
 
 
 def _integrate(
@@ -350,6 +367,7 @@ def _step_lanes(
     ctrl: StepControl,
     guard_dim: int | None = None,
     refill: Callable[[Settled], list[tuple[_Lane, np.ndarray]]] | None = None,
+    steady: Callable[[_Lane], np.ndarray] | None = None,
 ) -> dict[int, np.ndarray]:
     """Step every lane through its segments: one DP54 step per lane per round.
 
@@ -362,6 +380,15 @@ def _step_lanes(
     first guard_dim columns. Lanes leave the batch when their segments
     end or fail; a lane entering a new segment gets k0 = rhs(y) as
     `_integrate` does.
+
+    `steady` is for pools whose every lane, admitted ones included,
+    flows a state-independent rhs (a field of `Const` components): it
+    maps a lane to `_steady_sums` of its segment's constant value, and
+    `field` is never called. `_integrate` evaluates such an rhs to that
+    value at every stage point, finite or not, and after a rejected step
+    too (its FSAL k0 is again that value), so every stage equals k0 and
+    each round needs only Y + h * (B5 @ k) and Y + h * (B4 @ k): no stage
+    point is formed, no kernel runs, and a refill builds no rhs.
 
     After each round the jobs whose lanes left go to `refill` as (job,
     endpoint) pairs in lane order, the endpoint None where `_integrate`
@@ -378,18 +405,26 @@ def _step_lanes(
             return []
 
     box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
-    rhs = field(lanes)
     with np.errstate(all="ignore"):
-        K0 = rhs(Y)
+        # per lane: k0, or a steady pool's (B5 @ k, B4 @ k) rows
+        if steady is None:
+            rhs = field(lanes)
+            K0 = rhs(Y)
+        else:
+            K0 = np.array([steady(lane) for lane in lanes])
         while lanes:
             L = len(lanes)
             hs = np.array([lane.sign * lane.h for lane in lanes])[:, None]
-            K = np.empty((L, 7, Y.shape[1]))
-            K[:, 0] = K0
-            for i in range(1, 7):
-                K[:, i] = rhs(Y + hs * (_DP_A[i] @ K[:, :i]))
-            Y5 = Y + hs * (_DP_B5 @ K)
-            Y4 = Y + hs * (_DP_B4 @ K)
+            if steady is None:
+                K = np.empty((L, 7, Y.shape[1]))
+                K[:, 0] = K0
+                for i in range(1, 7):
+                    K[:, i] = rhs(Y + hs * (_DP_A[i] @ K[:, :i]))
+                Y5 = Y + hs * (_DP_B5 @ K)
+                Y4 = Y + hs * (_DP_B4 @ K)
+            else:
+                Y5 = Y + hs * K0[:, 0]
+                Y4 = Y + hs * K0[:, 1]
             scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(Y), np.abs(Y5))
             errs = np.sqrt(np.mean(((Y5 - Y4) / scale) ** 2, axis=1)).tolist()
             inside = np.isfinite(Y5).all(axis=1)
@@ -430,7 +465,8 @@ def _step_lanes(
                     lane.h = min(h, lane.remaining)
                 keep.append(k)
             Y = np.where(np.array(accepted)[:, None], Y5, Y)
-            K0 = np.where(np.array(fsal)[:, None], K[:, 6], K0)
+            if steady is None:
+                K0 = np.where(np.array(fsal)[:, None], K[:, 6], K0)
             if left:
                 admitted = refill(
                     [(lanes[k].job, Y[k].copy() if finished else None) for k, finished in left]
@@ -441,9 +477,13 @@ def _step_lanes(
                     fresh.extend(range(len(lanes), len(lanes) + len(admitted)))
                     lanes += [lane for lane, _ in admitted]
                     Y = np.vstack([Y, np.array([start for _, start in admitted], dtype=float)])
-                    K0 = np.vstack([K0, np.empty((len(admitted), Y.shape[1]))])
+                    K0 = np.concatenate([K0, np.empty((len(admitted),) + K0.shape[1:])])
                 if not lanes:
                     break
+            if steady is not None:
+                for k in fresh:
+                    K0[k] = steady(lanes[k])
+                continue
             if fresh or left:
                 rhs = field(lanes)
             if fresh and len(fresh) == len(lanes):
@@ -649,6 +689,8 @@ def sample_leaves(
     the same round, so no point waits for another. Lanes are grouped by
     signed generator, and each lane is `_integrate` of its segment bit
     for bit, so a point's sample does not depend on the other points.
+    When every generator is constant, the pool is a steady one of
+    `_step_lanes`: one stage value per signed generator, no kernel call.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -658,6 +700,14 @@ def sample_leaves(
     for i, g in enumerate(gens):
         kernels[i, 1] = (g.compiled(), None)
         kernels[i, -1] = (g.negate().compiled(), None)
+    steady = None
+    if all(g.is_constant for g in gens):
+        origin = np.zeros(family.dim)
+        sums = {key: _steady_sums(fn(origin)) for key, (fn, _) in kernels.items()}
+
+        def steady(lane: _Lane) -> np.ndarray:
+            return sums[lane.segs[0][1]]
+
     walks = [
         _walks(
             np.asarray(x, dtype=float), len(gens), budget, max_duration, np.random.default_rng(seed)
@@ -684,7 +734,9 @@ def sample_leaves(
     first = admit([(j, None) for j in range(len(walks))])
     if first:
         starts = np.array([y for _, y in first], dtype=float)
-        _step_lanes([lane for lane, _ in first], starts, field, ctrl, refill=admit)
+        _step_lanes(
+            [lane for lane, _ in first], starts, field, ctrl, refill=admit, steady=steady
+        )
     return leaves
 
 

@@ -35,7 +35,7 @@ from .metrics import loop_lengths, steering_costs
 # batched forms above
 from .metrics import estimate_cost, loop_length, sr_distance  # noqa: F401
 from .reach import coverage, cross_validate, simulate_reach
-from .system import RANGES, SystemSpec, serialize_spec
+from .system import RANGES, SystemSpec, _positive_finite, serialize_spec
 
 __all__ = [
     "Report",
@@ -165,7 +165,7 @@ _OVERRIDE_RULES = {
     "leaf_budget": ("--leaf-budget", *RANGES["leaf_budget"]),
     "n_traj": ("--traj", *RANGES["n_traj"]),
     "horizon": ("--horizon", *RANGES["horizon"]),
-    "endpoint_tol": ("--tol", lambda v: v > 0, "positive"),
+    "endpoint_tol": ("--tol", _positive_finite, "positive and finite"),
 }
 
 # `estimate_cost` evaluates four fixed candidates before it shoots, so a
@@ -207,6 +207,8 @@ def _parse_point(value, dim: int, flag: str) -> np.ndarray:
     pt = np.asarray(value, dtype=float)
     if pt.shape != (dim,):
         raise PipelineUsageError(f"{flag} needs {dim} coordinates")
+    if not np.isfinite(pt).all():
+        raise PipelineUsageError(f"{flag} must be finite, got {pt.tolist()}")
     return pt
 
 

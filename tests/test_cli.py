@@ -238,6 +238,11 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         (["reach", "--horizon", "-1"], "--horizon"),
         (["dist", "--from", "0,0", "--to", "1,0", "--budget", "3"], "--budget"),
         (["loop", "--budget", "0"], "--budget"),
+        (["dist", "--from", "nan,0", "--to", "1,0"], "--from"),
+        (["dist", "--from", "inf,0", "--to", "1,0"], "--from"),
+        (["dist", "--from", "0,0", "--to", "1,nan"], "--to"),
+        (["dist", "--from", "0,0", "--to", "1,0", "--tol", "inf"], "--tol"),
+        (["loop", "--tol", "inf"], "--tol"),
     ],
     ids=[
         "dist-tol",
@@ -248,6 +253,11 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         "reach-horizon",
         "dist-budget",
         "loop-budget",
+        "dist-from-nan",
+        "dist-from-inf",
+        "dist-to-nan",
+        "dist-tol-inf",
+        "loop-tol-inf",
     ],
 )
 def test_inadmissible_overrides_are_usage_errors(specfile, tmp_path, capsys, argv, flag):
@@ -258,6 +268,33 @@ def test_inadmissible_overrides_are_usage_errors(specfile, tmp_path, capsys, arg
     assert err["code"] == "USAGE"
     assert err["message"].startswith(f"{flag} must be")
     assert json.loads(target.read_text())["error"] == err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["check", "{spec}", "--grid", "two"],
+        ["dist", "{spec}", "--from", "a,b", "--to", "0,0"],
+        ["verify", "{spec}"],
+        [],
+    ],
+    ids=["no-specfile", "grid-not-int", "point-not-numbers", "unknown-command", "no-command"],
+)
+def test_command_lines_argparse_refuses_exit_4(specfile, capsys, argv):
+    # argparse alone would exit 2, the code of an oracle disagreement
+    code = main([a.format(spec=specfile(PLANE)) for a in argv])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert err["code"] == "USAGE"
+    assert err["message"].startswith("geoctrl")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--leaf-budget" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------ plumbing

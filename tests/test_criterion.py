@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from geoctrl import criterion
 from geoctrl.criterion import (
+    NO_LEAF_EVIDENCE,
     STATUS_CONTROLLABLE,
+    STATUS_INCONCLUSIVE,
     STATUS_NOT_REGULAR,
     STATUS_UNCONTROLLABLE,
     check_condition,
@@ -25,7 +27,8 @@ from geoctrl.criterion import (
 from geoctrl.fields import VectorField
 from geoctrl.flows import LeafSample, Segment, sample_leaf, sample_leaves, transport_walks
 from geoctrl.lie import NotRegularError, generate_bracket_basis
-from geoctrl.system import SystemSpec, load_spec
+from geoctrl.report import run_pipeline
+from geoctrl.system import SystemSpec, load_spec, loads_spec
 
 SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
 
@@ -430,6 +433,55 @@ def test_global_verdict_deterministic():
         assert pa.condition_holds == pb.condition_holds
         assert pa.samples_used == pb.samples_used
         assert pa.witness == pb.witness
+
+
+# the controllable shear, sped up: every walk segment leaves the small window
+FAST_SHEAR = """\
+name = fast_shear
+vars = x1, x2
+drift = x2, 0
+control = 0, 1000
+window = -0.001:0.001, -0.001:0.001
+assume_not_dense = true
+grid = 2
+leaf_budget = 8
+"""
+
+
+def test_no_leaf_evidence_is_an_error_not_a_witness():
+    spec = loads_spec(FAST_SHEAR)
+    out = global_verdict(spec)
+    assert out.status == STATUS_INCONCLUSIVE
+    assert len(out.points) == 4
+    for p in out.points:
+        assert p.error == NO_LEAF_EVIDENCE
+        assert not p.condition_holds
+        assert p.witness is None
+        assert p.samples_used == 1
+    report = run_pipeline(spec, "check")
+    assert report.payload["verdict"]["status"] == STATUS_INCONCLUSIVE
+    assert report.payload["witnesses"] == []
+    assert report.payload["oracle"]["status"] == "UNTESTED"
+
+
+def test_points_without_leaf_evidence_defer_to_proper_failures(monkeypatch):
+    # no walk from the left column (x1 = -2, kept along the leaf) transports
+    def lose_left_column(walks, generators, drifts, step):
+        moved = transport_walks(walks, generators, drifts, step)
+        return [None if w[0][0][0] == -2.0 else W for w, W in zip(walks, moved)]
+
+    monkeypatch.setattr(criterion, "transport_walks", lose_left_column)
+    out = global_verdict(planar_forward(), grid_per_axis=3, leaf_budget=6)
+    assert out.status == STATUS_UNCONTROLLABLE
+    for p in out.points:
+        if p.base[0] == -2.0:
+            assert p.error == NO_LEAF_EVIDENCE and p.witness is None
+        else:
+            assert p.error is None and p.witness["kind"] == "separating"
+    monkeypatch.setattr(criterion, "transport_walks", lambda walks, *a: [None] * len(walks))
+    out = global_verdict(planar_forward(), grid_per_axis=3, leaf_budget=6)
+    assert out.status == STATUS_INCONCLUSIVE
+    assert all(p.error == NO_LEAF_EVIDENCE for p in out.points)
 
 
 # --- verify_supporting_distribution ---------------------------------------

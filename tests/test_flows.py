@@ -1,7 +1,9 @@
 """Flow integration, pushforward transport, and leaf sampling."""
 
+import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoctrl import flows
 from geoctrl.criterion import _child_seed, _prepare, _step_control
 from geoctrl.expr import add, const, mul, sin, var
 from geoctrl.fields import VectorField, lie_bracket
@@ -30,13 +33,30 @@ from geoctrl.flows import (
     _integrate,
 )
 from geoctrl.lie import BracketFamily, generate_bracket_basis, window_grid
-from geoctrl.system import load_spec
+from geoctrl.system import load_spec, loads_spec
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
 
 SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
 BUNDLED = sorted(p.stem for p in SYS_DIR.glob("*.sys"))
+
+# every bundled family is constant; these walk the leaves of non-constant
+# generators, alone and mixed with a constant one
+OTHER_FAMILIES = {
+    "curved": "vars = x1, x2\ndrift = x2, 0\ncontrol = 0, 1 + x1^2\nwindow = -2:2, -2:2\n",
+    "mixed": (
+        "vars = x1, x2\ndrift = x2, 0\ncontrol = 1, 0\ncontrol = 0, 1 + x1^2\n"
+        "window = -2:2, -2:2\n"
+    ),
+}
+
+
+def _spec(name):
+    if name in OTHER_FAMILIES:
+        return loads_spec(OTHER_FAMILIES[name])
+    return load_spec(SYS_DIR / f"{name}.sys")
+
 
 ROTATION = VectorField.parse(["-x2", "x1"], N2)
 HEADING = VectorField.parse(["cos(x3)", "sin(x3)", "0"], N3)
@@ -597,9 +617,9 @@ def _step_variants(spec):
 
 
 @pytest.mark.parametrize("variant", ["spec", "max_steps", "tight"])
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", BUNDLED + sorted(OTHER_FAMILIES))
 def test_sample_leaves_equals_the_scalar_walk_loop(name, variant):
-    spec = load_spec(SYS_DIR / f"{name}.sys")
+    spec = _spec(name)
     family, _ = _prepare(spec, None, None, 2)
     step = _step_variants(spec)[variant]
     # the tight window's own grid, its center and its rim
@@ -616,6 +636,53 @@ def test_sample_leaves_equals_the_scalar_walk_loop(name, variant):
             discarded += ref.discarded
     if variant != "spec":  # the failure paths: escapes, running out of steps
         assert discarded > 0
+
+
+def test_only_all_constant_families_walk_a_steady_pool(monkeypatch):
+    steady = []
+    step_lanes = flows._step_lanes
+
+    def spy(*args, **kwargs):
+        steady.append(kwargs.get("steady") is not None)
+        return step_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_step_lanes", spy)
+    names = ["planar_shear", "saddle3d", "unicycle", "curved", "mixed"]
+    for name in names:
+        spec = _spec(name)
+        family, _ = _prepare(spec, None, None, 2)
+        pts = list(window_grid(spec.window, 2))
+        sample_leaves(family, pts, 2, spec.walk_duration(), range(len(pts)), _step_control(spec))
+    # a pool mixing constant and non-constant generators evaluates every stage
+    assert steady == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("name", ["planar_shear", "saddle3d"])
+def test_a_steady_pool_rejecting_steps_and_escaping_equals_integrate(name, monkeypatch):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    family, _ = _prepare(spec, None, None, 2)
+    # a constant field's error estimate is rounding alone, about 1e-16 * h:
+    # tolerances of 1e-17 reject the longer steps; the tight window escapes
+    window = _step_variants(spec)["tight"].window
+    step = StepControl(atol=1e-17, rtol=1e-17, window=window)
+    errs = []
+
+    def isfinite(err):
+        errs.append(err)
+        return math.isfinite(err)
+
+    monkeypatch.setattr(flows, "math", SimpleNamespace(isfinite=isfinite, inf=math.inf))
+    pts = list(window_grid(window, 3))
+    duration = spec.walk_duration()
+    seeds = list(range(len(pts)))
+    leaves = sample_leaves(family, pts, 6, duration, seeds, step)
+    assert any(e > 1.0 for e in errs) and any(e <= 1.0 for e in errs)
+    discarded = 0
+    for p, seed, leaf in zip(pts, seeds, leaves):
+        ref = _scalar_sample_leaf(family, p, 6, duration, seed, step)
+        assert _leaf_bytes(leaf) == _leaf_bytes(ref)
+        discarded += ref.discarded
+    assert discarded > 0
 
 
 def test_a_leaf_does_not_depend_on_the_points_it_walks_with():

@@ -9,8 +9,14 @@ points of the window and `loop --grid 2` on every `systems/*.sys`, plus
 two `verify` runs of unicycle_offset at grid 3 (the candidate
 S = (0, 1, 0), which is accepted, and S = (0, x3, 0), which is not), each
 at seeds 0, 3 and 7, and `check` at each spec's own grid at seed 0.
-Last come `dist` from the first of those points to itself and `loop` at
-each spec's own grid, on every system at seeds 0, 3 and 7.
+Then come `dist` from the first of those points to itself and `loop` at
+each spec's own grid, on every system at seeds 0, 3 and 7. Last come the
+leaf walks `check` draws (`sample_leaves` at every point of the grid-3
+window grid, with the spec's leaf budget, walk duration and step control,
+each point from the seed `check` gives it), digested over every visit's
+point and word and every leaf's discard count, on every system at seeds
+0, 3 and 7: a `check` report shows only the walks up to the one that
+closes a hull, these lines show them all.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -29,6 +35,8 @@ import importlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = (0, 3, 7)
 VERIFY_CANDIDATES = (("0", "1", "0"), ("0", "x3", "0"))
@@ -59,10 +67,40 @@ def _runs(systems: list[str]):
         for name in systems:
             yield "dist --to = --from", name, seed, None
             yield "loop", name, seed, None
+    for seed in SEEDS:
+        for name in systems:
+            yield "walks", name, seed, 3
+
+
+def _walk_digest(spec, seed: int, grid: int) -> str:
+    """sha256 of the leaf samples `check` draws on a grid of `grid` per axis."""
+    criterion = importlib.import_module("geoctrl.criterion")
+    lie = importlib.import_module("geoctrl.lie")
+    family, _ = criterion._prepare(spec, None, None, grid)
+    points = lie.window_grid(spec.window, grid)
+    children = np.random.SeedSequence(seed).spawn(len(points))
+    leaves = criterion.sample_leaves(
+        family,
+        points,
+        spec.leaf_budget,
+        spec.walk_duration(),
+        [criterion._child_seed(c) for c in children],
+        criterion._step_control(spec),
+    )
+    h = hashlib.sha256()
+    for leaf in leaves:
+        h.update(leaf.base.tobytes())
+        for y, word in leaf.visits:
+            h.update(y.tobytes())
+            h.update(repr([(s.field_index, s.sign, s.duration) for s in word]).encode())
+        h.update(str(leaf.discarded).encode())
+    return h.hexdigest()
 
 
 def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, str]:
     """(exit code, digests) of one run."""
+    if command == "walks":
+        return "-", _walk_digest(spec, seed, grid)
     if command.startswith("verify"):
         cand = command[len("verify S=(") : -1].split(",")
         S = [g.VectorField.parse(cand, spec.var_names)]
