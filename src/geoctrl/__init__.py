@@ -47,7 +47,6 @@ from .flows import (
     pushforward_along,
     sample_leaf,
     sample_leaves,
-    transport_walks,
 )
 from .criterion import (
     PointVerdict,

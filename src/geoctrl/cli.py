@@ -109,11 +109,21 @@ def _fail(code: str, message: str, json_path: str | None) -> int:
     return EXIT_ERROR
 
 
+def _json_path(argv: list[str] | None) -> str | None:
+    """The --json path of a command line the full parser refuses, if it names one."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--json", default=None)
+    try:
+        return parser.parse_known_args(argv)[0].json
+    except _UsageError:
+        return None
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
-        return _fail("USAGE", str(exc), None)
+        return _fail("USAGE", str(exc), _json_path(argv))
     try:
         spec = load_spec(args.specfile)
     except FileNotFoundError:

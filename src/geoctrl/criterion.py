@@ -4,9 +4,10 @@ The decision pipeline at a base point x:
 
 1. Build the control Lie algebra family and its rank r; the quotient
    R^n / G|_x has dimension k = n - r.
-2. Walk the leaf through x, evaluate the drift(s) at visited points,
-   and transport the vectors back to x along the reversed words.
-3. Project the transported drifts to the quotient and ask whether 0
+2. Walk the leaf through x; each walk carries its variational frame,
+   so the drift(s) at a visited point shift back to x by one solve
+   against the visit's frame (`LeafSample.shifted_drifts`).
+3. Project the shifted drifts to the quotient and ask whether 0
    lies in the interior of their convex hull. Since G|_x enters the
    hull as a full subspace, interiority in the quotient is equivalent
    to the full-space condition.
@@ -24,7 +25,6 @@ Monte-Carlo reachability oracle corroborates separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ from .flows import (  # noqa: F401 (sample_leaf: perfbench/tracing.py patches it
     inflate_window,
     sample_leaf,
     sample_leaves,
-    transport_walks,
 )
 from .lie import (
     DEFAULT_RANK_TOL,
@@ -75,7 +74,8 @@ STATUS_UNCONTROLLABLE = "UNCONTROLLABLE_EVIDENCE"
 STATUS_INCONCLUSIVE = "INCONCLUSIVE"
 STATUS_NOT_REGULAR = "NOT_REGULAR"
 
-# the error of a point whose hull is open without one transported walk
+# the error of a point whose hull is open without one walk that shifted
+# its drifts (every walk escaped, or its frame failed)
 NO_LEAF_EVIDENCE = "no leaf evidence"
 
 DEFAULT_MARGIN = 1e-7
@@ -262,69 +262,56 @@ def _direction_design(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _Hull:
-    """One base point's hull test, fed transported walks as they arrive."""
-
-    __slots__ = ("x", "Q", "leaf", "walks", "taken", "folded", "collected", "inside", "wit")
-
-    def __init__(
-        self,
-        x: np.ndarray,
-        Q: np.ndarray,
-        leaf: LeafSample,
-        drifts: Sequence[VectorField],
-        margin: float,
-    ):
-        self.x, self.Q, self.leaf = x, Q, leaf
-        self.walks = leaf.walks()
-        self.taken = 0
-        self.folded = 0  # transported walks in the hull
-        self.collected = np.array([Q @ f(x) for f in drifts])
-        self.inside, self.wit = interior_convex_test(self.collected, margin)
-
-    def fold(self, moved: np.ndarray | None, margin: float) -> None:
-        if moved is None or self.inside:
-            return
-        self.folded += 1
-        self.collected = np.vstack([self.collected, (self.Q @ moved).T])
-        self.inside, self.wit = interior_convex_test(self.collected, margin)
-
-    def verdict(
-        self,
-        drifts: Sequence[VectorField],
-        margin: float,
-        eps_sign: float,
-        det_frame: Sequence[VectorField] | None,
-    ) -> PointVerdict:
-        if not self.inside and not self.folded:
-            # every walk escaped or failed to transport: the base drifts
-            # alone separate, which says nothing about the leaf
-            return PointVerdict(
-                base=self.x,
-                condition_holds=False,
-                witness=None,
-                samples_used=len(self.collected),
-                quotient_frame=self.Q,
-                error=NO_LEAF_EVIDENCE,
-            )
-        if self.inside:
-            witness = _interior_certificate(self.collected, margin)
-        else:
-            witness = {"kind": "separating", "covector": self.wit.tolist()}
-        det_agrees = None
-        if det_frame is not None and len(drifts) == 1:
-            det_v = sign_change_on_leaf(
-                self.leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
-            )
-            det_agrees = det_v.condition_holds == self.inside
+def _leaf_verdict(
+    x: np.ndarray,
+    Q: np.ndarray,
+    leaf: LeafSample,
+    drifts: Sequence[VectorField],
+    margin: float,
+    eps_sign: float,
+    det_frame: Sequence[VectorField] | None,
+) -> PointVerdict:
+    """One base point's hull test: its walks fold in walk order until inside."""
+    collected = np.array([Q @ f(x) for f in drifts])
+    inside, wit = interior_convex_test(collected, margin)
+    folded = 0  # walks whose shifted drifts are in the hull
+    for moved in () if inside else leaf.shifted_drifts(drifts):
+        if moved is None:
+            continue
+        folded += 1
+        collected = np.vstack([collected, (Q @ moved).T])
+        inside, wit = interior_convex_test(collected, margin)
+        if inside:
+            break
+    if not inside and not folded:
+        # every walk escaped or failed its frame: the base drifts alone
+        # separate, which says nothing about the leaf
         return PointVerdict(
-            base=self.x,
-            condition_holds=self.inside,
-            witness=witness,
-            samples_used=len(self.collected),
-            quotient_frame=self.Q,
-            det_agrees=det_agrees,
+            base=x,
+            condition_holds=False,
+            witness=None,
+            samples_used=len(collected),
+            quotient_frame=Q,
+            error=NO_LEAF_EVIDENCE,
         )
+    if inside:
+        witness = _interior_certificate(collected, margin)
+    else:
+        witness = {"kind": "separating", "covector": wit.tolist()}
+    det_agrees = None
+    if det_frame is not None and len(drifts) == 1:
+        det_v = sign_change_on_leaf(
+            leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
+        )
+        det_agrees = det_v.condition_holds == inside
+    return PointVerdict(
+        base=x,
+        condition_holds=inside,
+        witness=witness,
+        samples_used=len(collected),
+        quotient_frame=Q,
+        det_agrees=det_agrees,
+    )
 
 
 def _point_verdicts(
@@ -341,17 +328,15 @@ def _point_verdicts(
 ) -> list[PointVerdict]:
     """The interior condition at each base point, early-stopping per point.
 
-    First the leaves of all points are sampled in one `sample_leaves`
-    call, each point walking from its own seed. Then the walks of the
-    points still undecided are transported in waves, all in one
-    `transport_walks` call per wave: wave r takes each such point's next
-    2^r walks. A point folds its results into its hull test in walk
-    order and stops at the first inside, so its verdict is the one of
-    transporting its walks one at a time.
+    The leaves of all points are sampled in one `sample_leaves` call,
+    each point walking from its own seed, each walk carrying its frame.
+    Then each point folds its walks' shifted drifts into its hull test in
+    walk order and stops at the first inside; a walk's drifts are
+    evaluated only when its point folds it.
     """
     drifts = system.drifts
     n = family.dim
-    verdicts: list[PointVerdict | _Hull | None] = []
+    verdicts: list[PointVerdict | None] = []
     walked = []  # (index, x, Q, seed) of the points whose leaf is walked
     for x, seed in zip(points, seeds):
         try:
@@ -391,30 +376,8 @@ def _point_verdicts(
         step=step,
     )
     for (i, x, Q, _), leaf in zip(walked, leaves):
-        verdicts[i] = _Hull(x, Q, leaf, drifts, margin)
-
-    hulls = [v for v in verdicts if isinstance(v, _Hull)]
-    width = 1
-    while True:
-        wave = [(h, h.walks[h.taken : h.taken + width]) for h in hulls if not h.inside]
-        wave = [(h, walks) for h, walks in wave if walks]
-        if not wave:
-            break
-        moved = iter(
-            transport_walks(
-                [w for _, walks in wave for w in walks], family.generators, drifts, step
-            )
-        )
-        for h, walks in wave:
-            h.taken += len(walks)
-            for W in islice(moved, len(walks)):
-                h.fold(W, margin)
-        width *= 2
-
-    return [
-        v.verdict(drifts, margin, eps_sign, det_frame) if isinstance(v, _Hull) else v
-        for v in verdicts
-    ]
+        verdicts[i] = _leaf_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame)
+    return verdicts
 
 
 def _interior_certificate(collected: np.ndarray, margin: float) -> dict:
@@ -546,13 +509,11 @@ def global_verdict(
 
     The condition is per-point, so every grid point is checked; this is
     redundant across a shared leaf but sound. Point seeds derive from
-    the master seed, keeping reports reproducible. It runs in two
-    phases: the leaves of all points are walked first, as lanes of one
-    pool, each point from its own seed; then the walks of the points
-    whose hull is still open are transported in waves across points,
-    wave r taking each such point's next 2^r walks (1, 2, 4, ...). Each
-    point folds its walks into its hull test in walk order, so a verdict
-    does not depend on the waves.
+    the master seed, keeping reports reproducible. The leaves of all
+    points are walked as lanes of one pool, each point from its own
+    seed and each walk carrying its frame; then each point folds its
+    walks' shifted drifts into its hull test in walk order, up to the
+    first inside.
     """
     family, regularity = _prepare(system, family, regularity, grid_per_axis)
     assumptions = {
@@ -710,8 +671,7 @@ def verify_supporting_distribution(
                 break
 
     # (c) shifted drifts confined to one side of the projected S; the
-    # leaves of every point are walked in one call, their walks
-    # transported in another
+    # leaves of every point are walked in one call
     if clauses["complement_rank"] and clauses["control_invariance"]:
         step = _step_control(system)
         children = np.random.SeedSequence(seed).spawn(len(pts))
@@ -738,18 +698,16 @@ def verify_supporting_distribution(
                 step=step,
             )
         )
-        planes = [None if plane is None else (*plane, next(leaves).walks()) for plane in planes]
-        every_walk = [w for plane in planes if plane is not None for w in plane[2]]
-        moved = iter(transport_walks(every_walk, family.generators, system.drifts, step))
+        planes = [None if plane is None else (*plane, next(leaves)) for plane in planes]
         worst = np.inf
         skipped = 0
         for p, plane in zip(pts, planes):
             if plane is None:
                 skipped += 1
                 continue
-            Q, normal, walks = plane
+            Q, normal, leaf = plane
             vecs = [Q @ f(p) for f in system.drifts]
-            for W in islice(moved, len(walks)):
+            for W in leaf.shifted_drifts(system.drifts):
                 if W is not None:
                     vecs.extend((Q @ W).T)
             sides = np.array([float(normal @ v) for v in vecs])

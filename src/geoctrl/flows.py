@@ -1,12 +1,15 @@
-"""Flows, leaf exploration, and drift transport along leaf walks.
+"""Flows and leaf walks, each walk carrying its variational frame.
 
 The driftless system dx/dt = sum_i u^i g_i(x) foliates the window into
 leaves. This module integrates flows of the generators (both signs,
-since the controls are unconstrained), walks leaves with random
-piecewise-constant words (`sample_leaf`), and shifts drift vectors from
-the visited points back to the base by solving the variational equation
-along each reversed walk (`transport_walks`, the one transport routine).
-The shifted drifts feed the convex-position test.
+since the controls are unconstrained) and walks leaves with random
+piecewise-constant words (`sample_leaves`). A walk carries, next to its
+point, the frame of the variational equation Phi' = DV(x) Phi with
+Phi(0) = I, so the visit y = psi_w(x) reached by the word w records
+Phi = D psi_w(x). The drift f at that visit shifts to the base as the
+pullback (psi_w)^* f = Phi^{-1} f(y) (`LeafSample.shifted_drifts`, the
+one place where drifts are shifted); the shifted drifts feed the
+convex-position test.
 
 Integration is a hand-rolled Dormand-Prince 5(4) pair. The per-call
 overhead of a general-purpose solver dominates at the segment lengths
@@ -22,24 +25,27 @@ for bit; a refill hook admits new lanes as others leave. `integrate_words`
 runs the piecewise-constant control words of the shooting estimators on
 it (a single word runs `_integrate` itself), `sample_leaves` the leaf
 walks of any number of base points, one lane per walking point, and
-`transport_walks` the reversed segments of any number of leaf walks with
-their variational frames.
+`pushforward_along` one flow with its frame. Frame columns are
+passengers: the step control reads the point columns alone, so a point
+steps exactly as a bare one does, and on those steps the frame is the
+exact derivative of the numerical flow.
 
 A walk along constant generators (every component a `Const`, as in
-every bundled system) is a translation: the field's kernel returns the
-same values whatever point it is given, so all seven DP54 stages of a
-step equal k0. Such walk pools skip the six stage evaluations and add
-the precomputed weighted stage sums instead, which are the very numbers
-`_integrate` forms, so walks stay bit for bit the same. Transport
-frames (dW = J W) and shooting words (state-dependent drifts) keep the
-general stepper.
+every bundled system) is a translation: DV = 0, so its frame is exactly
+I and the walk carries none. The field's kernel returns the same values
+whatever point it is given, so all seven DP54 stages of a step equal
+k0. Such walk pools skip the six stage evaluations and add the
+precomputed weighted stage sums instead, which are the very numbers
+`_integrate` forms, so walks stay bit for bit the same. Walks of other
+families and shooting words (state-dependent drifts) keep the general
+stepper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +58,7 @@ __all__ = [
     "Segment",
     "LeafSample",
     "FlowError",
+    "MAX_FRAME_COND",
     "WindowEscapeError",
     "StepUnderflowError",
     "Walk",
@@ -61,7 +68,6 @@ __all__ = [
     "pushforward_along",
     "sample_leaf",
     "sample_leaves",
-    "transport_walks",
 ]
 
 
@@ -149,13 +155,8 @@ def _integrate(
     y0: np.ndarray,
     t: float,
     ctrl: StepControl,
-    guard_dim: int | None = None,
 ) -> np.ndarray:
-    """Adaptive DP54 from 0 to t (t may be negative).
-
-    guard_dim: when the state embeds extra variational columns, only the
-    first guard_dim entries are subject to the window check.
-    """
+    """Adaptive DP54 from 0 to t (t may be negative)."""
     if t == 0.0:
         return y0.copy()
     y = y0.astype(float).copy()
@@ -185,11 +186,12 @@ def _integrate(
                 err = np.inf
             if err <= 1.0:
                 y = y5
-                k0 = k[6]  # FSAL: last stage is evaluated at the accepted point
+                # FSAL: the last stage is evaluated at the accepted point;
+                # a copy, since a rejected trial overwrites k[6]
+                k0 = k[6].copy()
                 remaining -= h
-                probe = y if guard_dim is None else y[:guard_dim]
-                if not np.all(np.isfinite(y)) or not _in_box(probe, ctrl.window):
-                    raise WindowEscapeError(probe)
+                if not np.all(np.isfinite(y)) or not _in_box(y, ctrl.window):
+                    raise WindowEscapeError(y)
             # standard step resize with safety factor
             factor = 0.9 * (err + 1e-16) ** -0.2
             h *= min(5.0, max(0.2, factor))
@@ -303,7 +305,7 @@ class _Lane:
     segment flows (a coefficient row of a word, a signed field of a walk).
     """
 
-    __slots__ = ("job", "segs", "seg", "sign", "remaining", "h", "steps", "fsal")
+    __slots__ = ("job", "segs", "seg", "sign", "remaining", "h", "steps")
 
     def __init__(self, job: int, segs: list, ctrl: StepControl):
         self.job = job
@@ -321,9 +323,6 @@ class _Lane:
         self.remaining = abs(t)
         self.h = min(ctrl.h_init, self.remaining)
         self.steps = 0
-        # once a step is accepted, _integrate's k0 is a view of k[6]: a
-        # rejected step then restarts from the rejected trial's k[6]
-        self.fsal = False
         return True
 
 
@@ -360,12 +359,25 @@ def _lane_words(
 Settled = list[tuple[int, np.ndarray | None]]
 
 
+def _mix(coef: np.ndarray, K: np.ndarray, dim: int) -> np.ndarray:
+    """coef @ K over the stage axis of (L, stages, width) stage values.
+
+    Frame columns past `dim` are summed apart, and the point columns as a
+    contiguous array of their own, as a bare lane's: BLAS may round a
+    column of a wider matrix differently.
+    """
+    if K.shape[-1] == dim:
+        return coef @ K
+    point = coef @ np.ascontiguousarray(K[..., :dim])
+    return np.concatenate([point, coef @ K[..., dim:]], axis=-1)
+
+
 def _step_lanes(
     lanes: list[_Lane],
     Y: np.ndarray,
-    field: Callable[[list[_Lane]], Kernel],
+    field: Callable[[list[_Lane]], Kernel] | None,
     ctrl: StepControl,
-    guard_dim: int | None = None,
+    dim: int | None = None,
     refill: Callable[[Settled], list[tuple[_Lane, np.ndarray]]] | None = None,
     steady: Callable[[_Lane], np.ndarray] | None = None,
 ) -> dict[int, np.ndarray]:
@@ -376,19 +388,25 @@ def _step_lanes(
     remaining time and step count, resized by the scalar rule in Python
     floats (numpy's array power differs from `**` in the last ulp).
     Stacked `_DP_A[i] @ K[:, :i]` and row means reproduce `_integrate`'s
-    products and means exactly, and the window box is tested on the
-    first guard_dim columns. Lanes leave the batch when their segments
+    products and means exactly. Lanes leave the batch when their segments
     end or fail; a lane entering a new segment gets k0 = rhs(y) as
-    `_integrate` does.
+    `_integrate` does, and an accepted step hands on its last stage.
+
+    The first `dim` columns of a state are its point (all of them when
+    dim is None); the rest are frame columns, passengers that never
+    steer: the error norm, the finiteness test and the window box read
+    the point alone, and `_mix` sums the point's stages as a bare
+    lane's. So a lane's point steps bit for bit as `_integrate` steps it
+    without frames.
 
     `steady` is for pools whose every lane, admitted ones included,
-    flows a state-independent rhs (a field of `Const` components): it
-    maps a lane to `_steady_sums` of its segment's constant value, and
-    `field` is never called. `_integrate` evaluates such an rhs to that
-    value at every stage point, finite or not, and after a rejected step
-    too (its FSAL k0 is again that value), so every stage equals k0 and
-    each round needs only Y + h * (B5 @ k) and Y + h * (B4 @ k): no stage
-    point is formed, no kernel runs, and a refill builds no rhs.
+    flows a state-independent rhs (a field of `Const` components) of
+    bare points: it maps a lane to `_steady_sums` of its segment's
+    constant value, and `field` is never called. `_integrate` evaluates
+    such an rhs to that value at every stage point, finite or not, and
+    hands it on as k0, so every stage equals k0 and each round needs
+    only Y + h * (B5 @ k) and Y + h * (B4 @ k): no stage point is formed,
+    no kernel runs, and a refill builds no rhs.
 
     After each round the jobs whose lanes left go to `refill` as (job,
     endpoint) pairs in lane order, the endpoint None where `_integrate`
@@ -404,6 +422,7 @@ def _step_lanes(
             ends.update((job, end) for job, end in settled if end is not None)
             return []
 
+    dim = dim or Y.shape[1]
     box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
     with np.errstate(all="ignore"):
         # per lane: k0, or a steady pool's (B5 @ k, B4 @ k) rows
@@ -419,21 +438,20 @@ def _step_lanes(
                 K = np.empty((L, 7, Y.shape[1]))
                 K[:, 0] = K0
                 for i in range(1, 7):
-                    K[:, i] = rhs(Y + hs * (_DP_A[i] @ K[:, :i]))
-                Y5 = Y + hs * (_DP_B5 @ K)
-                Y4 = Y + hs * (_DP_B4 @ K)
+                    K[:, i] = rhs(Y + hs * _mix(_DP_A[i], K[:, :i], dim))
+                Y5 = Y + hs * _mix(_DP_B5, K, dim)
+                Y4 = Y + hs * _mix(_DP_B4, K, dim)
             else:
                 Y5 = Y + hs * K0[:, 0]
                 Y4 = Y + hs * K0[:, 1]
-            scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(Y), np.abs(Y5))
-            errs = np.sqrt(np.mean(((Y5 - Y4) / scale) ** 2, axis=1)).tolist()
-            inside = np.isfinite(Y5).all(axis=1)
+            P, P5 = Y[:, :dim], Y5[:, :dim]
+            scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(P), np.abs(P5))
+            errs = np.sqrt(np.mean(((P5 - Y4[:, :dim]) / scale) ** 2, axis=1)).tolist()
+            inside = np.isfinite(P5).all(axis=1)
             if box is not None:
-                probe = Y5[:, :guard_dim]
-                inside &= ((box[0] <= probe) & (probe <= box[1])).all(axis=1)
+                inside &= ((box[0] <= P5) & (P5 <= box[1])).all(axis=1)
             inside = inside.tolist()
             accepted = [False] * L
-            fsal = [False] * L
             keep: list[int] = []  # surviving lanes, by old index
             fresh: list[int] = []  # lanes in a new segment, by new index
             left: list[tuple[int, bool]] = []  # (old index, finished) of leaving lanes
@@ -445,9 +463,8 @@ def _step_lanes(
                     if not inside[k]:
                         left.append((k, False))  # window escape
                         continue
-                    accepted[k] = lane.fsal = True
+                    accepted[k] = True
                     lane.remaining -= lane.h
-                fsal[k] = lane.fsal
                 h = lane.h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
                 if h < ctrl.h_min and h < lane.remaining:
                     left.append((k, False))  # step underflow
@@ -464,9 +481,10 @@ def _step_lanes(
                 else:
                     lane.h = min(h, lane.remaining)
                 keep.append(k)
-            Y = np.where(np.array(accepted)[:, None], Y5, Y)
+            moved = np.array(accepted)[:, None]
+            Y = np.where(moved, Y5, Y)
             if steady is None:
-                K0 = np.where(np.array(fsal)[:, None], K[:, 6], K0)
+                K0 = np.where(moved, K[:, 6], K0)
             if left:
                 admitted = refill(
                     [(lanes[k].job, Y[k].copy() if finished else None) for k, finished in left]
@@ -512,51 +530,39 @@ def pushforward_along(
 ) -> np.ndarray:
     """Transport tangent data eta from y along the flow of V for time t.
 
-    Jointly integrates the trajectory and dW/ds = DV(x(s)) W with
-    W(0) = eta. eta may be a single n-vector or an (n, k) column stack;
-    the result, W(t) expressed at psi^V_t(y), has the same shape.
+    Runs the flow as one lane that carries the frame dW/ds = DV(x(s)) W
+    with W(0) = eta, the way a leaf walk carries its frame. eta may be a
+    single n-vector or an (n, k) column stack; the result, W(t) expressed
+    at psi^V_t(y), has the same shape. Raises FlowError where the flow
+    leaves the window or its step size collapses.
     """
     ctrl = step or StepControl()
-    x, W = _flow_with_frame(V, np.asarray(y, dtype=float), t, np.asarray(eta, dtype=float), ctrl)
-    return W
-
-
-def _flow_with_frame(
-    V: VectorField, y: np.ndarray, t: float, eta: np.ndarray, ctrl: StepControl
-) -> tuple[np.ndarray, np.ndarray]:
+    eta = np.asarray(eta, dtype=float)
     n = V.dim
-    single = eta.ndim == 1
     cols = eta.reshape(n, -1)
-    k = cols.shape[1]
-    fn = V.compiled()
-    jac = V.compiled_jacobian()
+    kernels = {0: (V.compiled(), V.compiled_jacobian())}
+    state = np.concatenate([np.asarray(y, dtype=float), cols.ravel()])
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        x = state[:n]
-        W = state[n:].reshape(n, k)
-        dx = fn(x)
-        dW = jac(x) @ W
-        return np.concatenate([dx, dW.ravel()])
+    def field(lanes: list[_Lane]) -> _FrameLanes:
+        return _FrameLanes(kernels, [0] * len(lanes), n)
 
-    state0 = np.concatenate([y, cols.ravel()])
-    out = _integrate(rhs, state0, t, ctrl, guard_dim=n)
-    x_end = out[:n]
-    W_end = out[n:].reshape(n, k)
-    return x_end, (W_end[:, 0] if single else W_end)
+    ends = _step_lanes([_Lane(0, [(t, 0)], ctrl)], state[None], field, ctrl, dim=n)
+    if not ends:
+        raise FlowError(f"the flow of {V} from {y} for t={t} failed")
+    return ends[0][n:].reshape(eta.shape)
 
 
 class _FrameLanes:
-    """`_flow_with_frame`'s rhs over a (L, n + n*c) batch of lane states.
+    """The rhs (x, W) -> (V(x), DV(x) W) over a (L, n + n*c) batch of lanes.
 
-    Lane j flows kernels[keys[j]] = (field, Jacobian). Each field and its
-    Jacobian are evaluated once per call on the rows of the lanes that
-    flow it, and dW = J @ W is one stacked matmul per field. With c = 0
-    the states are bare points, no Jacobian is evaluated (it may be
-    None), and lane j's rhs is the field kernel `_integrate` flows.
+    Lane j flows kernels[keys[j]] = (field, Jacobian), W its n x c frame.
+    Each field and its Jacobian are evaluated once per call on the rows
+    of the lanes that flow it, on their points as a contiguous (rows, n)
+    array, as bare lanes give them, and DV(x) W is one stacked matmul.
     """
 
-    def __init__(self, kernels: dict, keys: Sequence, n: int, c: int):
-        self.n, self.c = n, c
+    def __init__(self, kernels: dict, keys: Sequence, n: int):
+        self.n = n
         rows: dict = {}
         for j, key in enumerate(keys):
             rows.setdefault(key, []).append(j)
@@ -567,16 +573,15 @@ class _FrameLanes:
         ]
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
-        n, c = self.n, self.c
+        n = self.n
+        width = Y.shape[1]
         out = np.empty_like(Y)
         for (fn, jac), idx in self.groups:
-            Z = Y if idx is None else Y[idx]
-            X = Z[:, :n]
             rows = slice(None) if idx is None else idx
+            X = np.ascontiguousarray(Y[rows, :n])
             out[rows, :n] = fn(X)
-            if c:
-                dW = jac(X) @ Z[:, n:].reshape(len(Z), n, c)
-                out[rows, n:] = dW.reshape(len(Z), n * c)
+            W = Y[rows, n:].reshape(len(X), n, (width - n) // n)
+            out[rows, n:] = (jac(X) @ W).reshape(len(X), width - n)
         return out
 
 
@@ -592,12 +597,25 @@ ControlWord = tuple[Segment, ...]
 # a walk is its visits (point, prefix word), one per segment, in order
 Walk = tuple[tuple[np.ndarray, ControlWord], ...]
 
+# a walk whose frame is worse conditioned than this at some visit counts
+# as failed: solving against its frame would lose more than half of the
+# digits of a double
+MAX_FRAME_COND = 1e8
+
+
+def _sound(frame: np.ndarray) -> bool:
+    with np.errstate(all="ignore"):
+        return bool(np.isfinite(frame).all()) and np.linalg.cond(frame) <= MAX_FRAME_COND
+
 
 @dataclass(frozen=True)
 class LeafSample:
     base: np.ndarray
     visits: tuple[tuple[np.ndarray, ControlWord], ...]
     discarded: int  # walk attempts that escaped the window
+    # per visit, the frame D psi_w(base) of its word w; None when every
+    # generator is constant, so that every frame is exactly I
+    frames: tuple[np.ndarray, ...] | None = None
 
     def walks(self) -> list[Walk]:
         """The visits regrouped into the walks that made them, in draw order.
@@ -611,6 +629,30 @@ class LeafSample:
                 walks.append([])
             walks[-1].append(visit)
         return [tuple(walk) for walk in walks]
+
+    def shifted_drifts(self, drifts: Sequence[VectorField]) -> Iterator[np.ndarray | None]:
+        """Per walk, in draw order, the drifts at its visits shifted to the base.
+
+        The drift f at a visit y with frame Phi shifts to Phi^{-1} f(y),
+        and to f(y) itself where the leaf carries no frames. Yields an
+        (n, visits * len(drifts)) column stack, deepest visit first and
+        the drifts in order within a visit, or None for a failed walk:
+        one whose frame is non-finite or has a condition number above
+        MAX_FRAME_COND at some visit. A walk's drifts are evaluated only
+        when its stack is asked for.
+        """
+        start = 0
+        for walk in self.walks():
+            frames = None if self.frames is None else self.frames[start : start + len(walk)]
+            start += len(walk)
+            if frames is not None and not all(_sound(F) for F in frames):
+                yield None
+                continue
+            cols = []
+            for j in range(len(walk) - 1, -1, -1):
+                values = np.column_stack([f(walk[j][0]) for f in drifts])
+                cols.append(values if frames is None else np.linalg.solve(frames[j], values))
+            yield np.hstack(cols)
 
 
 def sample_leaf(
@@ -626,32 +668,34 @@ def sample_leaf(
     Runs `budget` independent walks from the base. Each walk draws a
     word of 1..8 segments with uniform field choice, sign, and duration
     in (0, max_duration]. Every segment endpoint is recorded as a visit
-    with its prefix word. Segments that would leave the inflated window
-    are discarded (the escaping point is dropped and counted) and the
-    segment slot is redrawn up to three times before the walk gives up,
-    so walks near the window boundary keep exploring inward.
+    with its prefix word and frame. Segments that would leave the
+    inflated window are discarded (the escaping point is dropped and
+    counted) and the segment slot is redrawn up to three times before
+    the walk gives up, so walks near the window boundary keep exploring
+    inward.
     """
     return sample_leaves(family, [x], budget, max_duration, [rng_seed], step)[0]
 
 
-# one segment attempt of a walk: start point, (field_index, sign), duration
+# one segment attempt of a walk: start state, (field_index, sign), duration
 Attempt = tuple[np.ndarray, tuple[int, int], float]
 
 
 def _walks(
-    base: np.ndarray, m: int, budget: int, max_duration: float, rng: np.random.Generator
-) -> Generator[Attempt, np.ndarray | None, LeafSample]:
-    """`sample_leaf`'s walks from base as a coroutine over its segment attempts.
+    start: np.ndarray, m: int, budget: int, max_duration: float, rng: np.random.Generator
+) -> Generator[Attempt, np.ndarray | None, tuple[list, int]]:
+    """`sample_leaf`'s walks from start as a coroutine over its segment attempts.
 
-    Yields each attempt and receives its endpoint, or None where the
-    flow failed; returns the leaf sample. Draws come from rng alone, so
-    they do not depend on when the endpoints arrive.
+    Yields each attempt and receives its end state, or None where the
+    flow failed; returns the visits as (state, word) pairs and the
+    discard count. Draws come from rng alone, so they do not depend on
+    when the end states arrive.
     """
     visits: list[tuple[np.ndarray, ControlWord]] = []
     discarded = 0
     for _ in range(budget):
         length = int(rng.integers(1, 9))
-        y = base
+        y = start
         word: list[Segment] = []
         for _ in range(length):
             for _ in range(3):
@@ -671,7 +715,7 @@ def _walks(
                 break
             else:
                 break  # three failed attempts end the walk
-    return LeafSample(base=base, visits=tuple(visits), discarded=discarded)
+    return visits, discarded
 
 
 def sample_leaves(
@@ -687,32 +731,44 @@ def sample_leaves(
     Each point's walks run as one lane of a `_step_lanes` pool: when its
     segment ends or fails, the point's next attempt joins the pool in
     the same round, so no point waits for another. Lanes are grouped by
-    signed generator, and each lane is `_integrate` of its segment bit
-    for bit, so a point's sample does not depend on the other points.
-    When every generator is constant, the pool is a steady one of
-    `_step_lanes`: one stage value per signed generator, no kernel call.
+    signed generator, and each lane's point is `_integrate` of its
+    segment bit for bit, so a point's sample does not depend on the
+    other points. A lane carries its walk's frame as n x n passenger
+    columns, from I at the base, so each visit records its frame. When
+    every generator is constant, the frames are I and the pool is a
+    steady one of `_step_lanes`: bare points, one stage value per signed
+    generator, no kernel call.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ctrl = step or StepControl()
     gens = family.generators
-    kernels = {}  # (field_index, sign) -> (the signed field's kernel, no Jacobian)
+    n = family.dim
+    signed = {}  # (field_index, sign) -> the signed field
     for i, g in enumerate(gens):
-        kernels[i, 1] = (g.compiled(), None)
-        kernels[i, -1] = (g.negate().compiled(), None)
-    steady = None
+        signed[i, 1] = g
+        signed[i, -1] = g.negate()
+    bases = [np.asarray(x, dtype=float) for x in points]
+    field = steady = None
     if all(g.is_constant for g in gens):
-        origin = np.zeros(family.dim)
-        sums = {key: _steady_sums(fn(origin)) for key, (fn, _) in kernels.items()}
+        origin = np.zeros(n)
+        sums = {key: _steady_sums(V.compiled()(origin)) for key, V in signed.items()}
+        starts = bases
 
         def steady(lane: _Lane) -> np.ndarray:
             return sums[lane.segs[0][1]]
 
+    else:
+        kernels = {key: (V.compiled(), V.compiled_jacobian()) for key, V in signed.items()}
+        eye = np.eye(n).ravel()
+        starts = [np.concatenate([x, eye]) for x in bases]
+
+        def field(lanes: list[_Lane]) -> _FrameLanes:
+            return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], n)
+
     walks = [
-        _walks(
-            np.asarray(x, dtype=float), len(gens), budget, max_duration, np.random.default_rng(seed)
-        )
-        for x, seed in zip(points, seeds)
+        _walks(s, len(gens), budget, max_duration, np.random.default_rng(seed))
+        for s, seed in zip(starts, seeds)
     ]
     leaves: list[LeafSample | None] = [None] * len(walks)
 
@@ -722,77 +778,20 @@ def sample_leaves(
             try:
                 y, key, tau = walks[j].send(end)
             except StopIteration as stop:
-                leaves[j] = stop.value
+                visits, discarded = stop.value
+                frames = None
+                if steady is None:  # states are a point and its frame
+                    frames = tuple(s[n:].reshape(n, n) for s, _ in visits)
+                    visits = [(s[:n], word) for s, word in visits]
+                leaves[j] = LeafSample(bases[j], tuple(visits), discarded, frames)
                 continue
             new.append((_Lane(j, [(tau, key)], ctrl), y))
         return new
 
-    def field(lanes: list[_Lane]) -> _FrameLanes:
-        return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], family.dim, 0)
-
     # sending None starts each coroutine at its first attempt
     first = admit([(j, None) for j in range(len(walks))])
     if first:
-        starts = np.array([y for _, y in first], dtype=float)
-        _step_lanes(
-            [lane for lane, _ in first], starts, field, ctrl, refill=admit, steady=steady
-        )
+        Y = np.array([y for _, y in first], dtype=float)
+        lanes = [lane for lane, _ in first]
+        _step_lanes(lanes, Y, field, ctrl, dim=n, refill=admit, steady=steady)
     return leaves
-
-
-def transport_walks(
-    walks: Sequence[Walk],
-    generators: Sequence[VectorField],
-    drifts: Sequence[VectorField],
-    step: StepControl,
-) -> list[np.ndarray | None]:
-    """Shift the drifts at every visit of every walk back to its walk's base.
-
-    Each walk is undone backward from its deepest visit so every flow
-    segment is integrated once: undoing segment j carries all columns
-    picked up at visits deeper than j, and the drift values at visit j-1
-    join when the path passes through it. The walks, from any number of
-    leaves, undo their segments in lockstep: round r undoes the r-th
-    segment from the end of every walk that has one, so its lanes carry
-    equally many columns and step together through `_step_lanes`, each
-    lane bit for bit the `_flow_with_frame` of its segment. Returns per
-    walk an (n, visits*len(drifts)) column stack expressed at the base,
-    deepest visit first, or None when the transport left the window or
-    underflowed. Segment durations are positive, as `sample_leaves` draws
-    them.
-    """
-    n = drifts[0].dim
-    d = len(drifts)
-    kernels = {}  # (field_index, sign) -> the signed field's kernels
-    for i, sign in {(s.field_index, s.sign) for walk in walks for s in walk[-1][1]}:
-        V = generators[i] if sign > 0 else generators[i].negate()
-        kernels[i, sign] = (V.compiled(), V.compiled_jacobian())
-    out: list[np.ndarray | None] = [None] * len(walks)
-    states = {}  # walk -> state (x, W.ravel()) at its next segment's end
-    for w, walk in enumerate(walks):
-        y = walk[-1][0]
-        states[w] = np.concatenate([y, np.column_stack([f(y) for f in drifts]).ravel()])
-    depth = 0
-    while states:
-        depth += 1
-        c = depth * d
-        lanes = []
-        for w in states:
-            seg = walks[w][-depth][1][-1]
-            lanes.append(_Lane(w, [(-seg.duration, (seg.field_index, seg.sign))], step))
-
-        def field(lanes: list[_Lane]) -> _FrameLanes:
-            return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], n, c)
-
-        ends = _step_lanes(lanes, np.array(list(states.values())), field, step, guard_dim=n)
-        states = {}
-        for w in sorted(ends):
-            end, walk = ends[w], walks[w]
-            W = end[n:].reshape(n, c)
-            if depth == len(walk):
-                out[w] = W
-            else:
-                y = walk[-depth - 1][0]
-                W = np.column_stack([W] + [f(y) for f in drifts])
-                states[w] = np.concatenate([end[:n], W.ravel()])
-    return out

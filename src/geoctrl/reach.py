@@ -44,7 +44,7 @@ DEFAULT_DT = 0.02
 COVERAGE_THRESHOLD = 0.9
 COVERAGE_CELLS = 8
 # Trajectories roam in a window inflated by this factor before freezing.
-# Wider than the 20% guard used for leaf transport on purpose: a start
+# Wider than the 20% guard used for leaf walks on purpose: a start
 # near the window edge needs room to turn around, and truncation here is
 # only a cost control, not part of any geometric contract.
 ORACLE_INFLATION = 0.5

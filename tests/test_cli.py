@@ -290,6 +290,32 @@ def test_command_lines_argparse_refuses_exit_4(specfile, capsys, argv):
     assert err["message"].startswith("geoctrl")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--json", "{json}"],
+        ["check", "{spec}", "--grid", "two", "--json", "{json}"],
+        ["dist", "{spec}", "--json", "{json}", "--from", "a,b", "--to", "0,0"],
+        ["verify", "{spec}", "--json", "{json}"],
+    ],
+    ids=["no-specfile", "grid-not-int", "point-not-numbers", "unknown-command"],
+)
+def test_command_lines_argparse_refuses_write_their_json(specfile, tmp_path, capsys, argv):
+    target = tmp_path / "u.json"
+    code = main([a.format(spec=specfile(PLANE), json=target) for a in argv])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert err["code"] == "USAGE"
+    assert json.loads(target.read_text())["error"] == err
+
+
+def test_a_json_flag_without_its_path_is_refused_on_stderr_alone(specfile, tmp_path, capsys):
+    code = main(["check", specfile(PLANE), "--json"])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert err["code"] == "USAGE" and "--json" in err["message"]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])

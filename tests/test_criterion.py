@@ -25,7 +25,7 @@ from geoctrl.criterion import (
     verify_supporting_distribution,
 )
 from geoctrl.fields import VectorField
-from geoctrl.flows import LeafSample, Segment, sample_leaf, sample_leaves, transport_walks
+from geoctrl.flows import MAX_FRAME_COND, LeafSample, Segment, sample_leaf, sample_leaves
 from geoctrl.lie import NotRegularError, generate_bracket_basis
 from geoctrl.report import run_pipeline
 from geoctrl.system import SystemSpec, load_spec, loads_spec
@@ -465,12 +465,14 @@ def test_no_leaf_evidence_is_an_error_not_a_witness():
 
 
 def test_points_without_leaf_evidence_defer_to_proper_failures(monkeypatch):
-    # no walk from the left column (x1 = -2, kept along the leaf) transports
-    def lose_left_column(walks, generators, drifts, step):
-        moved = transport_walks(walks, generators, drifts, step)
-        return [None if w[0][0][0] == -2.0 else W for w, W in zip(walks, moved)]
+    # no walk from the left column (x1 = -2, kept along the leaf) shifts
+    shifted = LeafSample.shifted_drifts
 
-    monkeypatch.setattr(criterion, "transport_walks", lose_left_column)
+    def lose_left_column(leaf, drifts):
+        for W in shifted(leaf, drifts):
+            yield None if leaf.base[0] == -2.0 else W
+
+    monkeypatch.setattr(LeafSample, "shifted_drifts", lose_left_column)
     out = global_verdict(planar_forward(), grid_per_axis=3, leaf_budget=6)
     assert out.status == STATUS_UNCONTROLLABLE
     for p in out.points:
@@ -478,10 +480,40 @@ def test_points_without_leaf_evidence_defer_to_proper_failures(monkeypatch):
             assert p.error == NO_LEAF_EVIDENCE and p.witness is None
         else:
             assert p.error is None and p.witness["kind"] == "separating"
-    monkeypatch.setattr(criterion, "transport_walks", lambda walks, *a: [None] * len(walks))
+    monkeypatch.setattr(LeafSample, "shifted_drifts", lambda leaf, drifts: [None] * len(leaf.walks()))
     out = global_verdict(planar_forward(), grid_per_axis=3, leaf_budget=6)
     assert out.status == STATUS_INCONCLUSIVE
     assert all(p.error == NO_LEAF_EVIDENCE for p in out.points)
+
+
+def _contracting(rate: int) -> SystemSpec:
+    # along +g, x1 decays at `rate`, so a walk's frame reaches condition
+    # number about exp(rate * t) after net time t along g
+    return loads_spec(
+        f"vars = x1, x2\ndrift = 1, 0\ncontrol = -{rate}*x1, 1\n"
+        "window = -2:2, -2:2\nleaf_budget = 6\n"
+    )
+
+
+def test_an_ill_conditioned_frame_fails_its_walk():
+    x = [1.0, 0.0]
+    spec = _contracting(100)
+    v = check_condition(spec, x, seed=0)
+    assert v.error == NO_LEAF_EVIDENCE and v.samples_used == 1
+    # the walks were made; each fails at a visit whose frame is past the bound
+    family, _ = criterion._prepare(spec, None, None, None)
+    leaf = sample_leaf(family, x, 6, spec.walk_duration(), 0, criterion._step_control(spec))
+    walks = leaf.walks()
+    assert len(walks) == 6
+    start = 0
+    for walk in walks:
+        frames = leaf.frames[start : start + len(walk)]
+        start += len(walk)
+        assert max(np.linalg.cond(F) for F in frames) > MAX_FRAME_COND
+    assert list(leaf.shifted_drifts(spec.drifts)) == [None] * 6
+    # a gentle contraction keeps its frames, and the point its evidence
+    gentle = check_condition(_contracting(1), x, seed=0)
+    assert gentle.error is None and gentle.samples_used > 1
 
 
 # --- verify_supporting_distribution ---------------------------------------
@@ -548,11 +580,7 @@ def test_verifier_needs_codimension_two():
         )
 
 
-# --- transport waves ---------------------------------------------------------
-
-
-def _one_walk_at_a_time(walks, generators, drifts, step):
-    return [W for w in walks for W in transport_walks([w], generators, drifts, step)]
+# --- leaf walks as lanes -----------------------------------------------------
 
 
 def _one_leaf_at_a_time(family, points, budget, max_duration, seeds, step=None):
@@ -576,29 +604,6 @@ def _point_fields(gv):
         )
         for p in gv.points
     ]
-
-
-@pytest.mark.parametrize("name", ["planar_shear", "planar_forward", "saddle3d", "unicycle_offset"])
-def test_global_verdict_does_not_depend_on_waves(name, monkeypatch):
-    spec = load_spec(SYS_DIR / f"{name}.sys")
-    waves = global_verdict(spec, grid_per_axis=2)
-    monkeypatch.setattr(criterion, "transport_walks", _one_walk_at_a_time)
-    alone = global_verdict(spec, grid_per_axis=2)
-    assert waves.status == alone.status
-    assert _point_fields(waves) == _point_fields(alone)
-
-
-def test_verifier_does_not_depend_on_batching(monkeypatch):
-    spec = load_spec(SYS_DIR / "unicycle_offset.sys")
-    S = VectorField.parse(["0", "1", "0"], spec.var_names)
-    batched = verify_supporting_distribution(spec, [S], grid_per_axis=3)
-    monkeypatch.setattr(criterion, "transport_walks", _one_walk_at_a_time)
-    alone = verify_supporting_distribution(spec, [S], grid_per_axis=3)
-    assert batched.accepted
-    assert batched == alone
-
-
-# --- leaf walks as lanes -----------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["planar_shear", "planar_forward", "saddle3d", "unicycle_offset"])

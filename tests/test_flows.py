@@ -1,4 +1,4 @@
-"""Flow integration, pushforward transport, and leaf sampling."""
+"""Flow integration, pushforward transport, leaf sampling and walk frames."""
 
 import math
 import warnings
@@ -16,6 +16,7 @@ from geoctrl.criterion import _child_seed, _prepare, _step_control
 from geoctrl.expr import add, const, mul, sin, var
 from geoctrl.fields import VectorField, lie_bracket
 from geoctrl.flows import (
+    MAX_FRAME_COND,
     FlowError,
     LeafSample,
     Segment,
@@ -28,8 +29,6 @@ from geoctrl.flows import (
     pushforward_along,
     sample_leaf,
     sample_leaves,
-    transport_walks,
-    _flow_with_frame,
     _integrate,
 )
 from geoctrl.lie import BracketFamily, generate_bracket_basis, window_grid
@@ -284,32 +283,43 @@ def test_commutator_flow_limit():
         assert errs[0] > errs[1] > errs[2]
 
 
-# --- words and transport --------------------------------------------------
+# --- words and walk frames ------------------------------------------------
 
 
-def _replay(generators, x, word):
+def _replay(generators, x, word, step=None):
     """Run a word segment by segment with chained integrate_flow calls."""
     for seg in word:
         V = generators[seg.field_index]
-        x = integrate_flow(V if seg.sign > 0 else V.negate(), x, seg.duration)
+        x = integrate_flow(V if seg.sign > 0 else V.negate(), x, seg.duration, step)
     return x
 
 
 def _walk_leaf(generators, base, word):
-    """A leaf holding the single walk `word`, one visit per prefix."""
-    visits = []
+    """A leaf holding the single walk `word`, one visit per prefix, each
+    with its frame chained through `pushforward_along`."""
+    visits, frames = [], []
     y = np.asarray(base, dtype=float)
-    for j in range(len(word)):
-        y = _replay(generators, y, word[j:j + 1])
+    F = np.eye(len(y))
+    for j, seg in enumerate(word):
+        V = generators[seg.field_index]
+        V = V if seg.sign > 0 else V.negate()
+        F = pushforward_along(V, y, seg.duration, F)
+        y = integrate_flow(V, y, seg.duration)
         visits.append((y, word[:j + 1]))
-    return LeafSample(base=np.asarray(base, dtype=float), visits=tuple(visits), discarded=0)
+        frames.append(F)
+    return LeafSample(
+        base=np.asarray(base, dtype=float),
+        visits=tuple(visits),
+        discarded=0,
+        frames=tuple(frames),
+    )
 
 
-def _shift_by_visit(leaf, generators, drifts):
+def _shift_by_visit(leaf, drifts):
     """Per visit, in leaf.visits order, its drifts shifted to the base as (n, d) columns."""
     d = len(drifts)
     out = []
-    for W in transport_walks(leaf.walks(), generators, drifts, StepControl()):
+    for W in leaf.shifted_drifts(drifts):
         assert W is not None
         out.extend(reversed([W[:, i:i + d] for i in range(0, W.shape[1], d)]))
     assert len(out) == len(leaf.visits)
@@ -317,10 +327,10 @@ def _shift_by_visit(leaf, generators, drifts):
 
 
 def test_walk_transport_inverts_to_base():
-    # pushforward of a field along its own flow is the field itself
-    leaf = _walk_leaf([ROTATION], [0.2, 0.1], (Segment(0, 1, 0.6),))
-    (moved,) = transport_walks(leaf.walks(), [ROTATION], [ROTATION], StepControl())
-    assert np.allclose(moved[:, 0], ROTATION(leaf.base), atol=1e-7)
+    # the pullback of a field along its own flow is the field itself
+    leaf = sample_leaf(_family(ROTATION), [0.2, 0.1], budget=6, max_duration=0.8, rng_seed=2)
+    for v in _shift_by_visit(leaf, [ROTATION]):
+        assert np.allclose(v[:, 0], ROTATION(leaf.base), atol=1e-7)
 
 
 def test_walk_transport_linear_field_oracle():
@@ -329,9 +339,7 @@ def test_walk_transport_linear_field_oracle():
     v = np.array([1.0, 2.0])
     word = (Segment(0, 1, 0.4), Segment(0, 1, 0.3))
     leaf = _walk_leaf([ROTATION], [0.5, 0.0], word)
-    (moved,) = transport_walks(
-        leaf.walks(), [ROTATION], [VectorField.constant(v, N2)], StepControl()
-    )
+    (moved,) = leaf.shifted_drifts([VectorField.constant(v, N2)])
     # one walk, deepest visit first
     assert moved.shape == (2, 2)
     assert np.allclose(moved[:, 0], scipy.linalg.expm(-0.7 * A) @ v, atol=1e-7)
@@ -342,47 +350,38 @@ def test_walk_transport_negated_sign_segments():
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     v = np.array([0.0, 1.0])
     leaf = _walk_leaf([ROTATION], [0.3, -0.2], (Segment(0, -1, 0.5),))
-    (moved,) = transport_walks(
-        leaf.walks(), [ROTATION], [VectorField.constant(v, N2)], StepControl()
-    )
+    (moved,) = leaf.shifted_drifts([VectorField.constant(v, N2)])
     # inverse of flowing by -g for 0.5 is flowing by +g for 0.5
     assert np.allclose(moved[:, 0], scipy.linalg.expm(0.5 * A) @ v, atol=1e-7)
 
 
 def test_walk_transport_marks_failed_walk_and_continues():
-    g = VectorField.parse(["1", "0"], N2)
-    f = VectorField.parse(["0", "1"], N2)
-
-    def walk(*steps):
-        # visits along x2 = 0 where x1 ends each segment of +g
-        word = tuple(Segment(0, 1, tau) for _, tau in steps)
-        return tuple((np.array([x1, 0.0]), word[: i + 1]) for i, (x1, _) in enumerate(steps))
-
-    # undoing the first walk runs x1 from 0.5 back to 0.4 (inside), then
-    # from 0.4 back past 0.3 and leaves the window in its second round; the
-    # other walks stay inside at depths 1 and 3
-    walks = [
-        walk((0.45, 0.05)),
-        walk((0.4, 0.4), (0.5, 0.1)),
-        walk((0.35, 0.03), (0.55, 0.2), (0.6, 0.05)),
-    ]
-    ctrl = StepControl(window=((0.3, 0.9), (-1.0, 1.0)))
-    shallow, failed, deep = transport_walks(walks, [g], [f], ctrl)
-    assert failed is None
-    assert shallow.shape == (2, 1) and deep.shape == (2, 3)
-    assert np.allclose(shallow, [[0.0], [1.0]], atol=1e-9)
-    assert np.allclose(deep, [[0.0] * 3, [1.0] * 3], atol=1e-9)
-    for w, moved in zip(walks, (shallow, failed, deep)):
-        (alone,) = transport_walks([w], [g], [f], ctrl)
-        assert (alone is None) == (moved is None)
-        assert moved is None or alone.tobytes() == moved.tobytes()
+    f = VectorField.parse(["x2", "1"], N2)
+    seg = Segment(0, 1, 0.1)
+    visits = tuple((np.array([0.1 * i, 0.5]), (seg,) * k) for i, k in enumerate([1, 1, 2, 3, 1]))
+    ill = np.diag([1.0, 0.5 / MAX_FRAME_COND])  # condition number 2 * MAX_FRAME_COND
+    nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+    eye = np.eye(2)
+    frames = (eye, 2 * eye, ill, eye, nan)
+    # walks: [0], [1, 2, 3], [4]; the second holds an ill-conditioned frame
+    # at a visit that is not its deepest, the third a non-finite one
+    leaf = LeafSample(base=np.zeros(2), visits=visits, discarded=0, frames=frames)
+    first, failed, nonfinite = leaf.shifted_drifts([f])
+    assert failed is None and nonfinite is None
+    assert np.array_equal(first, f(visits[0][0])[:, None])
+    sound = LeafSample(base=np.zeros(2), visits=visits[:2], discarded=0, frames=(eye, 2 * eye))
+    _, alone = sound.shifted_drifts([f])
+    assert np.array_equal(alone, np.linalg.solve(2 * eye, f(visits[1][0])[:, None]))
 
 
 def _flow_back(walk, generators, drifts, step):
-    """One walk undone segment by segment with the scalar variational flow.
+    """One walk undone segment by segment: the backward transport that the
+    forward frames replaced, kept as their reference.
 
-    `_flow_with_frame` is the integrator behind `pushforward_along`; it
-    also returns the endpoint the next segment starts from.
+    From the deepest visit back to the base, each segment's inverse flow
+    carries every column picked up so far (`pushforward_along`), and the
+    drifts at the next shallower visit join as the path passes it.
+    Columns come out deepest visit first; None where a flow fails.
     """
     y, word = walk[-1]
     W = np.column_stack([f(y) for f in drifts])
@@ -390,7 +389,8 @@ def _flow_back(walk, generators, drifts, step):
         for j in range(len(word) - 1, -1, -1):
             V = generators[word[j].field_index]
             V = V if word[j].sign > 0 else V.negate()
-            y, W = _flow_with_frame(V, y, -word[j].duration, W, step)
+            W = pushforward_along(V, y, -word[j].duration, W, step)
+            y = integrate_flow(V, y, -word[j].duration, step)
             if j >= 1:
                 W = np.column_stack([W] + [f(walk[j - 1][0]) for f in drifts])
     except FlowError:
@@ -398,48 +398,92 @@ def _flow_back(walk, generators, drifts, step):
     return W
 
 
-def _assert_lanes_equal_walks_alone(walks, generators, drifts, step):
-    moved = transport_walks(walks, generators, drifts, step)
+def _assert_frames_match_the_backward_chain(leaf, generators, drifts, step, rtol=0.0):
+    """Forward shifted drifts against `_flow_back`: bit for bit at rtol 0."""
+    walks = leaf.walks()
+    moved = list(leaf.shifted_drifts(drifts))
     assert len(moved) == len(walks)
     for walk, W in zip(walks, moved):
-        alone = _flow_back(walk, generators, drifts, step)
-        assert (alone is None) == (W is None)
-        assert W is None or alone.tobytes() == W.tobytes()
+        back = _flow_back(walk, generators, drifts, step)
+        assert W is not None and back is not None
+        if rtol:
+            assert np.allclose(W, back, rtol=rtol, atol=rtol)
+        else:
+            assert np.array_equal(W, back)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_lanes_equal_each_walk_transported_alone(name):
+    # constant families carry no frame: a visit's drifts shift unchanged,
+    # and the backward chain returns them exactly
     spec = load_spec(SYS_DIR / f"{name}.sys")
     family, regularity = _prepare(spec, None, None, 2)
     step = _step_control(spec)
     pts = window_grid(spec.window, 2)
     children = np.random.SeedSequence(spec.seed).spawn(len(pts))
-    walks = [
-        w
-        for p, child in zip(pts, children)
-        for w in sample_leaf(
+    walked = 0
+    for p, child in zip(pts, children):
+        leaf = sample_leaf(
             family,
             p,
             budget=spec.leaf_budget,
             max_duration=spec.walk_duration(),
             rng_seed=_child_seed(child),
             step=step,
-        ).walks()
-    ]
-    assert len(walks) > len(pts)
-    _assert_lanes_equal_walks_alone(walks, family.generators, spec.drifts, step)
+        )
+        assert leaf.frames is None
+        walked += len(leaf.walks())
+        _assert_frames_match_the_backward_chain(leaf, family.generators, spec.drifts, step)
+    assert walked > len(pts)
+
+
+WIGGLY = (
+    VectorField.parse(["sin(6*x2)", "1"], N2),
+    VectorField.parse(["1", "sin(9*x1)*x1"], N2),
+)
 
 
 def test_lanes_equal_walks_alone_through_rejected_steps():
-    # wiggly generators make the variational flows reject steps after
-    # accepting some, where `_integrate` restarts from the trial's k[6]
-    fam = _family(
-        VectorField.parse(["sin(6*x2)", "1"], N2), VectorField.parse(["1", "sin(9*x1)*x1"], N2)
-    )
+    # wiggly generators reject steps after accepting some; the forward
+    # frames and the backward chain integrate different flows, so they
+    # agree to the integration tolerance, not bit for bit
+    fam = _family(*WIGGLY)
     drifts = [VectorField.parse(["x2", "x1^2"], N2), VectorField.parse(["1", "x1"], N2)]
     step = StepControl(window=inflate_window(((-2.0, 2.0), (-2.0, 2.0))))
     leaf = sample_leaf(fam, [0.3, -0.2], budget=24, max_duration=2.0, rng_seed=1, step=step)
-    _assert_lanes_equal_walks_alone(leaf.walks(), fam.generators, drifts, step)
+    assert leaf.frames is not None and len(leaf.walks()) > 10
+    _assert_frames_match_the_backward_chain(leaf, fam.generators, drifts, step, rtol=1e-6)
+
+
+def test_rotation_frames_match_the_backward_chain():
+    fam = _family(ROTATION, VectorField.parse(["x1", "0"], N2))
+    drifts = [VectorField.parse(["1", "x2"], N2)]
+    step = StepControl(window=inflate_window(((-2.0, 2.0), (-2.0, 2.0))))
+    leaf = sample_leaf(fam, [0.5, 0.4], budget=16, max_duration=1.0, rng_seed=3, step=step)
+    assert len(leaf.walks()) > 10
+    _assert_frames_match_the_backward_chain(leaf, fam.generators, drifts, step, rtol=1e-6)
+
+
+def test_walk_frames_match_finite_differences_of_the_flow():
+    # column k of a visit's frame is d(visit)/d(base_k): central
+    # differences of the walk's word replayed with integrate_flow
+    fam = _family(*WIGGLY)
+    leaf = sample_leaf(fam, [0.3, -0.2], budget=8, max_duration=1.0, rng_seed=4)
+    deep = max(leaf.walks(), key=len)
+    assert len(deep) >= 3
+    start = [v[1] for v in leaf.visits].index(deep[0][1])
+    fine = StepControl(atol=1e-12, rtol=1e-12)
+    h = 1e-5
+    for j, (y, word) in enumerate(deep):
+        frame = leaf.frames[start + j]
+        fd = np.column_stack(
+            [
+                (_replay(fam.generators, leaf.base + h * e, word, fine)
+                 - _replay(fam.generators, leaf.base - h * e, word, fine)) / (2 * h)
+                for e in np.eye(2)
+            ]
+        )
+        assert np.allclose(frame, fd, rtol=1e-7, atol=1e-7)
 
 
 def test_leaf_walks_regroup_visits():
@@ -715,14 +759,14 @@ def test_shift_identity_transport_shear():
     fam = _family(VectorField.parse(["0", "1"], N2))
     f = VectorField.parse(["x2", "0"], N2)
     leaf = sample_leaf(fam, [0.0, 0.0], budget=10, max_duration=1.0, rng_seed=5)
-    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [f])):
+    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, [f])):
         assert np.allclose(v[:, 0], [y[1], 0.0], atol=1e-7)
 
 
 def test_shift_heading_traces_circle():
     fam = _family(VectorField.parse(["0", "0", "1"], N3))
     leaf = sample_leaf(fam, [0.0, 0.0, 0.0], budget=12, max_duration=1.5, rng_seed=6)
-    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [HEADING])):
+    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, [HEADING])):
         s = y[2]
         assert np.allclose(v[:, 0], [np.cos(s), np.sin(s), 0.0], atol=1e-6)
         assert abs(np.hypot(v[0, 0], v[1, 0]) - 1.0) < 1e-6
@@ -732,7 +776,7 @@ def test_shift_zero_drift_is_zero():
     fam = _family(ROTATION)
     zero = VectorField.parse(["0", "0"], N2)
     leaf = sample_leaf(fam, [1.0, 0.0], budget=6, rng_seed=8)
-    for v in _shift_by_visit(leaf, fam.generators, [zero]):
+    for v in _shift_by_visit(leaf, [zero]):
         assert np.allclose(v, 0.0, atol=1e-9)
 
 
@@ -742,7 +786,7 @@ def test_shift_nontrivial_transport_matrix_oracle():
     fam = _family(ROTATION)
     f = VectorField.parse(["1", "0"], N2)
     leaf = sample_leaf(fam, [1.0, 0.0], budget=6, max_duration=0.8, rng_seed=9)
-    for (y, word), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [f])):
+    for (y, word), v in zip(leaf.visits, _shift_by_visit(leaf, [f])):
         total = sum(seg.sign * seg.duration for seg in word)
         expected = scipy.linalg.expm(-total * A) @ f(y)
         assert np.allclose(v[:, 0], expected, atol=1e-6)
@@ -753,6 +797,6 @@ def test_shift_multiple_drifts_group_per_visit():
     f1 = VectorField.parse(["x2", "0"], N2)
     f2 = VectorField.parse(["1", "0"], N2)
     leaf = sample_leaf(fam, [0.0, 0.0], budget=4, rng_seed=10)
-    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, fam.generators, [f1, f2])):
+    for (y, _), v in zip(leaf.visits, _shift_by_visit(leaf, [f1, f2])):
         assert np.allclose(v[:, 0], [y[1], 0.0], atol=1e-7)
         assert np.allclose(v[:, 1], [1.0, 0.0], atol=1e-9)

@@ -16,7 +16,11 @@ window grid, with the spec's leaf budget, walk duration and step control,
 each point from the seed `check` gives it), digested over every visit's
 point and word and every leaf's discard count, on every system at seeds
 0, 3 and 7: a `check` report shows only the walks up to the one that
-closes a hull, these lines show them all.
+closes a hull, these lines show them all. Last of all come the verdicts
+(`global_verdict` at grid 2 and at the spec's own grid), digested over
+every point's `condition_holds`, `det_agrees`, `samples_used` and
+`error`, on every system at seeds 0, 3 and 7: a change that moves report
+bytes but keeps these lines keeps every verdict.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -70,6 +74,10 @@ def _runs(systems: list[str]):
     for seed in SEEDS:
         for name in systems:
             yield "walks", name, seed, 3
+    for seed in SEEDS:
+        for name in systems:
+            yield "verdict", name, seed, 2
+            yield "verdict", name, seed, None
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
@@ -97,10 +105,21 @@ def _walk_digest(spec, seed: int, grid: int) -> str:
     return h.hexdigest()
 
 
+def _verdict_digest(g, spec, seed: int, grid: int | None) -> str:
+    """sha256 of what every point of `global_verdict` decided."""
+    verdict = g.global_verdict(spec, grid_per_axis=grid, seed=seed)
+    points = [
+        (p.condition_holds, p.det_agrees, p.samples_used, p.error) for p in verdict.points
+    ]
+    return _sha(repr((verdict.status, points)).encode())
+
+
 def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, str]:
     """(exit code, digests) of one run."""
     if command == "walks":
         return "-", _walk_digest(spec, seed, grid)
+    if command == "verdict":
+        return "-", _verdict_digest(g, spec, seed, grid)
     if command.startswith("verify"):
         cand = command[len("verify S=(") : -1].split(",")
         S = [g.VectorField.parse(cand, spec.var_names)]
