@@ -44,7 +44,7 @@ stepper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
@@ -608,7 +608,34 @@ def _sound(frame: np.ndarray) -> bool:
         return bool(np.isfinite(frame).all()) and np.linalg.cond(frame) <= MAX_FRAME_COND
 
 
-@dataclass(frozen=True)
+def _same(a, b) -> bool:
+    """a == b, arrays compared by dtype, shape and bytes, sequences itemwise."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return bool(a == b)
+
+
+def fields_equal(a, b) -> bool:
+    """Value equality of two dataclasses that hold numpy arrays.
+
+    The generated __eq__ compares fields as tuples, which asks an array
+    for its truth value and raises; this compares each array by dtype,
+    shape and bytes and every other field with ==.
+    """
+    return type(a) is type(b) and all(
+        _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class LeafSample:
     base: np.ndarray
     visits: tuple[tuple[np.ndarray, ControlWord], ...]
@@ -616,6 +643,11 @@ class LeafSample:
     # per visit, the frame D psi_w(base) of its word w; None when every
     # generator is constant, so that every frame is exactly I
     frames: tuple[np.ndarray, ...] | None = None
+
+    def __eq__(self, other):
+        return fields_equal(self, other) if isinstance(other, LeafSample) else NotImplemented
+
+    __hash__ = None
 
     def walks(self) -> list[Walk]:
         """The visits regrouped into the walks that made them, in draw order.

@@ -1,17 +1,29 @@
 """Monte-Carlo reachability oracle.
 
 Simulates ensembles of trajectories of dx/dt = f(x) + sum_i u^i g_i(x)
-under random piecewise-constant controls, accumulates the visited
-points, and measures window coverage on an occupancy grid. The oracle
-is deliberately independent of the criterion pipeline: it shares no
-geometry code beyond the system definition, so agreement between the
-two is meaningful evidence.
+under random piecewise-constant controls and measures window coverage
+on an occupancy grid. The oracle is deliberately independent of the
+criterion pipeline: it shares no geometry code beyond the system
+definition, so agreement between the two is meaningful evidence.
 
-Integration here is fixed-step RK4 over the whole batch at once. The
-controls are piecewise constant with segment ends quantized to the step
-grid; the realized inputs are therefore still admissible controls, just
-drawn from a slightly coarsened family, which is all an occupancy
-estimate needs.
+Integration is fixed-step RK4 over the live trajectories at once
+(`_run`, the one stepper). The controls are piecewise constant with
+segment ends quantized to the step grid; the realized inputs are
+therefore still admissible controls, just drawn from a slightly
+coarsened family, which is all an occupancy estimate needs.
+
+Trajectory i draws its segments from its own child generator of
+SeedSequence(seed), in raw 64-bit blocks a few segments at a time
+(`_Draws`). The blocks are turned into exactly the numbers that
+Generator.uniform and Generator.integers give for the same stream, so
+a cloud does not depend on how its draws are batched, and the
+trajectories whose segments end at a step draw together.
+
+Every record (t = 0 and then every sample stride) hands the live
+trajectories inside the window to a fold. `simulate_reach` folds them
+into a compact `ReachCloud`. `cross_validate` folds its coverage runs
+into an occupancy grid and its witness run into the running minimum of
+the covector test, so those runs store no point.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +40,7 @@ from .criterion import (
     STATUS_UNCONTROLLABLE,
     GlobalVerdict,
 )
-from .flows import inflate_window
+from .flows import fields_equal, inflate_window
 from .system import SystemSpec
 
 __all__ = [
@@ -43,6 +55,9 @@ __all__ = [
 DEFAULT_DT = 0.02
 COVERAGE_THRESHOLD = 0.9
 COVERAGE_CELLS = 8
+# a stored point may sit this far on the wrong side of a separating
+# covector before the cloud counts as crossing it
+WITNESS_TOL = 1e-6
 # Trajectories roam in a window inflated by this factor before freezing.
 # Wider than the 20% guard used for leaf walks on purpose: a start
 # near the window edge needs room to turn around, and truncation here is
@@ -53,26 +68,52 @@ ORACLE_INFLATION = 0.5
 # a duration drawn uniformly from SEGMENT_DURATIONS.
 CONTROL_AMPLITUDE = 5.0
 SEGMENT_DURATIONS = (0.05, 0.5)
+# Segments' worth of raw draws a trajectory takes from its generator at
+# a time: larger blocks mean fewer calls but more memory per trajectory.
+BLOCK_SEGMENTS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachCloud:
+    """The points an ensemble stored, in record order and by trajectory.
+
+    A record stores every live trajectory inside the window; it keeps
+    its time and a packed bitmap of those trajectories, so a point costs
+    its coordinates alone. `traj_ids` and `times` expand the records to
+    one entry per point.
+    """
+
     origin: np.ndarray
     horizon: float
     n_traj: int
     points: np.ndarray  # (M, n) stored points, all inside the window
-    traj_ids: np.ndarray  # (M,)
-    times: np.ndarray  # (M,)
+    record_times: np.ndarray  # (R,) the time of each record that stored a point
+    record_bits: np.ndarray  # (R, ceil(n_traj / 8)) uint8, np.packbits of who stored
     window: tuple[tuple[float, float], ...]
+
+    def _stored(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(np.unpackbits(self.record_bits, axis=1, count=self.n_traj))
+
+    @property
+    def traj_ids(self) -> np.ndarray:
+        """(M,) int64: the trajectory of each point."""
+        return self._stored()[1]
+
+    @property
+    def times(self) -> np.ndarray:
+        """(M,) float64: the record time of each point."""
+        return self.record_times[self._stored()[0]]
+
+    def __eq__(self, other):
+        return fields_equal(self, other) if isinstance(other, ReachCloud) else NotImplemented
+
+    __hash__ = None
 
     def occupancy(self, cells_per_axis: int) -> np.ndarray:
         """Boolean occupancy grid of shape (cells,)*n over the window."""
         n = len(self.window)
         grid = np.zeros((cells_per_axis,) * n, dtype=bool)
-        if len(self.points) == 0:
-            return grid
-        idx = _cell_indices(self.points, self.window, cells_per_axis)
-        grid.ravel()[idx] = True
+        _occupy(grid.ravel(), self.points, self.window, cells_per_axis)
         return grid
 
 
@@ -88,29 +129,192 @@ def _cell_indices(
     return flat
 
 
-def _resample_controls(
-    rng: np.random.Generator, m: int, n_drifts: int
-) -> tuple[np.ndarray, float, int]:
-    """One trajectory's fresh control vector, segment length, drift index."""
-    u = rng.uniform(-CONTROL_AMPLITUDE, CONTROL_AMPLITUDE, size=m)
-    dur = float(rng.uniform(*SEGMENT_DURATIONS))
-    j = int(rng.integers(0, n_drifts)) if n_drifts > 1 else 0
-    return u, dur, j
+def _occupy(
+    flat_grid: np.ndarray, pts: np.ndarray, window: Sequence[tuple[float, float]], cells: int
+) -> None:
+    """Mark the cells of the points in a raveled occupancy grid."""
+    flat_grid[_cell_indices(pts, window, cells)] = True
 
 
-def _cloud_arrays(
-    pts_chunks: list[np.ndarray],
-    ids_chunks: list[np.ndarray],
-    rec_times: list[float],
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points, trajectory ids and times of the recorded chunks, in record
-    order: each chunk is copied once, and a record's time is repeated
-    once per point it stored."""
-    times = np.repeat(np.array(rec_times, dtype=float), [len(c) for c in ids_chunks])
-    if not pts_chunks:
-        return np.zeros((0, n)), np.zeros(0, dtype=int), times
-    return np.concatenate(pts_chunks), np.concatenate(ids_chunks), times
+def _covector_values(
+    pts: np.ndarray, origin: np.ndarray, witness: Sequence[float], quotient_frame: np.ndarray
+) -> np.ndarray:
+    """<d, Q (p - x0)> for every point p."""
+    return ((pts - origin) @ quotient_frame.T) @ np.asarray(witness, dtype=float)
+
+
+class _Draws:
+    """The control segments of every trajectory, drawn from its own generator.
+
+    Trajectory i owns child i of SeedSequence(seed) and reads raw 64-bit
+    values of it, a block at a time. They become the numbers that
+    Generator.uniform(-A, A, m), .uniform(*SEGMENT_DURATIONS) and, for a
+    switched drift, .integers(0, n_drifts) give in turn: a double is
+    (r >> 11) * 2**-53, and an index is Lemire's bounded draw on 32-bit
+    words, which PCG64 serves as the low and then the high half of one
+    raw value (the high half waits in a buffer across double draws).
+    """
+
+    def __init__(self, seed: int, n_traj: int, m: int, n_drifts: int):
+        children = np.random.SeedSequence(seed).spawn(n_traj)
+        self.gens = [np.random.PCG64(s) for s in children]
+        self.m = m
+        self.n_drifts = n_drifts
+        self.width = BLOCK_SEGMENTS * (m + 1 + (n_drifts > 1))
+        self.raw = np.empty((n_traj, self.width), dtype=np.uint64)
+        self.cur = np.full(n_traj, self.width)  # next unread raw; every block starts read
+        self.half = np.zeros(n_traj, dtype=np.uint64)  # the buffered high word
+        self.has_half = np.zeros(n_traj, dtype=bool)
+
+    def _take(self, lanes: np.ndarray, k: int) -> np.ndarray:
+        """The next k raw values of each lane, (len(lanes), k)."""
+        short = lanes[self.cur[lanes] > self.width - k]
+        for i in short.tolist():  # keep the unread tail, draw the rest afresh
+            c = int(self.cur[i])
+            self.raw[i, : self.width - c] = self.raw[i, c:]
+            self.raw[i, self.width - c :] = self.gens[i].random_raw(c)
+        self.cur[short] = 0
+        cols = self.cur[lanes, None] + np.arange(k)
+        self.cur[lanes] += k
+        return self.raw[lanes[:, None], cols]
+
+    def _words(self, lanes: np.ndarray) -> np.ndarray:
+        """The next 32-bit word of each lane, as uint64."""
+        words = self.half[lanes]
+        fresh = ~self.has_half[lanes]
+        if fresh.any():
+            raw = self._take(lanes[fresh], 1)[:, 0]
+            words[fresh] = raw & 0xFFFFFFFF
+            self.half[lanes[fresh]] = raw >> 32
+        self.has_half[lanes] = fresh
+        return words
+
+    def segments(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each lane's next controls (k, m), duration (k,) and drift index (k,)."""
+        d = (self._take(lanes, self.m + 1) >> 11) * 2.0**-53
+        a = CONTROL_AMPLITUDE
+        lo, hi = SEGMENT_DURATIONS
+        u = -a + (a - (-a)) * d[:, : self.m]
+        dur = lo + (hi - lo) * d[:, self.m]
+        idx = np.zeros(len(lanes), dtype=np.intp)
+        if self.n_drifts > 1:
+            n = self.n_drifts
+            floor = (1 << 32) % n  # Lemire rejects a low word below 2**32 mod n
+            todo = np.arange(len(lanes))
+            while len(todo):
+                prod = self._words(lanes[todo]) * np.uint64(n)
+                ok = (prod & 0xFFFFFFFF) >= floor
+                idx[todo[ok]] = (prod[ok] >> 32).astype(np.intp)
+                todo = todo[~ok]
+        return u, dur, idx
+
+
+def _inside(X: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Rows of X inside the box; a nan row is not."""
+    ok = (X[:, 0] >= box[0, 0]) & (X[:, 0] <= box[0, 1])
+    for ax in range(1, X.shape[1]):
+        ok &= (X[:, ax] >= box[ax, 0]) & (X[:, ax] <= box[ax, 1])
+    return ok
+
+
+def _ensemble(
+    system: SystemSpec, x0: Sequence[float], T: float | None, n_traj: int | None, seed: int | None
+) -> tuple[np.ndarray, float, int, int]:
+    """x0, T, n_traj and seed, the spec's own where not given."""
+    T = float(T if T is not None else system.horizon)
+    n_traj = int(n_traj if n_traj is not None else system.n_traj)
+    if T <= 0 or n_traj < 1:
+        raise ValueError("need T > 0 and n_traj >= 1")
+    return np.asarray(x0, dtype=float), T, n_traj, system.seed if seed is None else seed
+
+
+def _run(
+    system: SystemSpec,
+    x0: np.ndarray,
+    T: float,
+    n_traj: int,
+    seed: int,
+    fold: Callable[[float, np.ndarray, np.ndarray], None],
+    sample_stride: float = 0.1,
+    dt: float = DEFAULT_DT,
+) -> None:
+    """Step an ensemble of randomly controlled trajectories from x0.
+
+    At t = 0, every sample_stride and at T, fold(t, points, ids) gets
+    the points of the live trajectories inside the window and their
+    ids, in ascending id. A trajectory that leaves the inflated roaming
+    window, or turns nan, retires at once and is stepped no more.
+    """
+    m = len(system.controls)
+    drift_fns = [d.compiled() for d in system.drifts]
+    control_fns = [g.compiled() for g in system.controls]
+    n_drifts = len(drift_fns)
+    roam = np.array(inflate_window(system.window, ORACLE_INFLATION))
+    win = np.array(system.window)
+    draws = _Draws(seed, n_traj, m, n_drifts)
+
+    ids = np.arange(n_traj)  # the live trajectories
+    X = np.tile(x0, (n_traj, 1))
+    U = np.zeros((n_traj, m))
+    seg_end = np.zeros(n_traj)
+    didx = np.zeros(n_traj, dtype=np.intp)
+
+    def rhs(Y: np.ndarray, masks: list[np.ndarray]) -> np.ndarray:
+        if n_drifts == 1:
+            out = drift_fns[0](Y)
+        else:
+            out = np.empty_like(Y)
+            for fn, mask in zip(drift_fns, masks):
+                if mask.any():
+                    out[mask] = fn(Y[mask])
+        for i in range(m):
+            out = out + U[:, i : i + 1] * control_fns[i](Y)
+        return out
+
+    def record(t: float) -> None:
+        inside = _inside(X, win)
+        if inside.any():
+            fold(t, X[inside], ids[inside])
+
+    n_steps = int(np.ceil(T / dt))
+    stride_steps = max(1, int(round(sample_stride / dt)))
+    record(0.0)
+    t = 0.0
+    # the kernels enter no errstate; a lane that turns nan is retired below
+    with np.errstate(all="ignore"):
+        for step_i in range(n_steps):
+            h = min(dt, T - t)
+            due = np.flatnonzero(seg_end <= t + 1e-12)
+            if len(due):
+                U[due], dur, didx[due] = draws.segments(ids[due])
+                seg_end[due] = t + dur
+            masks = [didx == j for j in range(n_drifts)] if n_drifts > 1 else []
+            k1 = rhs(X, masks)
+            k2 = rhs(X + 0.5 * h * k1, masks)
+            k3 = rhs(X + 0.5 * h * k2, masks)
+            k4 = rhs(X + h * k3, masks)
+            X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            live = _inside(X, roam)
+            if not live.all():
+                ids, X, U, seg_end, didx = (a[live] for a in (ids, X, U, seg_end, didx))
+                if not len(ids):
+                    break
+            if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
+                record(t)
+
+
+def _trim_heap() -> None:
+    """Hand freed heap pages back to the OS; a no-op without glibc."""
+    import ctypes  # imported here, so that importing geoctrl stays as fast
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 def simulate_reach(
@@ -129,94 +333,36 @@ def simulate_reach(
     inflated roaming window freezes there; its earlier points are kept.
     Identical seeds give identical clouds, and trajectory i is driven by
     its own child generator, so growing n_traj or T only appends data.
+    The cloud keeps its points and, per record, its time and a bitmap
+    of the trajectories it stored; the chunk heap of the records is
+    handed back to the OS once the cloud is assembled.
     """
-    T = float(T if T is not None else system.horizon)
-    n_traj = int(n_traj if n_traj is not None else system.n_traj)
-    if T <= 0 or n_traj < 1:
-        raise ValueError("need T > 0 and n_traj >= 1")
-    seed = system.seed if seed is None else seed
-    n = system.dim
-    m = len(system.controls)
-    x0 = np.asarray(x0, dtype=float)
+    x0, T, n_traj, seed = _ensemble(system, x0, T, n_traj, seed)
+    chunks: list[np.ndarray] = []
+    bits: list[np.ndarray] = []
+    times: list[float] = []
 
-    drift_fns = [d.compiled() for d in system.drifts]
-    control_fns = [g.compiled() for g in system.controls]
-    n_drifts = len(drift_fns)
-    inflated = np.array(inflate_window(system.window, ORACLE_INFLATION))
-    win = np.array(system.window)
+    def store(t: float, pts: np.ndarray, ids: np.ndarray) -> None:
+        stored = np.zeros(n_traj, dtype=bool)
+        stored[ids] = True
+        chunks.append(pts)
+        bits.append(np.packbits(stored))
+        times.append(t)
 
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-    X = np.tile(x0, (n_traj, 1))
-    U = np.zeros((n_traj, m))
-    seg_end = np.zeros(n_traj)
-    drift_idx = np.zeros(n_traj, dtype=int)
-    active = np.ones(n_traj, dtype=bool)
-
-    def rhs(Y: np.ndarray, U: np.ndarray, didx: np.ndarray) -> np.ndarray:
-        if n_drifts == 1:
-            out = drift_fns[0](Y)
-        else:
-            out = np.empty_like(Y)
-            for j in range(n_drifts):
-                mask = didx == j
-                if mask.any():
-                    out[mask] = drift_fns[j](Y[mask])
-        for i in range(m):
-            out = out + U[:, i:i + 1] * control_fns[i](Y)
-        return out
-
-    pts_chunks: list[np.ndarray] = []
-    ids_chunks: list[np.ndarray] = []
-    rec_times: list[float] = []
-
-    def record(t: float):
-        inside = active & np.all((X >= win[:, 0]) & (X <= win[:, 1]), axis=1)
-        if inside.any():
-            pts_chunks.append(X[inside])  # a mask index copies
-            ids_chunks.append(np.flatnonzero(inside))
-            rec_times.append(t)
-
-    n_steps = int(np.ceil(T / dt))
-    stride_steps = max(1, int(round(sample_stride / dt)))
-    record(0.0)
-    t = 0.0
-    # the kernels enter no errstate; a lane that turns nan is retired below
-    with np.errstate(all="ignore"):
-        for step_i in range(n_steps):
-            h = min(dt, T - t)
-            expired = active & (seg_end <= t + 1e-12)
-            for i in np.flatnonzero(expired):
-                U[i], dur, drift_idx[i] = _resample_controls(rngs[i], m, n_drifts)
-                seg_end[i] = t + dur
-            act = np.flatnonzero(active)
-            if len(act) == 0:
-                break
-            Y = X[act]
-            Ua = U[act]
-            da = drift_idx[act]
-            k1 = rhs(Y, Ua, da)
-            k2 = rhs(Y + 0.5 * h * k1, Ua, da)
-            k3 = rhs(Y + 0.5 * h * k2, Ua, da)
-            k4 = rhs(Y + h * k3, Ua, da)
-            X[act] = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            escaped = ~np.all(
-                (X >= inflated[:, 0]) & (X <= inflated[:, 1]) & np.isfinite(X), axis=1
-            )
-            active &= ~escaped
-            if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
-                record(t)
-
-    points, ids, times = _cloud_arrays(pts_chunks, ids_chunks, rec_times, n)
-    return ReachCloud(
+    _run(system, x0, T, n_traj, seed, store, sample_stride, dt)
+    n_bytes = -(-n_traj // 8)
+    cloud = ReachCloud(
         origin=x0,
         horizon=T,
         n_traj=n_traj,
-        points=points,
-        traj_ids=ids,
-        times=times,
+        points=np.concatenate(chunks) if chunks else np.zeros((0, system.dim)),
+        record_times=np.array(times, dtype=float),
+        record_bits=np.array(bits, dtype=np.uint8).reshape(len(bits), n_bytes),
         window=tuple(system.window),
     )
+    chunks.clear()
+    _trim_heap()
+    return cloud
 
 
 def coverage(
@@ -226,19 +372,16 @@ def coverage(
 ) -> float:
     """Fraction of occupancy cells holding at least one cloud point."""
     window = tuple(window if window is not None else cloud.window)
-    n = len(window)
-    total = cells_per_axis ** n
-    if len(cloud.points) == 0:
-        return 0.0
-    idx = _cell_indices(cloud.points, window, cells_per_axis)
-    return len(np.unique(idx)) / total
+    grid = np.zeros(cells_per_axis ** len(window), dtype=bool)
+    _occupy(grid, cloud.points, window, cells_per_axis)
+    return np.count_nonzero(grid) / grid.size
 
 
 def monotone_witness_check(
     cloud: ReachCloud,
     witness: Sequence[float],
     quotient_frame: np.ndarray,
-    tol: float = 1e-6,
+    tol: float = WITNESS_TOL,
 ) -> bool:
     """Does the cloud respect the separating covector frozen at the origin?
 
@@ -248,9 +391,39 @@ def monotone_witness_check(
     """
     if len(cloud.points) == 0:
         return True
-    d = np.asarray(witness, dtype=float)
-    rel = (cloud.points - cloud.origin) @ quotient_frame.T
-    return bool(np.min(rel @ d) >= -tol)
+    values = _covector_values(cloud.points, cloud.origin, witness, quotient_frame)
+    return bool(np.min(values) >= -tol)
+
+
+def _covered(
+    system: SystemSpec, x0, T: float | None, n_traj: int | None, seed: int, cells: int
+) -> float:
+    """`coverage` of `simulate_reach`, folded record by record into a grid."""
+    x0, T, n_traj, seed = _ensemble(system, x0, T, n_traj, seed)
+    window = tuple(system.window)
+    grid = np.zeros(cells ** len(window), dtype=bool)
+    _run(system, x0, T, n_traj, seed, lambda t, pts, ids: _occupy(grid, pts, window, cells))
+    return np.count_nonzero(grid) / grid.size
+
+
+def _respected(
+    system: SystemSpec,
+    x0,
+    T: float | None,
+    n_traj: int | None,
+    seed: int,
+    witness: Sequence[float],
+    quotient_frame: np.ndarray,
+) -> bool:
+    """`monotone_witness_check` of `simulate_reach`, folded record by record."""
+    x0, T, n_traj, seed = _ensemble(system, x0, T, n_traj, seed)
+    lowest = [np.inf]
+
+    def fold(t: float, pts: np.ndarray, ids: np.ndarray) -> None:
+        lowest[0] = min(lowest[0], np.min(_covector_values(pts, x0, witness, quotient_frame)))
+
+    _run(system, x0, T, n_traj, seed, fold)
+    return bool(lowest[0] >= -WITNESS_TOL)
 
 
 def _quotient_is_constant(system: SystemSpec, probes: int = 8) -> bool:
@@ -287,7 +460,10 @@ def cross_validate(
     threshold, since a controllable system reaches the whole window from
     anywhere in either time direction. UNCONTROLLABLE: re-simulate from
     a failing base point and require the cloud to respect the separating
-    covector. Anything else is untested.
+    covector. Anything else is untested. Each run is the ensemble
+    `simulate_reach` would step, folded as it goes into the occupancy
+    grid of `coverage` or the lowest value of `monotone_witness_check`,
+    so no run stores its points and the results are the same.
     """
     seed = system.seed if seed is None else seed
     if verdict.status == STATUS_CONTROLLABLE:
@@ -302,10 +478,7 @@ def cross_validate(
         agree = True
         for si, start in enumerate(starts):
             for label, sys_ in (("forward", system), ("reverse", reversed_system)):
-                cloud = simulate_reach(
-                    sys_, start, T=horizon, n_traj=n_traj, seed=seed + si
-                )
-                cov = coverage(cloud, cells_per_axis=cells_per_axis)
+                cov = _covered(sys_, start, horizon, n_traj, seed + si, cells_per_axis)
                 ok = cov >= threshold
                 agree &= ok
                 entries.append(
@@ -336,11 +509,14 @@ def cross_validate(
         )
         if failing is None:
             return {"mode": "witness", "status": "UNTESTED", "entries": []}
-        cloud = simulate_reach(
-            system, failing.base, T=horizon, n_traj=n_traj, seed=seed
-        )
-        ok = monotone_witness_check(
-            cloud, failing.witness["covector"], failing.quotient_frame
+        ok = _respected(
+            system,
+            failing.base,
+            horizon,
+            n_traj,
+            seed,
+            failing.witness["covector"],
+            failing.quotient_frame,
         )
         return {
             "mode": "witness",

@@ -563,6 +563,25 @@ def test_sample_leaf_deterministic():
     ) or len(a.visits) != len(c.visits)
 
 
+@pytest.mark.parametrize("family", ["constant", "curved"])
+def test_leaf_samples_compare_by_value(family):
+    if family == "constant":  # frames is None
+        fam = _family(VectorField.parse(["1", "0"], N2), VectorField.parse(["0", "1"], N2))
+    else:  # a frame per visit
+        fam = _family(ROTATION)
+    a = sample_leaf(fam, [0.1, 0.2], budget=3, rng_seed=5)
+    b = sample_leaf(fam, [0.1, 0.2], budget=3, rng_seed=5)
+    assert (a.frames is None) == (family == "constant")
+    assert a == b and not a != b
+    assert a != sample_leaf(fam, [0.1, 0.2], budget=3, rng_seed=6)
+    assert a != LeafSample(base=a.base, visits=a.visits, discarded=a.discarded + 1)
+    # same values, another dtype
+    assert a != LeafSample(base=a.base.astype(np.float32), visits=a.visits, discarded=a.discarded)
+    assert a != "leaf" and a.__eq__(a.base) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_sample_leaf_visits_match_their_words():
     fam = _family(ROTATION, VectorField.parse(["x1", "0"], N2))
     leaf = sample_leaf(fam, [0.5, 0.5], budget=5, max_duration=0.4, rng_seed=7)

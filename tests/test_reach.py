@@ -1,7 +1,9 @@
 """Monte-Carlo reachability oracle and verdict cross-validation."""
 
 import csv
+import ctypes
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from geoctrl import reach
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
     STATUS_INCONCLUSIVE,
+    STATUS_UNCONTROLLABLE,
     GlobalVerdict,
     global_verdict,
 )
@@ -41,6 +44,31 @@ def _sys2(drift_exprs, control_exprs=("0", "1"), **kw) -> SystemSpec:
         window=WIN2,
         **kw,
     )
+
+
+def _switched(n_drifts: int) -> SystemSpec:
+    """A planar family switching among n_drifts drifts."""
+    drifts = [["x2", "0"], ["0 - x2", "0"], ["0", "x1"], ["1", "0"], ["sin(x2)", "cos(x1)"]]
+    return SystemSpec(
+        name=f"switched{n_drifts}",
+        var_names=N2,
+        drifts=tuple(VectorField.parse(d, N2) for d in drifts[:n_drifts]),
+        controls=(VectorField.parse(["0", "1"], N2),),
+        window=WIN2,
+    )
+
+
+# the bundled systems and two switched families the bundle lacks
+FAMILIES = {p.stem: p for p in SYSTEMS} | {"switched3": 3, "switched5": 5}
+
+
+def _family(name) -> SystemSpec:
+    src = FAMILIES[name]
+    return _switched(src) if isinstance(src, int) else load_spec(src)
+
+
+def _center(system: SystemSpec) -> list[float]:
+    return [(lo + hi) / 2.0 for lo, hi in system.window]
 
 
 def offset_unicycle() -> SystemSpec:
@@ -118,23 +146,62 @@ def test_cloud_assembly_matches_stacked_chunks(path, monkeypatch):
         system, x0 = _sys2(["x2", "0"]), [9.0, 0.0]
     else:
         system = load_spec(path)
-        x0 = [(lo + hi) / 2.0 for lo, hi in system.window]
-    calls = []
-    cloud_arrays = reach._cloud_arrays
+        x0 = _center(system)
+    records = []
+    run = reach._run
 
-    def assemble(*args):
-        calls.append((cloud_arrays(*args), _stacked_cloud_arrays(*args)))
-        return calls[-1][0]
+    def spy(system, x0, T, n_traj, seed, fold, *args):
+        def keep(t, pts, ids):
+            records.append((t, pts.copy(), ids.copy()))
+            fold(t, pts, ids)
 
-    monkeypatch.setattr(reach, "_cloud_arrays", assemble)
+        run(system, x0, T, n_traj, seed, keep, *args)
+
+    monkeypatch.setattr(reach, "_run", spy)
     cloud = simulate_reach(system, x0, T=3.0, n_traj=60)
-    (got, want), = calls
-    for a, b in zip(got, want):
+    want = _stacked_cloud_arrays(
+        [p for _, p, _ in records], [i for _, _, i in records], [t for t, _, _ in records], system.dim
+    )
+    for a, b in zip((cloud.points, cloud.traj_ids, cloud.times), want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    assert all(a is b for a, b in zip((cloud.points, cloud.traj_ids, cloud.times), got))
     assert cloud.traj_ids.dtype == np.int64 and cloud.times.dtype == np.float64
+    assert cloud.record_bits.shape == (len(records), 8)  # ceil(60 / 8) bytes a record
     assert (len(cloud.points) == 0) == (path == "empty")
+
+
+def test_cloud_holds_a_bitmap_per_record_not_ids_and_times_per_point():
+    system = load_spec(SYSTEMS[[p.stem for p in SYSTEMS].index("unicycle")])
+    cloud = simulate_reach(system, _center(system))
+    R = len(cloud.record_times)
+    held = sum(
+        v.nbytes for k, v in vars(cloud).items() if isinstance(v, np.ndarray) and k != "origin"
+    )
+    assert cloud.n_traj == 6000 and len(cloud.points) > 100_000
+    assert held <= cloud.points.nbytes + R * (-(-cloud.n_traj // 8) + 8)
+
+
+def test_clouds_compare_by_value():
+    sys_ = _sys2(["x2", "0"])
+    a = simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=10, seed=1)
+    b = simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=10, seed=1)
+    assert a == b and not a != b
+    assert a != simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=10, seed=2)
+    assert a != simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=11, seed=1)
+    assert a != "cloud" and a.__eq__(a.points) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_simulation_runs_where_malloc_trim_is_missing(monkeypatch):
+    sys_ = _sys2(["x2", "0"])
+    want = simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=10, seed=1)
+
+    def no_libc(*args, **kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=10, seed=1) == want
 
 
 def test_switched_drift_engages_both_drifts():
@@ -159,20 +226,194 @@ def test_bad_budgets_raise():
         simulate_reach(sys_, [0.0, 0.0], T=1.0, n_traj=0)
 
 
+# --- the former oracle, kept as the reference -------------------------------
+
+
+def _resample_controls(rng: np.random.Generator, m: int, n_drifts: int):
+    """One trajectory's fresh control vector, segment length, drift index."""
+    u = rng.uniform(-reach.CONTROL_AMPLITUDE, reach.CONTROL_AMPLITUDE, size=m)
+    dur = float(rng.uniform(*reach.SEGMENT_DURATIONS))
+    j = int(rng.integers(0, n_drifts)) if n_drifts > 1 else 0
+    return u, dur, j
+
+
+def _reference_reach(system, x0, T, n_traj, seed, sample_stride=0.1, dt=reach.DEFAULT_DT):
+    """Points, trajectory ids and times of the per-segment oracle: one
+    generator call per trajectory per segment, the live lanes gathered
+    from and scattered back to full-size arrays at every step."""
+    n, m = system.dim, len(system.controls)
+    drift_fns = [d.compiled() for d in system.drifts]
+    control_fns = [g.compiled() for g in system.controls]
+    n_drifts = len(drift_fns)
+    inflated = np.array(reach.inflate_window(system.window, reach.ORACLE_INFLATION))
+    win = np.array(system.window)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    X = np.tile(np.asarray(x0, dtype=float), (n_traj, 1))
+    U = np.zeros((n_traj, m))
+    seg_end = np.zeros(n_traj)
+    drift_idx = np.zeros(n_traj, dtype=int)
+    active = np.ones(n_traj, dtype=bool)
+
+    def rhs(Y, U, didx):
+        if n_drifts == 1:
+            out = drift_fns[0](Y)
+        else:
+            out = np.empty_like(Y)
+            for j in range(n_drifts):
+                mask = didx == j
+                if mask.any():
+                    out[mask] = drift_fns[j](Y[mask])
+        for i in range(m):
+            out = out + U[:, i : i + 1] * control_fns[i](Y)
+        return out
+
+    pts, ids, times = [], [], []
+
+    def record(t):
+        inside = active & np.all((X >= win[:, 0]) & (X <= win[:, 1]), axis=1)
+        pts.append(X[inside])
+        ids.append(np.flatnonzero(inside))
+        times.append(np.full(int(inside.sum()), t))
+
+    n_steps = int(np.ceil(T / dt))
+    stride_steps = max(1, int(round(sample_stride / dt)))
+    record(0.0)
+    t = 0.0
+    with np.errstate(all="ignore"):
+        for step_i in range(n_steps):
+            h = min(dt, T - t)
+            expired = active & (seg_end <= t + 1e-12)
+            for i in np.flatnonzero(expired):
+                U[i], dur, drift_idx[i] = _resample_controls(rngs[i], m, n_drifts)
+                seg_end[i] = t + dur
+            act = np.flatnonzero(active)
+            if len(act) == 0:
+                break
+            Y, Ua, da = X[act], U[act], drift_idx[act]
+            k1 = rhs(Y, Ua, da)
+            k2 = rhs(Y + 0.5 * h * k1, Ua, da)
+            k3 = rhs(Y + 0.5 * h * k2, Ua, da)
+            k4 = rhs(Y + h * k3, Ua, da)
+            X[act] = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            escaped = ~np.all(
+                (X >= inflated[:, 0]) & (X <= inflated[:, 1]) & np.isfinite(X), axis=1
+            )
+            active &= ~escaped
+            if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
+                record(t)
+    return np.concatenate(pts).reshape(-1, n), np.concatenate(ids), np.concatenate(times)
+
+
+def _reference_cloud(system, x0, T, n_traj, seed) -> ReachCloud:
+    pts, ids, times = _reference_reach(system, x0, T, n_traj, seed)
+    return _cloud_from(pts, ids, times, n_traj, x0, system.window)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_cloud_matches_the_former_oracle(name, seed):
+    system = _family(name)
+    x0 = _center(system)
+    cloud = simulate_reach(system, x0, T=3.0, n_traj=40, seed=seed)
+    want = _reference_reach(system, x0, 3.0, 40, seed)
+    assert len(want[0]) > 0
+    for a, b in zip((cloud.points, cloud.traj_ids, cloud.times), want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_drifts", [1, 2, 3, 5])
+def test_block_draws_match_the_generator_calls(n_drifts):
+    m, n_traj = 2, 7
+    for seed in (0, 3):
+        draws = reach._Draws(seed, n_traj, m, n_drifts)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+        pick = np.random.default_rng(seed + 100)
+        for _ in range(40):  # lanes draw at different rates, so their blocks desynchronize
+            lanes = np.flatnonzero(pick.random(n_traj) < 0.6)
+            u, dur, idx = draws.segments(lanes)
+            for k, i in enumerate(lanes):
+                u_ref, dur_ref, j_ref = _resample_controls(rngs[i], m, n_drifts)
+                assert u[k].tobytes() == u_ref.tobytes()
+                assert dur[k] == dur_ref and idx[k] == j_ref
+
+
+@pytest.mark.parametrize("n_drifts, rejects", [(2, False), (3, True), (5, True)])
+def test_index_draw_rejects_a_low_word_below_the_lemire_floor(n_drifts, rejects):
+    # a 32-bit word of 0 maps to index 0 with leftover 0, which Lemire
+    # rejects iff 2**32 mod n > 0; the next word (all ones) gives n - 1
+    draws = reach._Draws(0, 1, 0, n_drifts)
+    lane = np.array([0])
+    draws.segments(lane)  # fills the block
+    c = int(draws.cur[0])
+    draws.has_half[0] = False
+    draws.raw[0, c : c + 2] = [0, 0xFFFFFFFF << 32]  # duration, then words 0 and 2**32 - 1
+    _, _, idx = draws.segments(lane)
+    assert int(idx[0]) == (n_drifts - 1 if rejects else 0)
+    assert bool(draws.has_half[0]) == (not rejects)
+
+
+def test_cross_validate_coverage_matches_the_former_oracle():
+    for name in ("planar_shear", "saddle3d", "switched3"):
+        system = replace(_family(name), n_traj=30, horizon=3.0, seed=5)
+        stand_in = GlobalVerdict(
+            status=STATUS_CONTROLLABLE, points=(), assumptions={}, regularity=None
+        )
+        report = cross_validate(stand_in, system)
+        reversed_system = replace(system, drifts=tuple(d.negate() for d in system.drifts))
+        want = []
+        for si, entry in enumerate(report["entries"][::2]):
+            for sys_ in (system, reversed_system):
+                cloud = _reference_cloud(sys_, entry["start"], 3.0, 30, 5 + si)
+                want.append(coverage(cloud))
+        assert [e["coverage"] for e in report["entries"]] == want
+        assert 0.0 < min(want)
+
+
+def test_cross_validate_witness_matches_the_former_oracle():
+    forward = _sys2(["1 + x2^2", "0"], assume_not_dense=True, n_traj=40, horizon=4.0)
+    verdict = global_verdict(forward, grid_per_axis=3, leaf_budget=12)
+    assert verdict.status == STATUS_UNCONTROLLABLE
+    # the grid's center, where the shear below runs both ways along x1
+    failing = next(p for p in verdict.points if not np.any(p.base))
+    assert failing.witness["kind"] == "separating"
+    verdict = replace(verdict, points=(failing,))
+    flags = []
+    for system in (forward, replace(forward, drifts=(VectorField.parse(["x2", "0"], N2),))):
+        report = cross_validate(verdict, system)
+        (entry,) = report["entries"]
+        cloud = _reference_cloud(system, failing.base, 4.0, 40, system.seed)
+        flags.append(entry["respected"])
+        assert entry["respected"] == monotone_witness_check(
+            cloud, failing.witness["covector"], failing.quotient_frame
+        )
+    assert flags == [True, False]
+
+
 # --- coverage and occupancy ------------------------------------------------
+
+
+def _cloud_from(points, ids, times, n_traj, origin, window) -> ReachCloud:
+    """The ReachCloud that stores these points, trajectory ids and times."""
+    record_times, rec = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    stored = np.zeros((len(record_times), n_traj), dtype=bool)
+    stored[rec, ids] = True
+    return ReachCloud(
+        origin=np.asarray(origin, dtype=float),
+        horizon=1.0,
+        n_traj=n_traj,
+        points=points,
+        record_times=record_times,
+        record_bits=np.packbits(stored, axis=1),
+        window=tuple(window),
+    )
 
 
 def _synthetic_cloud(points: np.ndarray, window=WIN2) -> ReachCloud:
     m = len(points)
-    return ReachCloud(
-        origin=np.zeros(points.shape[1] if m else len(window)),
-        horizon=1.0,
-        n_traj=max(m, 1),
-        points=points,
-        traj_ids=np.arange(m),
-        times=np.zeros(m),
-        window=tuple(window),
-    )
+    origin = np.zeros(points.shape[1] if m else len(window))
+    return _cloud_from(points, np.arange(m), np.zeros(m), max(m, 1), origin, window)
 
 
 def test_coverage_empty_cloud_is_zero():

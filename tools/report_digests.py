@@ -20,7 +20,11 @@ closes a hull, these lines show them all. Last of all come the verdicts
 (`global_verdict` at grid 2 and at the spec's own grid), digested over
 every point's `condition_holds`, `det_agrees`, `samples_used` and
 `error`, on every system at seeds 0, 3 and 7: a change that moves report
-bytes but keeps these lines keeps every verdict.
+bytes but keeps these lines keeps every verdict. After them come the
+oracle runs (`cross_validate` under a stand-in CONTROLLABLE verdict, so
+all 10 coverage runs at the spec's own trajectory count and horizon),
+digested over the whole oracle report, on every system at seeds 0, 3
+and 7: `check` reaches coverage mode on the certified systems only.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -78,6 +82,9 @@ def _runs(systems: list[str]):
         for name in systems:
             yield "verdict", name, seed, 2
             yield "verdict", name, seed, None
+    for seed in SEEDS:
+        for name in systems:
+            yield "oracle", name, seed, None
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
@@ -120,6 +127,12 @@ def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, st
         return "-", _walk_digest(spec, seed, grid)
     if command == "verdict":
         return "-", _verdict_digest(g, spec, seed, grid)
+    if command == "oracle":
+        stand_in = g.GlobalVerdict(
+            status="CONTROLLABLE_CERTIFIED", points=(), assumptions={}, regularity=None
+        )
+        oracle = g.cross_validate(stand_in, spec, seed=seed)
+        return "-", _sha(json.dumps(oracle, default=_plain).encode())
     if command.startswith("verify"):
         cand = command[len("verify S=(") : -1].split(",")
         S = [g.VectorField.parse(cand, spec.var_names)]
