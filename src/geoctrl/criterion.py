@@ -122,32 +122,48 @@ def sign_change_on_leaf(
     """Does the criterion evaluator change sign over the leaf sample?
 
     Values in [-eps_sign, eps_sign] are treated as zero and certify
-    nothing. The base point participates alongside the visits.
+    nothing. The base point participates alongside the visits. C runs on
+    the base and then on the visits in order, and stops at the first
+    point where the largest value so far is above eps_sign and the
+    smallest below -eps_sign: the witness is that pair, and
+    `samples_used` counts the points evaluated. The running extremes
+    are picked as `max`/`min` pick them, so a nan at the base is both
+    and no sign change is found, while a later nan is passed over.
     """
-    points = [leaf.base] + [y for y, _ in leaf.visits]
-    values = [float(C(p)) for p in points]
-    best_pos = max(range(len(values)), key=lambda i: values[i])
-    best_neg = min(range(len(values)), key=lambda i: values[i])
-    holds = values[best_pos] > eps_sign and values[best_neg] < -eps_sign
+    used = 0
+    holds = False
+    for p in [leaf.base] + [y for y, _ in leaf.visits]:
+        v = float(C(p))
+        if not used:
+            y_pos = y_neg = p
+            v_pos = v_neg = v
+        elif v > v_pos:
+            y_pos, v_pos = p, v
+        elif v < v_neg:
+            y_neg, v_neg = p, v
+        used += 1
+        if v_pos > eps_sign and v_neg < -eps_sign:
+            holds = True
+            break
     if holds:
         witness = {
             "kind": "sign_change",
-            "y_pos": points[best_pos].tolist(),
-            "y_neg": points[best_neg].tolist(),
-            "value_pos": values[best_pos],
-            "value_neg": values[best_neg],
+            "y_pos": y_pos.tolist(),
+            "y_neg": y_neg.tolist(),
+            "value_pos": v_pos,
+            "value_neg": v_neg,
         }
     else:
         witness = {
             "kind": "no_sign_change",
-            "value_min": values[best_neg],
-            "value_max": values[best_pos],
+            "value_min": v_neg,
+            "value_max": v_pos,
         }
     return PointVerdict(
         base=leaf.base,
         condition_holds=holds,
         witness=witness,
-        samples_used=len(values),
+        samples_used=used,
         quotient_frame=np.zeros((0, len(leaf.base))),
     )
 

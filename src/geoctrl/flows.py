@@ -24,21 +24,17 @@ per-lane step sizes, each lane reproducing the scalar `_integrate` bit
 for bit; a refill hook admits new lanes as others leave. `integrate_words`
 runs the piecewise-constant control words of the shooting estimators on
 it (a single word runs `_integrate` itself), `sample_leaves` the leaf
-walks of any number of base points, one lane per walking point, and
+walks of non-constant families, one lane per walking point, and
 `pushforward_along` one flow with its frame. Frame columns are
 passengers: the step control reads the point columns alone, so a point
 steps exactly as a bare one does, and on those steps the frame is the
 exact derivative of the numerical flow.
 
 A walk along constant generators (every component a `Const`, as in
-every bundled system) is a translation: DV = 0, so its frame is exactly
-I and the walk carries none. The field's kernel returns the same values
-whatever point it is given, so all seven DP54 stages of a step equal
-k0. Such walk pools skip the six stage evaluations and add the
-precomputed weighted stage sums instead, which are the very numbers
-`_integrate` forms, so walks stay bit for bit the same. Walks of other
-families and shooting words (state-dependent drifts) keep the general
-stepper.
+every bundled system) needs no integrator: a segment is y + tau * v,
+its frame is exactly I and the walk carries none. The inflated window
+is a box, and a box is convex, so a segment leaves it iff its endpoint
+does, which is all the stepper ever tested.
 """
 
 from __future__ import annotations
@@ -96,6 +92,14 @@ class StepUnderflowError(FlowError):
 
 @dataclass(frozen=True)
 class StepControl:
+    """DP54 tolerances, step bounds and the window a flow must stay in.
+
+    A flow fails where a step ends outside `window` (or at a non-finite
+    state), where the step size falls below `h_min`, or after `max_steps`
+    steps. A walk segment along a constant generator takes no steps, so
+    only `window` binds it.
+    """
+
     atol: float = 1e-9
     rtol: float = 1e-9
     h_init: float = 0.01
@@ -117,12 +121,11 @@ def inflate_window(
 
 
 def _in_box(x: np.ndarray, box: tuple[tuple[float, float], ...] | None) -> bool:
-    if box is None:
-        return bool(np.all(np.isfinite(x)))
-    for v, (lo, hi) in zip(x, box):
-        if not (lo <= v <= hi):
-            return False
-    return True
+    """x is finite and, when there is a box, inside it."""
+    coords = x.tolist()
+    if box is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(coords, box)):
+        return False
+    return all(map(math.isfinite, coords))
 
 
 # Dormand-Prince 5(4) coefficients
@@ -140,14 +143,6 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-
-
-def _steady_sums(v: np.ndarray) -> np.ndarray:
-    """Rows B5 @ k and B4 @ k of a step whose seven stages all equal v,
-    formed as `_integrate` forms them from its (7, n) stage array."""
-    k = np.empty((7, v.size))
-    k[:] = v
-    return np.array([_DP_B5 @ k, _DP_B4 @ k])
 
 
 def _integrate(
@@ -190,7 +185,7 @@ def _integrate(
                 # a copy, since a rejected trial overwrites k[6]
                 k0 = k[6].copy()
                 remaining -= h
-                if not np.all(np.isfinite(y)) or not _in_box(y, ctrl.window):
+                if not _in_box(y, ctrl.window):
                     raise WindowEscapeError(y)
             # standard step resize with safety factor
             factor = 0.9 * (err + 1e-16) ** -0.2
@@ -375,11 +370,10 @@ def _mix(coef: np.ndarray, K: np.ndarray, dim: int) -> np.ndarray:
 def _step_lanes(
     lanes: list[_Lane],
     Y: np.ndarray,
-    field: Callable[[list[_Lane]], Kernel] | None,
+    field: Callable[[list[_Lane]], Kernel],
     ctrl: StepControl,
     dim: int | None = None,
     refill: Callable[[Settled], list[tuple[_Lane, np.ndarray]]] | None = None,
-    steady: Callable[[_Lane], np.ndarray] | None = None,
 ) -> dict[int, np.ndarray]:
     """Step every lane through its segments: one DP54 step per lane per round.
 
@@ -391,6 +385,8 @@ def _step_lanes(
     products and means exactly. Lanes leave the batch when their segments
     end or fail; a lane entering a new segment gets k0 = rhs(y) as
     `_integrate` does, and an accepted step hands on its last stage.
+    Its lanes are shooting words (bare points) and the walks of
+    non-constant families (points with their frames).
 
     The first `dim` columns of a state are its point (all of them when
     dim is None); the rest are frame columns, passengers that never
@@ -398,15 +394,6 @@ def _step_lanes(
     the point alone, and `_mix` sums the point's stages as a bare
     lane's. So a lane's point steps bit for bit as `_integrate` steps it
     without frames.
-
-    `steady` is for pools whose every lane, admitted ones included,
-    flows a state-independent rhs (a field of `Const` components) of
-    bare points: it maps a lane to `_steady_sums` of its segment's
-    constant value, and `field` is never called. `_integrate` evaluates
-    such an rhs to that value at every stage point, finite or not, and
-    hands it on as k0, so every stage equals k0 and each round needs
-    only Y + h * (B5 @ k) and Y + h * (B4 @ k): no stage point is formed,
-    no kernel runs, and a refill builds no rhs.
 
     After each round the jobs whose lanes left go to `refill` as (job,
     endpoint) pairs in lane order, the endpoint None where `_integrate`
@@ -425,25 +412,17 @@ def _step_lanes(
     dim = dim or Y.shape[1]
     box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
     with np.errstate(all="ignore"):
-        # per lane: k0, or a steady pool's (B5 @ k, B4 @ k) rows
-        if steady is None:
-            rhs = field(lanes)
-            K0 = rhs(Y)
-        else:
-            K0 = np.array([steady(lane) for lane in lanes])
+        rhs = field(lanes)
+        K0 = rhs(Y)
         while lanes:
             L = len(lanes)
             hs = np.array([lane.sign * lane.h for lane in lanes])[:, None]
-            if steady is None:
-                K = np.empty((L, 7, Y.shape[1]))
-                K[:, 0] = K0
-                for i in range(1, 7):
-                    K[:, i] = rhs(Y + hs * _mix(_DP_A[i], K[:, :i], dim))
-                Y5 = Y + hs * _mix(_DP_B5, K, dim)
-                Y4 = Y + hs * _mix(_DP_B4, K, dim)
-            else:
-                Y5 = Y + hs * K0[:, 0]
-                Y4 = Y + hs * K0[:, 1]
+            K = np.empty((L, 7, Y.shape[1]))
+            K[:, 0] = K0
+            for i in range(1, 7):
+                K[:, i] = rhs(Y + hs * _mix(_DP_A[i], K[:, :i], dim))
+            Y5 = Y + hs * _mix(_DP_B5, K, dim)
+            Y4 = Y + hs * _mix(_DP_B4, K, dim)
             P, P5 = Y[:, :dim], Y5[:, :dim]
             scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(P), np.abs(P5))
             errs = np.sqrt(np.mean(((P5 - Y4[:, :dim]) / scale) ** 2, axis=1)).tolist()
@@ -483,8 +462,7 @@ def _step_lanes(
                 keep.append(k)
             moved = np.array(accepted)[:, None]
             Y = np.where(moved, Y5, Y)
-            if steady is None:
-                K0 = np.where(moved, K[:, 6], K0)
+            K0 = np.where(moved, K[:, 6], K0)
             if left:
                 admitted = refill(
                     [(lanes[k].job, Y[k].copy() if finished else None) for k, finished in left]
@@ -495,13 +473,9 @@ def _step_lanes(
                     fresh.extend(range(len(lanes), len(lanes) + len(admitted)))
                     lanes += [lane for lane, _ in admitted]
                     Y = np.vstack([Y, np.array([start for _, start in admitted], dtype=float)])
-                    K0 = np.concatenate([K0, np.empty((len(admitted),) + K0.shape[1:])])
+                    K0 = np.concatenate([K0, np.empty((len(admitted), K0.shape[1]))])
                 if not lanes:
                     break
-            if steady is not None:
-                for k in fresh:
-                    K0[k] = steady(lanes[k])
-                continue
             if fresh or left:
                 rhs = field(lanes)
             if fresh and len(fresh) == len(lanes):
@@ -760,16 +734,19 @@ def sample_leaves(
 ) -> list[LeafSample]:
     """`sample_leaf` at every point, point j walking from rng seed seeds[j].
 
-    Each point's walks run as one lane of a `_step_lanes` pool: when its
-    segment ends or fails, the point's next attempt joins the pool in
-    the same round, so no point waits for another. Lanes are grouped by
-    signed generator, and each lane's point is `_integrate` of its
-    segment bit for bit, so a point's sample does not depend on the
-    other points. A lane carries its walk's frame as n x n passenger
-    columns, from I at the base, so each visit records its frame. When
-    every generator is constant, the frames are I and the pool is a
-    steady one of `_step_lanes`: bare points, one stage value per signed
-    generator, no kernel call.
+    When every generator is constant, the frames are I and a segment is
+    y + tau * v in closed form, v the value of its signed generator: no
+    integrator runs, so `step` binds it through its window alone (not
+    `max_steps`, `h_min`, `atol` or `rtol`). The window is a box, so the
+    segment stays in it iff its endpoint does.
+
+    Otherwise each point's walks run as one lane of a `_step_lanes`
+    pool: when its segment ends or fails, the point's next attempt joins
+    the pool in the same round, so no point waits for another. Lanes are
+    grouped by signed generator, and each lane's point is `_integrate`
+    of its segment bit for bit, so a point's sample does not depend on
+    the other points. A lane carries its walk's frame as n x n passenger
+    columns, from I at the base, so each visit records its frame.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -781,28 +758,35 @@ def sample_leaves(
         signed[i, 1] = g
         signed[i, -1] = g.negate()
     bases = [np.asarray(x, dtype=float) for x in points]
-    field = steady = None
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if all(g.is_constant for g in gens):
         origin = np.zeros(n)
-        sums = {key: _steady_sums(V.compiled()(origin)) for key, V in signed.items()}
-        starts = bases
+        values = {key: V.compiled()(origin) for key, V in signed.items()}
+        leaves = []
+        for x, rng in zip(bases, rngs):
+            walk = _walks(x, len(gens), budget, max_duration, rng)
+            end = None  # sending None starts the coroutine at its first attempt
+            try:
+                while True:
+                    y, key, tau = walk.send(end)
+                    end = y + tau * values[key]
+                    if not _in_box(end, ctrl.window):
+                        end = None
+            except StopIteration as stop:
+                visits, discarded = stop.value
+            leaves.append(LeafSample(x, tuple(visits), discarded))
+        return leaves
 
-        def steady(lane: _Lane) -> np.ndarray:
-            return sums[lane.segs[0][1]]
-
-    else:
-        kernels = {key: (V.compiled(), V.compiled_jacobian()) for key, V in signed.items()}
-        eye = np.eye(n).ravel()
-        starts = [np.concatenate([x, eye]) for x in bases]
-
-        def field(lanes: list[_Lane]) -> _FrameLanes:
-            return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], n)
-
+    kernels = {key: (V.compiled(), V.compiled_jacobian()) for key, V in signed.items()}
+    eye = np.eye(n).ravel()
     walks = [
-        _walks(s, len(gens), budget, max_duration, np.random.default_rng(seed))
-        for s, seed in zip(starts, seeds)
+        _walks(np.concatenate([x, eye]), len(gens), budget, max_duration, rng)
+        for x, rng in zip(bases, rngs)
     ]
     leaves: list[LeafSample | None] = [None] * len(walks)
+
+    def field(lanes: list[_Lane]) -> _FrameLanes:
+        return _FrameLanes(kernels, [lane.segs[0][1] for lane in lanes], n)
 
     def admit(settled: Settled) -> list[tuple[_Lane, np.ndarray]]:
         new = []
@@ -810,12 +794,10 @@ def sample_leaves(
             try:
                 y, key, tau = walks[j].send(end)
             except StopIteration as stop:
-                visits, discarded = stop.value
-                frames = None
-                if steady is None:  # states are a point and its frame
-                    frames = tuple(s[n:].reshape(n, n) for s, _ in visits)
-                    visits = [(s[:n], word) for s, word in visits]
-                leaves[j] = LeafSample(bases[j], tuple(visits), discarded, frames)
+                visits, discarded = stop.value  # states are a point and its frame
+                frames = tuple(s[n:].reshape(n, n) for s, _ in visits)
+                visits = tuple((s[:n], word) for s, word in visits)
+                leaves[j] = LeafSample(bases[j], visits, discarded, frames)
                 continue
             new.append((_Lane(j, [(tau, key)], ctrl), y))
         return new
@@ -825,5 +807,5 @@ def sample_leaves(
     if first:
         Y = np.array([y for _, y in first], dtype=float)
         lanes = [lane for lane, _ in first]
-        _step_lanes(lanes, Y, field, ctrl, dim=n, refill=admit, steady=steady)
+        _step_lanes(lanes, Y, field, ctrl, dim=n, refill=admit)
     return leaves

@@ -14,10 +14,12 @@ coarsened family, which is all an occupancy estimate needs.
 
 Trajectory i draws its segments from its own child generator of
 SeedSequence(seed), in raw 64-bit blocks a few segments at a time
-(`_Draws`). The blocks are turned into exactly the numbers that
-Generator.uniform and Generator.integers give for the same stream, so
-a cloud does not depend on how its draws are batched, and the
-trajectories whose segments end at a step draw together.
+(`_Draws`); the seed states of all children come from one vectorized
+pass of SeedSequence's hash (`_spawned_states`). The blocks are turned
+into exactly the numbers that Generator.uniform and Generator.integers
+give for the same stream, so a cloud does not depend on how its draws
+are batched, and the trajectories whose segments end at a step draw
+together.
 
 Every record (t = 0 and then every sample stride) hands the live
 trajectories inside the window to a fold. `simulate_reach` folds them
@@ -29,6 +31,7 @@ the covector test, so those runs store no point.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -143,6 +146,88 @@ def _covector_values(
     return ((pts - origin) @ quotient_frame.T) @ np.asarray(witness, dtype=float)
 
 
+# SeedSequence's hash constants, from numpy/random/bit_generator.pyx
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_POOL = 4
+_U32 = 0xFFFFFFFF
+
+
+def _spawned_states(seed: int, n: int) -> np.ndarray:
+    """(n, 4) uint64: row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64).
+
+    Child i hashes the entropy words of seed, zero-padded to the pool
+    size, followed by its spawn word i. Each step of SeedSequence's
+    `mix_entropy` and `generate_state` runs here once for all children,
+    on uint32 arrays, each step's hash constant shared by all of them.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = []  # seed as little-endian 32-bit words
+    while True:
+        entropy.append(seed & _U32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (_SS_POOL - len(entropy))
+    words = [np.full(n, w, dtype=np.uint32) for w in entropy] + [np.arange(n, dtype=np.uint32)]
+    shift = np.uint32(16)
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_A & _U32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return out ^ (out >> shift)
+
+    pool = [hashmix(w) for w in words[:_SS_POOL]]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = np.empty((n, 8), dtype=np.uint32)
+    hash_const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_B & _U32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> shift)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _child_generators(seed: int, n: int) -> list:
+    """PCG64(c) for every child c of SeedSequence(seed).spawn(n)."""
+    # imported here, so that importing geoctrl does not import numpy.random
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):
+        """A seed whose state is known: PCG64 asks for 4 uint64 words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("this seed holds 4 uint64 words")
+            return self.words
+
+    return [PCG64(State(words)) for words in _spawned_states(seed, n)]
+
+
 class _Draws:
     """The control segments of every trajectory, drawn from its own generator.
 
@@ -156,8 +241,7 @@ class _Draws:
     """
 
     def __init__(self, seed: int, n_traj: int, m: int, n_drifts: int):
-        children = np.random.SeedSequence(seed).spawn(n_traj)
-        self.gens = [np.random.PCG64(s) for s in children]
+        self.gens = _child_generators(seed, n_traj)
         self.m = m
         self.n_drifts = n_drifts
         self.width = BLOCK_SEGMENTS * (m + 1 + (n_drifts > 1))

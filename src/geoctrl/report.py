@@ -165,6 +165,7 @@ _OVERRIDE_RULES = {
     "leaf_budget": ("--leaf-budget", *RANGES["leaf_budget"]),
     "n_traj": ("--traj", *RANGES["n_traj"]),
     "horizon": ("--horizon", *RANGES["horizon"]),
+    "seed": ("--seed", *RANGES["seed"]),
     "endpoint_tol": ("--tol", _positive_finite, "positive and finite"),
 }
 

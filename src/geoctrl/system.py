@@ -52,6 +52,7 @@ RANGES = {
     "n_traj": (lambda v: v >= 1, "at least 1"),
     "horizon": (_positive_finite, "positive and finite"),
     "max_duration": (_positive_finite, "positive and finite"),
+    "seed": (lambda v: v >= 0, "at least 0"),
 }
 
 

@@ -243,6 +243,10 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         (["dist", "--from", "0,0", "--to", "1,nan"], "--to"),
         (["dist", "--from", "0,0", "--to", "1,0", "--tol", "inf"], "--tol"),
         (["loop", "--tol", "inf"], "--tol"),
+        (["check", "--seed", "-1"], "--seed"),
+        (["reach", "--seed", "-1"], "--seed"),
+        (["loop", "--seed", "-1"], "--seed"),
+        (["dist", "--from", "0,0", "--to", "1,0", "--seed", "-1"], "--seed"),
     ],
     ids=[
         "dist-tol",
@@ -258,6 +262,10 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         "dist-to-nan",
         "dist-tol-inf",
         "loop-tol-inf",
+        "check-seed",
+        "reach-seed",
+        "loop-seed",
+        "dist-seed",
     ],
 )
 def test_inadmissible_overrides_are_usage_errors(specfile, tmp_path, capsys, argv, flag):
@@ -350,6 +358,7 @@ def test_invalid_specfile(specfile, capsys):
         ("horizon = inf", "horizon"),
         ("max_duration = -0.5", "max_duration"),
         ("max_duration = nan", "max_duration"),
+        ("seed = -3", "seed"),
     ],
 )
 def test_out_of_range_spec_values_are_invalid_specs(specfile, tmp_path, capsys, line, key):

@@ -1,6 +1,7 @@
 """Determinant criterion, quotient convex-position test, and the
 supporting-distribution verifier."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,33 @@ def test_sign_change_verdict_invariant_under_scaling():
     doubled = sign_change_on_leaf(leaf, lambda p: 2.0 * p[0])
     flipped = sign_change_on_leaf(leaf, lambda p: -p[0])
     assert base.condition_holds == doubled.condition_holds == flipped.condition_holds
+
+
+def test_sign_change_stops_at_the_first_point_that_decides():
+    leaf = _fake_leaf([0.1, 0.0], [[0.5, 0.0], [-0.3, 0.0], [-0.9, 0.0], [2.0, 0.0]])
+    seen = []
+
+    def C(p):
+        seen.append(float(p[0]))
+        if p[0] == -0.9:
+            raise AssertionError("evaluated past the deciding point")
+        return p[0]
+
+    v = sign_change_on_leaf(leaf, C)
+    assert v.condition_holds and seen == [0.1, 0.5, -0.3] and v.samples_used == 3
+    assert (v.witness["value_pos"], v.witness["value_neg"]) == (0.5, -0.3)
+
+
+def test_sign_change_treats_nan_as_max_and_min_do():
+    nan = float("nan")
+    first = lambda p: p[0]  # noqa: E731
+    # a nan at the base is the pick of both max and min: no sign change
+    at_base = sign_change_on_leaf(_fake_leaf([nan, 0.0], [[0.5, 0.0], [-0.3, 0.0]]), first)
+    assert not at_base.condition_holds and at_base.samples_used == 3
+    assert math.isnan(at_base.witness["value_min"]) and math.isnan(at_base.witness["value_max"])
+    # a later nan is passed over
+    later = sign_change_on_leaf(_fake_leaf([0.1, 0.0], [[nan, 0.0], [-0.3, 0.0]]), first)
+    assert later.condition_holds and later.witness["value_pos"] == 0.1
 
 
 def test_sign_change_on_real_shear_leaf():

@@ -339,6 +339,23 @@ def test_block_draws_match_the_generator_calls(n_drifts):
                 assert dur[k] == dur_ref and idx[k] == j_ref
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**33 + 5, 2**70 + 3])
+def test_child_generators_are_the_spawned_ones(seed):
+    n = 300
+    children = np.random.SeedSequence(seed).spawn(n)
+    want = np.array([c.generate_state(4, np.uint64) for c in children])
+    got = reach._spawned_states(seed, n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for gen, child in zip(reach._child_generators(seed, n), children):
+        raw = gen.random_raw(50)
+        assert raw.tobytes() == np.random.PCG64(child).random_raw(50).tobytes()
+
+
+def test_a_negative_oracle_seed_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        reach._Draws(-1, 3, 2, 1)
+
+
 @pytest.mark.parametrize("n_drifts, rejects", [(2, False), (3, True), (5, True)])
 def test_index_draw_rejects_a_low_word_below_the_lemire_floor(n_drifts, rejects):
     # a 32-bit word of 0 maps to index 0 with leftover 0, which Lemire
