@@ -23,12 +23,13 @@ kernels enter none.
 per-lane step sizes, each lane reproducing the scalar `_integrate` bit
 for bit; a refill hook admits new lanes as others leave. `integrate_words`
 runs the piecewise-constant control words of the shooting estimators on
-it (a single word runs `_integrate` itself), `sample_leaves` the leaf
-walks of non-constant families, one lane per walking point, and
-`pushforward_along` one flow with its frame. Frame columns are
-passengers: the step control reads the point columns alone, so a point
-steps exactly as a bare one does, and on those steps the frame is the
-exact derivative of the numerical flow.
+it (a single word runs `_integrate` itself, and a constant channel's
+term is formed when the lanes' rhs is built, not at every stage),
+`sample_leaves` the leaf walks of non-constant families, one lane per
+walking point, and `pushforward_along` one flow with its frame. Frame
+columns are passengers: the step control reads the point columns alone,
+so a point steps exactly as a bare one does, and on those steps the
+frame is the exact derivative of the numerical flow.
 
 A walk along constant generators (every component a `Const`, as in
 every bundled system) needs no integrator: a segment is y + tau * v,
@@ -201,11 +202,11 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 
 def integrate_words(
-    fns: Sequence[Kernel],
+    fields: Sequence[VectorField],
     jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     ctrl: StepControl,
 ) -> list[np.ndarray | None]:
-    """Endpoints of piecewise-constant words x' = sum_i w[i] * fns[i](x).
+    """Endpoints of piecewise-constant words x' = sum_i w[i] * fields[i](x).
 
     A job (x0, durations, rows) flows x0 for durations[s] with channel
     coefficients rows[s], segment after segment; all-zero rows are
@@ -215,11 +216,11 @@ def integrate_words(
     One job runs `_integrate` segment by segment. Two or more step
     together as lanes of one DP54 with per-lane step sizes, whose per-lane
     arithmetic is `_integrate`'s bit for bit: an endpoint does not depend
-    on which jobs share the call.
+    on which jobs share the call. No jobs give no endpoints.
     """
     if len(jobs) == 1:
-        return [_word_endpoint(fns, *jobs[0], ctrl)]
-    return _lane_words(fns, jobs, ctrl)
+        return [_word_endpoint([F.compiled() for F in fields], *jobs[0], ctrl)]
+    return _lane_words(fields, jobs, ctrl)
 
 
 def _word_endpoint(
@@ -255,10 +256,15 @@ class _LaneField:
     first nonzero coefficient. A channel is evaluated on every lane once
     any lane uses it, but never enters the sum of a lane whose
     coefficient is 0: 0 * f flips signs of zero and 0 * nan poisons the
-    lane where f leaves its domain.
+    lane where f leaves its domain. A constant channel (its value in
+    `values`, None for the others) is no kernel call: its term
+    C[:, i] * value is formed once here, not at every stage, and is the
+    same product the kernel's rows would give.
     """
 
-    def __init__(self, fns: Sequence[Kernel], C: np.ndarray):
+    def __init__(
+        self, fns: Sequence[Kernel], values: Sequence[np.ndarray | None], C: np.ndarray
+    ):
         used = C != 0.0
         some = used.any(axis=0).tolist()
         every = used.all(axis=0).tolist()
@@ -274,15 +280,20 @@ class _LaneField:
                 first = act if seen is None else act & ~seen
                 masks = (first[:, None], act[:, None])
             seen = act if seen is None else seen | act
-            self.terms.append((fn, C[:, i : i + 1].copy(), masks))
+            coef = C[:, i : i + 1]
+            if values[i] is None:
+                self.terms.append((fn, coef.copy(), masks))
+            else:
+                self.terms.append((None, coef * values[i], masks))
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         out = None
         for fn, coef, masks in self.terms:
-            term = coef * fn(Y)
+            term = coef if fn is None else coef * fn(Y)  # constant: the term itself
             if masks is None:
                 if out is None:
-                    out = term
+                    # the sum goes on in place, never in a kept term
+                    out = term.copy() if fn is None else term
                 else:
                     out += term
             else:
@@ -297,7 +308,8 @@ class _Lane:
     """One job's place in its segments and its DP54 step control.
 
     A segment is (duration, payload); the payload says which rhs the
-    segment flows (a coefficient row of a word, a signed field of a walk).
+    segment flows (the index of a word's coefficient row, a signed field
+    of a walk).
     """
 
     __slots__ = ("job", "segs", "seg", "sign", "remaining", "h", "steps")
@@ -322,28 +334,43 @@ class _Lane:
 
 
 def _lane_words(
-    fns: Sequence[Kernel],
+    fields: Sequence[VectorField],
     jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     ctrl: StepControl,
 ) -> list[np.ndarray | None]:
-    """`integrate_words` for several jobs, as lanes of `_step_lanes`."""
+    """`integrate_words` for several jobs, as lanes of `_step_lanes`.
+
+    The segments of all jobs are read from one stacked array of their
+    durations and one of their coefficient rows; a lane's segment
+    payload is its row's index there.
+    """
     results: list[np.ndarray | None] = [None] * len(jobs)
+    if not jobs:
+        return results
+    taus = np.concatenate([np.asarray(d, dtype=float) for _, d, _ in jobs])
+    R = np.concatenate([np.asarray(w, dtype=float) for _, _, w in jobs])
+    moving = (np.any(R != 0.0, axis=1) & (taus != 0.0)).tolist()
+    taus = taus.tolist()
     lanes: list[_Lane] = []
     starts = []
-    for j, (x0, durations, rows) in enumerate(jobs):
-        rows = np.asarray(rows, dtype=float)
-        taus = np.asarray(durations, dtype=float).tolist()
-        moving = np.any(rows != 0.0, axis=1).tolist()
-        segs = [(t, w) for t, w, m in zip(taus, rows, moving) if m and t != 0.0]
+    s = 0
+    for j, (x0, durations, _) in enumerate(jobs):
+        e = s + len(durations)
+        segs = [(taus[k], k) for k in range(s, e) if moving[k]]
+        s = e
         if segs:
             lanes.append(_Lane(j, segs, ctrl))
             starts.append(x0)
         else:
             results[j] = np.array(x0, dtype=float)
     if lanes:
+        fns = [F.compiled() for F in fields]
+        values = [
+            fn(np.zeros(F.dim)) if F.is_constant else None for F, fn in zip(fields, fns)
+        ]
 
         def field(lanes: list[_Lane]) -> _LaneField:
-            return _LaneField(fns, np.array([lane.segs[lane.seg][1] for lane in lanes]))
+            return _LaneField(fns, values, R[[lane.segs[lane.seg][1] for lane in lanes]])
 
         ends = _step_lanes(lanes, np.array(starts, dtype=float), field, ctrl)
         for j, end in ends.items():

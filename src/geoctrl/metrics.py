@@ -20,8 +20,8 @@ reproducible and can only improve as the budget grows.
 Searches that belong together run together: `steering_costs` runs the
 two estimate_cost directions and sr_distance of one pair of points, and
 `loop_lengths` runs loop_length at many points. estimate_cost,
-sr_distance and loop_length are their one-search cases. Every candidate
-word is integrated through `flows.integrate_words`, and every search is
+sr_distance and loop_length are their one-search cases. Every word that
+is integrated goes through `flows.integrate_words`, and every search is
 a stream of one stream driver (`_shoot`): the three streams of
 `steering_costs`, the out-and-back leg searches of every point of
 `loop_lengths` that its stationary word does not close. Each round,
@@ -30,16 +30,20 @@ word against the current incumbent, then, for each word built, the word
 after it if its fold keeps the incumbent and the one if its fold
 replaces it. The words of all streams integrate as lanes of one DP54,
 and each stream folds the one path through its tree that its incumbent
-actually takes, until the path leaves the tree. A stream's candidates
-depend only on its own generator and incumbent, and lanes repeat the
-scalar arithmetic exactly, so every incumbent and result is what
-one-at-a-time shooting of each search alone gives.
+actually takes, until the path leaves the tree. A candidate that costs
+at least a feasible incumbent cannot change the best or the incumbent,
+whatever its endpoint (the bound of branch and bound), so its tree
+decides it without integrating it; it still counts as an evaluation.
+A stream's candidates depend only on its own generator and incumbent,
+and lanes repeat the scalar arithmetic exactly, so every incumbent and
+result is what one-at-a-time shooting of each search alone gives.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +61,15 @@ __all__ = [
 ]
 
 TIME_CAP = 50.0
+# every shooting flow must stay in the window inflated by this factor
+SHOOTING_INFLATION = 0.5
 DEFAULT_BUDGET = 300
 DEFAULT_LOOP_BUDGET = 800  # split across out-and-back legs at probe points
 DEFAULT_ENDPOINT_TOL = 0.05
 _MAX_SEGMENTS = 6
 _DUR_RANGE = (0.02, 3.0)
 _AMP_RANGE = (0.1, 60.0)  # log-uniform envelope for control amplitudes
+_LOG_AMP_RANGE = tuple(np.log(_AMP_RANGE).tolist())
 _FACTORS = (0.4, 0.6, 0.8, 1.25, 1.6, 2.5)  # refinement scale factors
 # speculative candidates per round: a lone stream builds up to
 # _ROUND_LANES, streams that shoot together share them, and every stream
@@ -110,7 +117,6 @@ class _Shooter:
         closure_frac: float | None = None,
     ):
         self.fields = _engine_fields(system)
-        self.fns = [F.compiled() for F in self.fields]
         self.nchan = len(self.fields)
         self.x = x
         self.y = y
@@ -121,7 +127,9 @@ class _Shooter:
         # fraction of its own length never left in any meaningful sense
         self.closure_frac = closure_frac
         self.ctrl = StepControl(
-            atol=1e-8, rtol=1e-8, window=inflate_window(system.window, 0.5)
+            atol=1e-8,
+            rtol=1e-8,
+            window=inflate_window(system.window, SHOOTING_INFLATION),
         )
         self.evals = 0
         self.best_cost = np.inf
@@ -133,7 +141,9 @@ class _Shooter:
 
     def _cost(self, durations: np.ndarray, weights: np.ndarray) -> float:
         w = weights if self.drift_in_cost else weights[:, 1:]
-        return float(np.sum(np.linalg.norm(w, axis=1) * durations))
+        # sum(|w_s|_2 * t_s): the reductions of np.linalg.norm and np.sum,
+        # bit for bit, without their dispatch
+        return float(np.add.reduce(np.sqrt(np.add.reduce(w * w, axis=1)) * durations))
 
     def prepare(
         self, durations: np.ndarray, weights: np.ndarray
@@ -150,16 +160,23 @@ class _Shooter:
         return durations, weights
 
     def fold(
-        self, durations: np.ndarray, weights: np.ndarray, end: np.ndarray | None
+        self,
+        durations: np.ndarray,
+        weights: np.ndarray,
+        end: np.ndarray | None,
+        cost: float | None = None,
     ) -> bool:
         """Count a prepared word and fold its endpoint (None: the flow
-        failed) into the running best and the incumbent. True when the
-        incumbent changed."""
+        failed, or the word was not integrated) into the running best and
+        the incumbent; `cost` is the word's cost when already known. True
+        when the incumbent changed."""
         self.evals += 1
         if end is None:
             return False
-        err = float(np.linalg.norm(end - self.y))
-        cost = self._cost(durations, weights)
+        gap = end - self.y
+        err = math.sqrt(gap.dot(gap))  # np.linalg.norm(gap), bit for bit
+        if cost is None:
+            cost = self._cost(durations, weights)
         limit = self.tol
         if self.closure_frac is not None:
             limit = min(limit, self.closure_frac * cost)
@@ -242,22 +259,32 @@ def _evaluate(candidates) -> None:
     prepared = [(sh, *sh.prepare(d, w)) for sh, d, w in candidates]
     first = prepared[0][0]
     ends = integrate_words(
-        first.fns, [(sh.x, d, w) for sh, d, w in prepared], first.ctrl
+        first.fields, [(sh.x, d, w) for sh, d, w in prepared], first.ctrl
     )
     for (sh, d, w), end in zip(prepared, ends):
         sh.fold(d, w, end)
 
 
-@dataclass(frozen=True)
 class _Draws:
     """The random draws behind one shoot-or-refine candidate."""
 
-    nseg: int
-    raw_dur: np.ndarray
-    raw_amp: np.ndarray
-    amp_scale: float
-    pick_seg: int
-    factor: float
+    __slots__ = ("nseg", "raw_dur", "raw_amp", "amp_scale", "pick_seg", "factor")
+
+    def __init__(
+        self,
+        nseg: int,
+        raw_dur: np.ndarray,
+        raw_amp: np.ndarray,
+        amp_scale: float,
+        pick_seg: int,
+        factor: float,
+    ):
+        self.nseg = nseg
+        self.raw_dur = raw_dur
+        self.raw_amp = raw_amp
+        self.amp_scale = amp_scale
+        self.pick_seg = pick_seg
+        self.factor = factor
 
 
 def _draw(rng: np.random.Generator, nchan: int) -> _Draws:
@@ -265,14 +292,13 @@ def _draw(rng: np.random.Generator, nchan: int) -> _Draws:
     same order whether an incumbent exists or not, so the candidate
     sequence is reproducible and a larger budget replays a smaller one."""
     smax = _MAX_SEGMENTS
-    lo_a, hi_a = np.log(_AMP_RANGE)
     return _Draws(
-        nseg=int(rng.integers(1, smax + 1)),
-        raw_dur=rng.uniform(_DUR_RANGE[0], _DUR_RANGE[1], size=smax),
-        raw_amp=rng.standard_normal((smax, nchan)),
-        amp_scale=float(np.exp(rng.uniform(lo_a, hi_a))),
-        pick_seg=int(rng.integers(0, smax)),
-        factor=_FACTORS[int(rng.integers(0, len(_FACTORS)))],
+        int(rng.integers(1, smax + 1)),
+        rng.uniform(_DUR_RANGE[0], _DUR_RANGE[1], size=smax),
+        rng.standard_normal((smax, nchan)),
+        float(np.exp(rng.uniform(*_LOG_AMP_RANGE))),
+        int(rng.integers(0, smax)),
+        _FACTORS[int(rng.integers(0, len(_FACTORS)))],
     )
 
 
@@ -289,13 +315,18 @@ class _Stream:
 
 
 class _Node:
-    """A speculative candidate word, its lane in the round, and the
-    candidates that follow it if its fold keeps or replaces the incumbent."""
+    """A speculative candidate word, its cost (None until a bound needs
+    it), its lane in the round (None when its cost decides it), and the
+    candidates that follow it if its fold keeps or replaces the
+    incumbent."""
 
-    __slots__ = ("word", "lane", "kept", "replaced")
+    __slots__ = ("word", "cost", "lane", "kept", "replaced")
 
-    def __init__(self, word: tuple[np.ndarray, np.ndarray], lane: int):
+    def __init__(
+        self, word: tuple[np.ndarray, np.ndarray], cost: float | None, lane: int | None
+    ):
         self.word = word
+        self.cost = cost
         self.lane = lane
         self.kept: _Node | None = None
         self.replaced: _Node | None = None
@@ -303,7 +334,7 @@ class _Node:
 
 def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
     """Build up to `budget` of the stream's next candidates as a tree and
-    append their words to `jobs`; returns the root.
+    append the words that need integrating to `jobs`; returns the root.
 
     The root is the next candidate against the current incumbent. A
     node's `kept` child is the candidate after it against the same
@@ -312,42 +343,64 @@ def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
     Nodes are built most probable first, a path's probability following
     the stream's rate of incumbent changes so far (rule of succession),
     and never past `limit` evaluations.
+
+    Each path carries a bound: the incumbent's cost where the incumbent
+    is known to be feasible (the best cost at the root when the incumbent
+    is feasible; below a `replaced` child of such a path, the replacing
+    word's cost, since a word that replaces a feasible incumbent is
+    feasible), else infinity. A word that costs at least the bound can
+    neither become the best nor replace the incumbent, whatever its
+    endpoint, so it is decided: it gets no lane and only a `kept` child,
+    which its path surely takes.
     """
     sh = stream.shooter
     p = (stream.changes + 1) / (stream.folds + 2)
     tie = itertools.count()  # equal probabilities: build in push order
-    frontier = [(-1.0, next(tie), 0, sh.inc, None, "")]
+    bound = sh.best_cost if sh.inc_key[0] else np.inf
+    frontier = [(-1.0, next(tie), 0, sh.inc, bound, None, "")]
     root = None
     built = 0
     while frontier and built < budget:
-        neg_prob, _, level, inc, parent, branch = heapq.heappop(frontier)
+        neg_prob, _, level, inc, bound, parent, branch = heapq.heappop(frontier)
         if sh.evals + level >= limit:
             continue
         while len(stream.draws) <= level:
             stream.draws.append(_draw(stream.rng, sh.nchan))
         word = sh.prepare(*sh.build(stream.draws[level], sh.evals + level, inc))
-        node = _Node(word, len(jobs))
-        jobs.append((sh.x, *word))
+        # no bound, no decision: the cost waits for the fold, if any
+        cost = None if bound == np.inf else sh._cost(*word)
+        decided = cost is not None and not cost < bound
+        node = _Node(word, cost, None if decided else len(jobs))
         built += 1
         if parent is None:
             root = node
         else:
             setattr(parent, branch, node)
-        for prob, after, branch in (
-            (neg_prob * (1 - p), inc, "kept"),
-            (neg_prob * p, word, "replaced"),
+        if decided:
+            kept = (neg_prob, next(tie), level + 1, inc, bound, node, "kept")
+            heapq.heappush(frontier, kept)
+            continue
+        jobs.append((sh.x, *word))
+        for prob, after, after_bound, branch in (
+            (neg_prob * (1 - p), inc, bound, "kept"),
+            (neg_prob * p, word, np.inf if cost is None else cost, "replaced"),
         ):
-            heapq.heappush(frontier, (prob, next(tie), level + 1, after, node, branch))
+            heapq.heappush(
+                frontier, (prob, next(tie), level + 1, after, after_bound, node, branch)
+            )
     return root
 
 
 def _fold_path(stream: _Stream, node: _Node | None, ends: list) -> None:
     """Fold the stream's tree along the path its folds take, up to a
-    missing node or a zero-cost best, and drop the draws it used."""
+    missing node or a zero-cost best, and drop the draws it used. A
+    decided node folds as a word without an endpoint: it counts as an
+    evaluation and keeps the incumbent, as its integrated fold would."""
     sh = stream.shooter
     folded = 0
     while node is not None and sh.best_cost > 0.0:
-        changed = sh.fold(*node.word, ends[node.lane])
+        end = None if node.lane is None else ends[node.lane]
+        changed = sh.fold(*node.word, end, node.cost)
         folded += 1
         stream.changes += changed
         node = node.replaced if changed else node.kept
@@ -361,10 +414,11 @@ def _shoot(streams: list[_Stream], limit: int) -> None:
     A zero-cost incumbent is already optimal: the functional is
     nonnegative, so further search cannot change the answer. Each round,
     every live stream builds a tree of its next candidates, the words of
-    all trees integrate as lanes of one `integrate_words` call, and each
-    stream folds the one path of its tree that its incumbent takes. Every
-    node is built against the incumbent it meets on its path, so a stream
-    sees exactly the candidates one-at-a-time shooting would; draws it
+    all trees that their cost does not decide integrate as lanes of one
+    `integrate_words` call (none when every candidate is decided), and
+    each stream folds the one path of its tree that its incumbent takes.
+    Every node is built against the incumbent it meets on its path, so a
+    stream sees exactly the candidates one-at-a-time shooting would; draws it
     did not reach are built again in the next round. Streams never see
     each other's words or results, so a stream's outcome does not depend
     on which streams shoot beside it: searches of different points or
@@ -379,7 +433,7 @@ def _shoot(streams: list[_Stream], limit: int) -> None:
         jobs: list = []
         roots = [_speculate(s, budget, limit, jobs) for s in live]
         first = live[0].shooter
-        ends = integrate_words(first.fns, jobs, first.ctrl)
+        ends = integrate_words(first.fields, jobs, first.ctrl)
         for s, root in zip(live, roots):
             _fold_path(s, root, ends)
 
@@ -414,7 +468,7 @@ def _drift_orbit_words(shooter: _Shooter, system: SystemSpec) -> list:
 def _lstsq_candidates(shooter: _Shooter) -> list[tuple[np.ndarray, np.ndarray]]:
     """Single-segment words aimed by least squares against the local frame."""
     with np.errstate(all="ignore"):
-        M = np.column_stack([fn(shooter.x) for fn in shooter.fns])
+        M = np.column_stack([F.compiled()(shooter.x) for F in shooter.fields])
     gap = shooter.y - shooter.x
     out = []
     for T in (0.5, 1.0, 2.0):

@@ -29,7 +29,8 @@ from .criterion import (
     global_verdict,
 )
 from .lie import window_grid
-from .metrics import loop_lengths, steering_costs
+from .flows import inflate_window
+from .metrics import SHOOTING_INFLATION, loop_lengths, steering_costs
 # the one-search estimators stay importable here, where the benchmark's
 # tracer (perfbench/tracing.py) looks them up; the commands call the
 # batched forms above
@@ -202,14 +203,23 @@ def _search_kwargs(command: str, overrides: dict, seed: int) -> dict:
     return kwargs
 
 
-def _parse_point(value, dim: int, flag: str) -> np.ndarray:
+def _parse_point(value, spec: SystemSpec, flag: str) -> np.ndarray:
+    """A `dist` endpoint: finite, and inside the box every shooting flow
+    must stay in, since each word from outside it escapes at once."""
     if value is None:
         raise PipelineUsageError(f"{flag} is required for this command")
     pt = np.asarray(value, dtype=float)
-    if pt.shape != (dim,):
-        raise PipelineUsageError(f"{flag} needs {dim} coordinates")
+    if pt.shape != (spec.dim,):
+        raise PipelineUsageError(f"{flag} needs {spec.dim} coordinates")
     if not np.isfinite(pt).all():
         raise PipelineUsageError(f"{flag} must be finite, got {pt.tolist()}")
+    box = inflate_window(spec.window, SHOOTING_INFLATION)
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(pt.tolist(), box)):
+        bounds = ", ".join(f"{lo:g}:{hi:g}" for lo, hi in box)
+        raise PipelineUsageError(
+            f"{flag} must be inside {bounds}, the window inflated by half, "
+            f"which every shooting flow stays in; got {pt.tolist()}"
+        )
     return pt
 
 
@@ -291,8 +301,8 @@ def run_pipeline(spec: SystemSpec, command: str, overrides: dict | None = None) 
         }
 
     elif command == "dist":
-        x = _parse_point(overrides.get("from_point"), spec.dim, "--from")
-        y = _parse_point(overrides.get("to_point"), spec.dim, "--to")
+        x = _parse_point(overrides.get("from_point"), spec, "--from")
+        y = _parse_point(overrides.get("to_point"), spec, "--to")
         forward, reverse, extended = steering_costs(
             spec, x, y, **_search_kwargs(command, overrides, seed)
         )

@@ -241,6 +241,8 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         (["dist", "--from", "nan,0", "--to", "1,0"], "--from"),
         (["dist", "--from", "inf,0", "--to", "1,0"], "--from"),
         (["dist", "--from", "0,0", "--to", "1,nan"], "--to"),
+        (["dist", "--from", "0,0", "--to", "5,5"], "--to"),
+        (["dist", "--from", "0,3.5", "--to", "1,0"], "--from"),
         (["dist", "--from", "0,0", "--to", "1,0", "--tol", "inf"], "--tol"),
         (["loop", "--tol", "inf"], "--tol"),
         (["check", "--seed", "-1"], "--seed"),
@@ -260,6 +262,8 @@ def test_loop_scan_reports_grid_and_max(specfile, capsys):
         "dist-from-nan",
         "dist-from-inf",
         "dist-to-nan",
+        "dist-to-outside",
+        "dist-from-outside",
         "dist-tol-inf",
         "loop-tol-inf",
         "check-seed",

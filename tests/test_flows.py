@@ -182,7 +182,7 @@ def test_last_allowed_step_may_end_the_flow():
     # the lane stepper keeps the same rule
     job = (np.zeros(2), np.array([0.06]), np.array([[1.0]]))
     short = (np.zeros(2), np.array([0.01]), np.array([[1.0]]))
-    lanes = integrate_words([V.compiled()], [job, short], two)
+    lanes = integrate_words([V], [job, short], two)
     assert np.array_equal(lanes[0], end)
     assert np.array_equal(lanes[1], integrate_flow(V, [0.0, 0.0], 0.01, two))
 

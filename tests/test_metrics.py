@@ -318,41 +318,70 @@ def _random_jobs(system: SystemSpec, rng: np.random.Generator, count: int):
     return jobs
 
 
-@pytest.mark.parametrize("system", [shear(), unicycle(), saddle3d()], ids=lambda s: s.name)
-@pytest.mark.parametrize("max_steps", [100_000, 12])
-def test_lanes_equal_each_word_integrated_alone(system, max_steps):
-    fns = [F.compiled() for F in (system.drift,) + tuple(system.controls)]
-    ctrl = StepControl(
-        atol=1e-8, rtol=1e-8, max_steps=max_steps,
-        window=inflate_window(system.window, 0.5),
-    )
-    nchan = len(fns)
+def wavy() -> SystemSpec:
+    """A control that is not constant, so its kernel runs at every stage."""
+    return make2(("0", "x1"), control=("1", "0.1*sin(x1)"), name="wavy")
+
+
+def rooted() -> SystemSpec:
+    """A drift that is not finite left of x1 = -1, inside the window."""
+    return make2(("0", "sqrt(x1 + 1)"), control=("1", "0"), name="rooted")
+
+
+@pytest.mark.parametrize(
+    "system",
+    [shear(), unicycle(), saddle3d(), plane(), wavy(), rooted()],
+    ids=lambda s: s.name,
+)
+@pytest.mark.parametrize(
+    "limit",
+    [{"max_steps": 100_000}, {"max_steps": 12}, {"h_min": 0.3}],
+    ids=["100000", "12", "h_min"],
+)
+def test_lanes_equal_each_word_integrated_alone(system, limit):
+    fields = (system.drift,) + tuple(system.controls)
+    window = inflate_window(system.window, 0.5)
+    ctrl = StepControl(atol=1e-8, rtol=1e-8, window=window, **limit)
+    nchan = len(fields)
     center = np.mean(np.array(system.window), axis=1)
     escape = np.zeros((1, nchan))
     escape[0, 1] = 60.0
     creep = np.zeros((1, nchan))
     creep[0, 0] = 1e-9
-    jobs = _random_jobs(system, np.random.default_rng(len(fns) + max_steps), 40) + [
+    jobs = _random_jobs(system, np.random.default_rng(nchan + ctrl.max_steps), 40) + [
         (center, np.array([3.0]), escape),  # leaves the window
+        (center, np.array([3.0]), -escape),  # leaves the window or the drift's domain
         (center, np.array([1e6]), creep),  # steps grow 5x from 0.01: 13 steps
         (center, np.array([0.5, 0.7]), np.zeros((2, nchan))),  # never moves
     ]
-    alone = [integrate_words(fns, [job], ctrl)[0] for job in jobs]
-    together = integrate_words(fns, jobs, ctrl)
-    assert alone[-3] is None
-    assert (alone[-2] is None) == (max_steps == 12)
+    alone = [integrate_words(fields, [job], ctrl)[0] for job in jobs]
+    together = integrate_words(fields, jobs, ctrl)
+    assert alone[-4] is None and alone[-3] is None
+    # steps of 0.01 and 0.05 come before any step of 0.3
+    assert (alone[-2] is None) == (ctrl.max_steps == 12 or ctrl.h_min == 0.3)
     assert np.array_equal(alone[-1], center)
     ends = [end for end in alone if end is not None]
-    assert len(ends) >= 10 and len(alone) - len(ends) >= 2
-    for ref, got in zip(alone, together):
+    if "h_min" in limit:
+        # h grows 0.01, 0.05, 0.25 at most: a segment longer than 0.31 underflows
+        steps = StepControl(atol=1e-8, rtol=1e-8, window=window)
+        failed = [integrate_words(fields, [job], steps)[0] is None for job in jobs]
+        assert len(alone) - len(ends) > sum(failed) and len(ends) >= 2
+    else:
+        assert len(ends) >= 10 and len(alone) - len(ends) >= 3
+    # and lanes that use every channel, so that every sum starts unmasked
+    dense = [(x0, d, np.where(w == 0.0, 0.5, w)) for x0, d, w in jobs[:8]]
+    alone += [integrate_words(fields, [job], ctrl)[0] for job in dense]
+    together += integrate_words(fields, dense, ctrl)
+    for ref, got in zip(alone, together, strict=True):
         if ref is None:
             assert got is None
         else:
             assert got is not None and got.tobytes() == ref.tobytes()
+    assert integrate_words(fields, [], ctrl) == []
 
 
-def _one_job_at_a_time(fns, jobs, ctrl):
-    return [end for job in jobs for end in integrate_words(fns, [job], ctrl)]
+def _one_job_at_a_time(fields, jobs, ctrl):
+    return [end for job in jobs for end in integrate_words(fields, [job], ctrl)]
 
 
 def _round_of_one(monkeypatch):
@@ -383,6 +412,60 @@ def test_loop_length_does_not_depend_on_lanes(system, x, seed, monkeypatch):
     alone = loop_length(system, x, seed=seed)
     assert lanes.value is not None
     assert lanes == alone
+
+
+def _scalar_shoot(streams, limit):
+    """The stream driver with no tree and no decision by cost: each stream
+    draws, builds, prepares, integrates and folds one candidate at a time."""
+    for stream in streams:
+        sh = stream.shooter
+        while sh.evals < limit and sh.best_cost > 0.0:
+            draws = metrics._draw(stream.rng, sh.nchan)
+            word = sh.prepare(*sh.build(draws, sh.evals, sh.inc))
+            sh.fold(*word, integrate_words(sh.fields, [(sh.x, *word)], sh.ctrl)[0])
+
+
+def _decided_nodes(monkeypatch):
+    """Spy on the speculation trees: one entry per node, True where the
+    node's cost decided it and it got no lane."""
+    decided = []
+    speculate = metrics._speculate
+
+    def spy(stream, budget, limit, jobs):
+        root = speculate(stream, budget, limit, jobs)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                decided.append(node.lane is None)
+                stack += [node.kept, node.replaced]
+        return root
+
+    monkeypatch.setattr(metrics, "_speculate", spy)
+    return decided
+
+
+@pytest.mark.parametrize(
+    "system,x,y,at",
+    [
+        (shear(), (0.0, 0.5), (1.0, -0.5), (0.0, 0.5)),
+        (unicycle(), (0.0, 0.0, 0.0), (0.5, 0.3, 1.0), (0.0, 0.0, 0.0)),
+        (saddle3d(), (0.2, -0.3, 0.1), (-0.4, 0.5, 0.6), (0.5, 0.5, 0.5)),
+    ],
+    ids=["shear", "unicycle", "saddle3d"],
+)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_shooting_equals_a_search_without_trees(system, x, y, at, seed, monkeypatch):
+    decided = _decided_nodes(monkeypatch)
+    dist = steering_costs(system, x, y, seed=seed)
+    loop = loop_length(system, at, seed=seed)
+    assert loop.budget_spent > 1  # the stationary word did not close: legs shot
+    if system.name == "shear":
+        assert any(decided)
+    monkeypatch.setattr(metrics, "_shoot", _scalar_shoot)
+    monkeypatch.setattr(metrics, "integrate_words", _one_job_at_a_time)
+    assert steering_costs(system, x, y, seed=seed) == dist
+    assert loop_length(system, at, seed=seed) == loop
 
 
 # ---------------------------------------------------------- stream driver
@@ -417,9 +500,9 @@ def test_zero_cost_stop_mid_round_matches_one_at_a_time(seed, monkeypatch):
     # stops it while later candidates of its round are still unfolded
     jobs = []
 
-    def counting(fns, batch, ctrl):
+    def counting(fields, batch, ctrl):
         jobs.append(len(batch))
-        return integrate_words(fns, batch, ctrl)
+        return integrate_words(fields, batch, ctrl)
 
     monkeypatch.setattr(metrics, "integrate_words", counting)
     rounds = estimate_cost(fast_plane(), (0.0, 0.0), (0.1875, 0.0), endpoint_tol=0.02, seed=seed)
