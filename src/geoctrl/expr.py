@@ -323,13 +323,13 @@ class _Parser:
                     "exponent must be a numeric literal", num.line, num.col
                 )
             self.advance()
-            e = pow_(e, Const(sign * float(num.text)))
+            e = pow_(e, Const(sign * _literal(num)))
         return e
 
     def base(self) -> Expr:
         tok = self.advance()
         if tok.kind == "number":
-            return Const(float(tok.text))
+            return Const(_literal(tok))
         if tok.kind == "ident":
             if tok.text in FUNC_NAMES:
                 self.expect_op("(")
@@ -358,6 +358,17 @@ class _Parser:
         if tok.kind == "end":
             raise ExprSyntaxError("unexpected end of input", tok.line, tok.col)
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+
+def _literal(tok: _Token) -> float:
+    """A number token's value; one too large for a float (1e999) is refused,
+    since the grammar has no literal for inf and no tree holds one."""
+    value = float(tok.text)
+    if not math.isfinite(value):
+        raise ExprSyntaxError(
+            f"numeric literal {tok.text!r} is too large for a float", tok.line, tok.col
+        )
+    return value
 
 
 def parse_expression(src: str, var_names: Sequence[str]) -> Expr:
@@ -432,6 +443,33 @@ def evaluate(e: Expr, p: Sequence[float]) -> float:
             raise EvalDomainError(f"overflow in {e.op}") from exc
         raise ValueError(f"unknown binary op {e.op!r}")
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _has_var(e: Expr) -> bool:
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, Unary):
+        return _has_var(e.arg)
+    if isinstance(e, Binary):
+        return _has_var(e.left) or _has_var(e.right)
+    return False
+
+
+def check_constant_parts(e: Expr) -> None:
+    """Raise EvalDomainError where e is undefined whatever the point: a
+    part without variables that `evaluate` refuses (1/0, ln(0), sqrt(-1),
+    an overflow in exp), or a division by a part without variables that
+    is zero (x1/0). `evaluate` refuses e at every point then, while the
+    compiled kernel, which follows numpy, gives inf or nan."""
+    if not _has_var(e):
+        evaluate(e, ())
+    elif isinstance(e, Unary):
+        check_constant_parts(e.arg)
+    elif isinstance(e, Binary):
+        check_constant_parts(e.left)
+        check_constant_parts(e.right)
+        if e.op == "div" and not _has_var(e.right) and evaluate(e.right, ()) == 0.0:
+            raise EvalDomainError("division by zero")
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +691,8 @@ _NP_UNARY = {
 
 def _emit(e: Expr) -> str:
     if isinstance(e, Const):
-        return repr(e.value)
+        v = e.value
+        return repr(v) if math.isfinite(v) else f"float('{v!r}')"
     if isinstance(e, Var):
         return f"X[..., {e.index}]"
     if isinstance(e, Unary):
@@ -667,6 +706,10 @@ def _emit(e: Expr) -> str:
         if e.op == "mul":
             return f"({a} * {b})"
         if e.op == "div":
+            if not (_has_var(e.left) or _has_var(e.right)):
+                # Python floats on both sides: numpy's division gives inf
+                # or nan where Python's raises ZeroDivisionError
+                return f"np.divide({a}, {b})"
             return f"({a} / {b})"
         if e.op == "pow":
             return f"np.power({a}, {b})"

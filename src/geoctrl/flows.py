@@ -177,7 +177,8 @@ def _integrate(
             y4 = y + hs * (_DP_B4 @ k)
             err_vec = y5 - y4
             scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # np.mean's reduction and division, without its dispatch
+            err = float(np.sqrt(np.add.reduce((err_vec / scale) ** 2) / y.size))
             if not np.isfinite(err):
                 err = np.inf
             if err <= 1.0:
@@ -209,9 +210,10 @@ def integrate_words(
     """Endpoints of piecewise-constant words x' = sum_i w[i] * fields[i](x).
 
     A job (x0, durations, rows) flows x0 for durations[s] with channel
-    coefficients rows[s], segment after segment; all-zero rows are
-    skipped. An entry is None where `_integrate` raises FlowError on some
-    segment (escape, non-finite state, step underflow, max_steps).
+    coefficients rows[s], segment after segment (arrays, or sequences of
+    floats); all-zero rows are skipped. An entry is None where
+    `_integrate` raises FlowError on some segment (escape, non-finite
+    state, step underflow, max_steps).
 
     One job runs `_integrate` segment by segment. Two or more step
     together as lanes of one DP54 with per-lane step sizes, whose per-lane
@@ -259,7 +261,9 @@ class _LaneField:
     lane where f leaves its domain. A constant channel (its value in
     `values`, None for the others) is no kernel call: its term
     C[:, i] * value is formed once here, not at every stage, and is the
-    same product the kernel's rows would give.
+    same product the kernel's rows would give. A channel whose
+    coefficient is 1.0 on every lane (the drift of a fixed-drift word)
+    enters as the kernel's rows themselves, which 1.0 * f equals.
     """
 
     def __init__(
@@ -268,6 +272,7 @@ class _LaneField:
         used = C != 0.0
         some = used.any(axis=0).tolist()
         every = used.all(axis=0).tolist()
+        ones = (C == 1.0).all(axis=0).tolist()
         seen = None  # lanes whose sum has started; None while none has
         self.terms = []
         for i, fn in enumerate(fns):
@@ -282,17 +287,21 @@ class _LaneField:
             seen = act if seen is None else seen | act
             coef = C[:, i : i + 1]
             if values[i] is None:
-                self.terms.append((fn, coef.copy(), masks))
+                self.terms.append((fn, None if ones[i] else coef.copy(), masks))
             else:
                 self.terms.append((None, coef * values[i], masks))
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         out = None
         for fn, coef, masks in self.terms:
-            term = coef if fn is None else coef * fn(Y)  # constant: the term itself
+            if fn is None:
+                term = coef  # constant: the term itself
+            else:
+                term = fn(Y) if coef is None else coef * fn(Y)
             if masks is None:
                 if out is None:
-                    # the sum goes on in place, never in a kept term
+                    # the sum goes on in place, never in a kept term (a
+                    # kernel's rows are its own)
                     out = term.copy() if fn is None else term
                 else:
                     out += term
@@ -347,8 +356,9 @@ def _lane_words(
     results: list[np.ndarray | None] = [None] * len(jobs)
     if not jobs:
         return results
-    taus = np.concatenate([np.asarray(d, dtype=float) for _, d, _ in jobs])
-    R = np.concatenate([np.asarray(w, dtype=float) for _, _, w in jobs])
+    taus = np.array([t for _, d, _ in jobs for t in d], dtype=float)
+    R = np.array([row for _, _, w in jobs for row in w], dtype=float)
+    R = R.reshape(len(taus), len(fields))
     moving = (np.any(R != 0.0, axis=1) & (taus != 0.0)).tolist()
     taus = taus.tolist()
     lanes: list[_Lane] = []
@@ -452,7 +462,7 @@ def _step_lanes(
             Y4 = Y + hs * _mix(_DP_B4, K, dim)
             P, P5 = Y[:, :dim], Y5[:, :dim]
             scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(P), np.abs(P5))
-            errs = np.sqrt(np.mean(((P5 - Y4[:, :dim]) / scale) ** 2, axis=1)).tolist()
+            errs = np.sqrt(np.add.reduce(((P5 - Y4[:, :dim]) / scale) ** 2, axis=1) / dim).tolist()
             inside = np.isfinite(P5).all(axis=1)
             if box is not None:
                 inside &= ((box[0] <= P5) & (P5 <= box[1])).all(axis=1)

@@ -37,6 +37,17 @@ decides it without integrating it; it still counts as an evaluation.
 A stream's candidates depend only on its own generator and incumbent,
 and lanes repeat the scalar arithmetic exactly, so every incumbent and
 result is what one-at-a-time shooting of each search alone gives.
+
+A candidate costs Python float arithmetic, not numpy dispatch. A word
+is a pair of tuples of floats, (durations, coefficient rows), and every
+product, clamp and sum on it repeats numpy's arithmetic on the arrays
+it was built from bit for bit: a sum of fewer than 8 terms is a left
+fold from 0.0, as numpy's reduction is, and a longer one goes to numpy
+(`_fold_sum`). A stream's integers and uniforms come off raw 64-bit
+values of its generator (`_Source`), read the way `Generator.integers`
+and `Generator.uniform` read them, and its normals from
+`Generator.standard_normal` itself, so a stream draws exactly what the
+`Generator` calls drew.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,6 +82,9 @@ _MAX_SEGMENTS = 6
 _DUR_RANGE = (0.02, 3.0)
 _AMP_RANGE = (0.1, 60.0)  # log-uniform envelope for control amplitudes
 _LOG_AMP_RANGE = tuple(np.log(_AMP_RANGE).tolist())
+# the widths Generator.uniform scales its doubles by
+_DUR_SPAN = _DUR_RANGE[1] - _DUR_RANGE[0]
+_LOG_AMP_SPAN = _LOG_AMP_RANGE[1] - _LOG_AMP_RANGE[0]
 _FACTORS = (0.4, 0.6, 0.8, 1.25, 1.6, 2.5)  # refinement scale factors
 # speculative candidates per round: a lone stream builds up to
 # _ROUND_LANES, streams that shoot together share them, and every stream
@@ -97,6 +112,27 @@ class CostEstimate:
     @property
     def unreachable(self) -> bool:
         return self.value is None
+
+
+# a word: segment durations and, per segment, one coefficient per channel
+Word = tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]
+
+# numpy sums this many terms or more pairwise; fewer in order from 0.0
+_PAIRWISE = 8
+
+
+def _fold_sum(xs: Sequence[float]) -> float:
+    """np.add.reduce of a sequence of floats, bit for bit."""
+    if len(xs) >= _PAIRWISE:
+        return float(np.add.reduce(np.array(xs, dtype=float)))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _replace(seq: tuple, j: int, value) -> tuple:
+    return (*seq[:j], value, *seq[j + 1 :])
 
 
 def _engine_fields(system: SystemSpec):
@@ -136,36 +172,45 @@ class _Shooter:
         self.best_word: tuple | None = None
         self.best_err = np.inf
         # incumbent for refinement: best feasible, else closest approach
-        self.inc: tuple[np.ndarray, np.ndarray] | None = None
+        self.inc: Word | None = None
         self.inc_key = (False, np.inf)
 
-    def _cost(self, durations: np.ndarray, weights: np.ndarray) -> float:
-        w = weights if self.drift_in_cost else weights[:, 1:]
-        # sum(|w_s|_2 * t_s): the reductions of np.linalg.norm and np.sum,
-        # bit for bit, without their dispatch
-        return float(np.add.reduce(np.sqrt(np.add.reduce(w * w, axis=1)) * durations))
+    def _cost(self, word: Word) -> float:
+        """sum(|w_s|_2 * t_s) over the charged channels: the reductions of
+        np.linalg.norm and np.sum on the word's arrays, bit for bit."""
+        durations, rows = word
+        skip = 0 if self.drift_in_cost else 1
+        if len(durations) >= _PAIRWISE or self.nchan - skip >= _PAIRWISE:
+            w = np.array(rows, dtype=float)[:, skip:]
+            norms = np.sqrt(np.add.reduce(w * w, axis=1))
+            return float(np.add.reduce(norms * np.array(durations, dtype=float)))
+        total = 0.0
+        for t, row in zip(durations, rows):
+            squares = 0.0
+            for c in row[skip:]:
+                squares += c * c
+            total += math.sqrt(squares) * t
+        return total
 
-    def prepare(
-        self, durations: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def prepare(self, word: Word) -> Word:
         """Bring a candidate word into the evaluated form: durations
-        clamped and capped at TIME_CAP, drift fixed if required."""
-        durations = np.maximum(np.asarray(durations, dtype=float), 1e-4)
-        total = float(durations.sum())
+        clamped below at 1e-4 and scaled to sum to TIME_CAP where they
+        sum to more, drift coefficient fixed at one if required."""
+        durations, rows = word
+        # np.maximum(t, 1e-4), which keeps a nan as this does
+        durations = [1e-4 if t < 1e-4 else t for t in durations]
+        total = _fold_sum(durations)
         if total > TIME_CAP:
-            durations = durations * (TIME_CAP / total)
-        weights = np.asarray(weights, dtype=float)
+            scale = TIME_CAP / total
+            durations = [t * scale for t in durations]
         if self.fixed_drift:
-            weights[:, 0] = 1.0
-        return durations, weights
+            for row in rows:
+                if row[0] != 1.0:  # built words carry it already
+                    rows = tuple((1.0, *r[1:]) for r in rows)
+                    break
+        return tuple(durations), rows
 
-    def fold(
-        self,
-        durations: np.ndarray,
-        weights: np.ndarray,
-        end: np.ndarray | None,
-        cost: float | None = None,
-    ) -> bool:
+    def fold(self, word: Word, end: np.ndarray | None, cost: float | None = None) -> bool:
         """Count a prepared word and fold its endpoint (None: the flow
         failed, or the word was not integrated) into the running best and
         the incumbent; `cost` is the word's cost when already known. True
@@ -176,17 +221,14 @@ class _Shooter:
         gap = end - self.y
         err = math.sqrt(gap.dot(gap))  # np.linalg.norm(gap), bit for bit
         if cost is None:
-            cost = self._cost(durations, weights)
+            cost = self._cost(word)
         limit = self.tol
         if self.closure_frac is not None:
             limit = min(limit, self.closure_frac * cost)
         feasible = err <= limit
         if feasible and cost < self.best_cost:
             self.best_cost = cost
-            self.best_word = tuple(
-                (float(t), tuple(float(c) for c in w))
-                for t, w in zip(durations, weights)
-            )
+            self.best_word = tuple(zip(*word))
             self.best_err = err
         elif self.best_word is None:
             self.best_err = min(self.best_err, err)
@@ -196,46 +238,62 @@ class _Shooter:
         )
         if better:
             self.inc_key = key
-            self.inc = (durations.copy(), weights.copy())
+            self.inc = word
         return better
 
-    def build(
-        self,
-        draws: _Draws,
-        eval_index: int,
-        incumbent: tuple[np.ndarray, np.ndarray] | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The shoot-or-refine candidate word (durations, weights) that
-        draws give as evaluation number eval_index against incumbent.
+    def build(self, draws: _Draws, eval_index: int, incumbent: Word | None) -> Word:
+        """The shoot-or-refine candidate word that draws give as
+        evaluation number eval_index against incumbent (a prepared word).
 
         Every fifth evaluation, and every one without an incumbent,
-        shoots a fresh random word; the others refine the incumbent.
+        shoots a fresh random word; the others refine the incumbent. A
+        fixed drift coefficient is not drawn: a shot word's is already
+        one, and a refinement keeps the incumbent's.
         """
-        nchan = self.nchan
-        free = slice(1, None) if self.fixed_drift else slice(0, None)
+        # each row is computed over every channel; a fixed drift's entry
+        # is then put back, so it is neither drawn nor changed
+        fixed = self.fixed_drift
         mode = eval_index % 5
         if mode == 0 or incumbent is None:
-            nseg = draws.nseg
-            durations = draws.raw_dur[:nseg].copy()
-            weights = np.zeros((nseg, nchan))
-            weights[:, free] = draws.raw_amp[:nseg, free] * draws.amp_scale
-            return durations, weights
-        durations, weights = incumbent
-        durations = durations.copy()
-        weights = weights.copy()
+            scale = draws.amp_scale
+            rows = []
+            for amp in draws.raw_amp[: draws.nseg]:
+                row = [a * scale for a in amp]
+                if fixed:
+                    row[0] = 1.0
+                rows.append(tuple(row))
+            return tuple(draws.raw_dur[: draws.nseg]), tuple(rows)
+        durations, rows = incumbent
         j = draws.pick_seg % len(durations)
+        factor = draws.factor
         if mode == 1:
-            weights[j, free] *= draws.factor
+            row = [c * factor for c in rows[j]]
+            if fixed:
+                row[0] = rows[j][0]
+            rows = _replace(rows, j, tuple(row))
         elif mode == 2:
-            durations[j] *= draws.factor
+            durations = _replace(durations, j, durations[j] * factor)
         elif mode == 3:
-            rms = max(float(np.abs(weights[:, free]).max()), 1.0)
-            weights[:, free] += 0.1 * rms * draws.raw_amp[: len(durations), free]
+            # incumbents are finite (they integrated to an endpoint), so
+            # max() meets no nan that np.max would propagate
+            free = 1 if fixed else 0
+            peak = max([abs(c) for row in rows for c in row[free:]])
+            step = 0.1 * max(peak, 1.0)
+            new = []
+            for old, amp in zip(rows, draws.raw_amp):
+                row = [c + step * a for c, a in zip(old, amp)]
+                if fixed:
+                    row[0] = old[0]
+                new.append(tuple(row))
+            rows = tuple(new)
         else:
             # joint reparametrization: same channel integral, less drift
-            durations[j] *= draws.factor
-            weights[j, free] /= draws.factor
-        return durations, weights
+            durations = _replace(durations, j, durations[j] * factor)
+            row = [c / factor for c in rows[j]]
+            if fixed:
+                row[0] = rows[j][0]
+            rows = _replace(rows, j, tuple(row))
+        return durations, rows
 
     def result(self) -> CostEstimate:
         return CostEstimate(
@@ -247,7 +305,7 @@ class _Shooter:
 
 
 def _evaluate(candidates) -> None:
-    """Evaluate (shooter, durations, weights) candidates of one system.
+    """Evaluate (shooter, word) candidates of one system.
 
     All words are prepared, integrated in one `integrate_words` call (as
     lanes when there are several) and folded in the given order. No word
@@ -256,25 +314,27 @@ def _evaluate(candidates) -> None:
     """
     if not candidates:
         return
-    prepared = [(sh, *sh.prepare(d, w)) for sh, d, w in candidates]
+    prepared = [(sh, sh.prepare(word)) for sh, word in candidates]
     first = prepared[0][0]
     ends = integrate_words(
-        first.fields, [(sh.x, d, w) for sh, d, w in prepared], first.ctrl
+        first.fields, [(sh.x, *word) for sh, word in prepared], first.ctrl
     )
-    for (sh, d, w), end in zip(prepared, ends):
-        sh.fold(d, w, end)
+    for (sh, word), end in zip(prepared, ends):
+        sh.fold(word, end)
 
 
 class _Draws:
-    """The random draws behind one shoot-or-refine candidate."""
+    """The random draws behind one shoot-or-refine candidate: raw_dur
+    holds _MAX_SEGMENTS durations, raw_amp as many rows of one normal
+    per channel."""
 
     __slots__ = ("nseg", "raw_dur", "raw_amp", "amp_scale", "pick_seg", "factor")
 
     def __init__(
         self,
         nseg: int,
-        raw_dur: np.ndarray,
-        raw_amp: np.ndarray,
+        raw_dur: list[float],
+        raw_amp: list[list[float]],
         amp_scale: float,
         pick_seg: int,
         factor: float,
@@ -287,19 +347,62 @@ class _Draws:
         self.factor = factor
 
 
-def _draw(rng: np.random.Generator, nchan: int) -> _Draws:
-    """The next candidate's draws. They come from the seed alone, in the
-    same order whether an incumbent exists or not, so the candidate
-    sequence is reproducible and a larger budget replays a smaller one."""
+class _Source:
+    """A generator read as `Generator.integers` and `.uniform` read it.
+
+    Both read raw 64-bit values of the bit generator: a double is
+    (r >> 11) * 2**-53, and `integers(0, n)` is Lemire's bounded draw on
+    32-bit words, which PCG64 serves as the low and then the high half
+    of one raw value (the high half waits in `half`). Normals come from
+    `Generator.standard_normal`, which reads whole raw values and leaves
+    the half buffered.
+    """
+
+    __slots__ = ("raw", "normal", "half")
+
+    def __init__(self, rng: np.random.Generator):
+        self.raw = rng.bit_generator.random_raw
+        self.normal = rng.standard_normal
+        self.half: int | None = None
+
+    def uniform(self, lo: float, span: float) -> float:
+        """`uniform(lo, lo + span)`."""
+        return lo + span * ((self.raw() >> 11) * 2.0**-53)
+
+    def uniforms(self, lo: float, span: float, k: int) -> list[float]:
+        """`uniform(lo, lo + span, k)`, as a list."""
+        return [lo + span * ((r >> 11) * 2.0**-53) for r in self.raw(k).tolist()]
+
+    def index(self, n: int) -> int:
+        """`integers(0, n)` for 1 < n < 2**32."""
+        floor = (1 << 32) % n  # Lemire rejects a low product below 2**32 mod n
+        while True:
+            if self.half is None:
+                r = self.raw()
+                word, self.half = r & 0xFFFFFFFF, r >> 32
+            else:
+                word, self.half = self.half, None
+            m = word * n
+            if m & 0xFFFFFFFF >= floor:
+                return m >> 32
+
+
+def _draw(source: _Source, nchan: int) -> _Draws:
+    """The next candidate's draws: what `integers(1, smax + 1)`,
+    `uniform(*_DUR_RANGE, smax)`, `standard_normal((smax, nchan))`,
+    `exp(uniform(*_LOG_AMP_RANGE))`, `integers(0, smax)` and
+    `integers(0, len(_FACTORS))` give in turn. They come from the seed
+    alone, in the same order whether an incumbent exists or not, so the
+    candidate sequence is reproducible and a larger budget replays a
+    smaller one."""
     smax = _MAX_SEGMENTS
-    return _Draws(
-        int(rng.integers(1, smax + 1)),
-        rng.uniform(_DUR_RANGE[0], _DUR_RANGE[1], size=smax),
-        rng.standard_normal((smax, nchan)),
-        float(np.exp(rng.uniform(*_LOG_AMP_RANGE))),
-        int(rng.integers(0, smax)),
-        _FACTORS[int(rng.integers(0, len(_FACTORS)))],
-    )
+    nseg = 1 + source.index(smax)
+    raw_dur = source.uniforms(_DUR_RANGE[0], _DUR_SPAN, smax)
+    raw_amp = source.normal((smax, nchan)).tolist()
+    amp_scale = float(np.exp(source.uniform(_LOG_AMP_RANGE[0], _LOG_AMP_SPAN)))
+    pick_seg = source.index(smax)
+    factor = _FACTORS[source.index(len(_FACTORS))]
+    return _Draws(nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor)
 
 
 class _Stream:
@@ -308,7 +411,7 @@ class _Stream:
 
     def __init__(self, shooter: _Shooter, rng: np.random.Generator):
         self.shooter = shooter
-        self.rng = rng
+        self.source = _Source(rng)
         self.draws: list[_Draws] = []
         self.folds = 0
         self.changes = 0
@@ -322,9 +425,7 @@ class _Node:
 
     __slots__ = ("word", "cost", "lane", "kept", "replaced")
 
-    def __init__(
-        self, word: tuple[np.ndarray, np.ndarray], cost: float | None, lane: int | None
-    ):
+    def __init__(self, word: Word, cost: float | None, lane: int | None):
         self.word = word
         self.cost = cost
         self.lane = lane
@@ -365,10 +466,10 @@ def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
         if sh.evals + level >= limit:
             continue
         while len(stream.draws) <= level:
-            stream.draws.append(_draw(stream.rng, sh.nchan))
-        word = sh.prepare(*sh.build(stream.draws[level], sh.evals + level, inc))
+            stream.draws.append(_draw(stream.source, sh.nchan))
+        word = sh.prepare(sh.build(stream.draws[level], sh.evals + level, inc))
         # no bound, no decision: the cost waits for the fold, if any
-        cost = None if bound == np.inf else sh._cost(*word)
+        cost = None if bound == np.inf else sh._cost(word)
         decided = cost is not None and not cost < bound
         node = _Node(word, cost, None if decided else len(jobs))
         built += 1
@@ -400,7 +501,7 @@ def _fold_path(stream: _Stream, node: _Node | None, ends: list) -> None:
     folded = 0
     while node is not None and sh.best_cost > 0.0:
         end = None if node.lane is None else ends[node.lane]
-        changed = sh.fold(*node.word, end, node.cost)
+        changed = sh.fold(node.word, end, node.cost)
         folded += 1
         stream.changes += changed
         node = node.replaced if changed else node.kept
@@ -438,6 +539,11 @@ def _shoot(streams: list[_Stream], limit: int) -> None:
             _fold_path(s, root, ends)
 
 
+def _drift_row(nchan: int) -> tuple[float, ...]:
+    """The coefficient row of the drift alone."""
+    return (1.0,) + (0.0,) * (nchan - 1)
+
+
 def _drift_orbit_words(shooter: _Shooter, system: SystemSpec) -> list:
     """u = 0: ride the drift to its closest approach to the target, as a
     list of one word. An orbit that never comes closer than its start
@@ -460,12 +566,10 @@ def _drift_orbit_words(shooter: _Shooter, system: SystemSpec) -> list:
     if best_t == 0.0:
         shooter.evals += 1
         return []
-    w = np.zeros((1, shooter.nchan))
-    w[0, 0] = 1.0
-    return [(np.array([best_t]), w)]
+    return [((best_t,), (_drift_row(shooter.nchan),))]
 
 
-def _lstsq_candidates(shooter: _Shooter) -> list[tuple[np.ndarray, np.ndarray]]:
+def _lstsq_candidates(shooter: _Shooter) -> list[Word]:
     """Single-segment words aimed by least squares against the local frame."""
     with np.errstate(all="ignore"):
         M = np.column_stack([F.compiled()(shooter.x) for F in shooter.fields])
@@ -473,10 +577,10 @@ def _lstsq_candidates(shooter: _Shooter) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for T in (0.5, 1.0, 2.0):
         sol, *_ = np.linalg.lstsq(M, gap / T, rcond=None)
-        w = sol[None, :].copy()
+        row = sol.tolist()
         if shooter.fixed_drift:
-            w[0, 0] = 1.0
-        out.append((np.array([T]), w))
+            row[0] = 1.0
+        out.append(((T,), (tuple(row),)))
     return out
 
 
@@ -508,7 +612,7 @@ def _steer(
             system, x, y, endpoint_tol, fixed_drift=not extended, drift_in_cost=extended
         )
         words = [] if extended else _drift_orbit_words(sh, system)
-        opening += [(sh, d, w) for d, w in words + _lstsq_candidates(sh)]
+        opening += [(sh, word) for word in words + _lstsq_candidates(sh)]
         shooters.append(sh)
     _evaluate(opening)
     _shoot(
@@ -571,12 +675,6 @@ def steering_costs(
     return tuple(_steer(system, searches, budget, endpoint_tol, seed))
 
 
-def _word_arrays(word) -> tuple[np.ndarray, np.ndarray]:
-    durations = np.array([t for t, _ in word])
-    weights = np.array([list(c) for _, c in word])
-    return durations, weights
-
-
 def loop_lengths(
     system: SystemSpec,
     xs,
@@ -613,9 +711,8 @@ def loop_lengths(
     ]
     if not loops:
         return []
-    stationary = np.zeros((1, loops[0].nchan))
-    stationary[0, 0] = 1.0
-    _evaluate([(sh, np.array([min_duration]), stationary) for sh in loops])
+    stationary = ((float(min_duration),), (_drift_row(loops[0].nchan),))
+    _evaluate([(sh, stationary) for sh in loops])
     shooting = [sh for sh in loops if sh.best_word is None]
 
     # round trips through probe points, each leg solved by shooting;
@@ -649,7 +746,7 @@ def loop_lengths(
     ]
     legs = [leg for group in groups for leg in group]
     _evaluate([
-        (leg.shooter, d, w) for leg in legs for d, w in _lstsq_candidates(leg.shooter)
+        (leg.shooter, word) for leg in legs for word in _lstsq_candidates(leg.shooter)
     ])
     snapshots = []
     for done in range(checkpoint, leg_budget + 1, checkpoint):
@@ -658,7 +755,7 @@ def loop_lengths(
     # out + back of each probe at each checkpoint, in (probe, checkpoint)
     # order for each point
     _evaluate([
-        (sh, *_word_arrays(snap[i][2 * pi] + snap[i][2 * pi + 1]))
+        (sh, tuple(zip(*(snap[i][2 * pi] + snap[i][2 * pi + 1]))))
         for i, sh in enumerate(shooting)
         for pi in range(nprobes)
         for snap in snapshots

@@ -28,6 +28,7 @@ from .criterion import (
     _prepare,
     global_verdict,
 )
+from .expr import check_constant_parts
 from .lie import window_grid
 from .flows import inflate_window
 from .metrics import SHOOTING_INFLATION, loop_lengths, steering_costs
@@ -238,6 +239,11 @@ def run_pipeline(spec: SystemSpec, command: str, overrides: dict | None = None) 
     """
     if command not in COMMANDS:
         raise PipelineUsageError(f"unknown command {command!r}")
+    # a field undefined at every point fails every command alike, before
+    # any kernel runs on it
+    for field in spec.drifts + spec.controls:
+        for component in field.components:
+            check_constant_parts(component)
     overrides = dict(overrides or {})
     spec = _apply_overrides(spec, overrides)
     seed = spec.seed

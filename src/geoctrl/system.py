@@ -89,6 +89,8 @@ class SystemSpec:
                 f"window has {len(self.window)} axes for {n} variables"
             )
         for lo, hi in self.window:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise SpecFileError(f"window axis {lo}:{hi} is not finite")
             if not lo < hi:
                 raise SpecFileError(f"window axis {lo}:{hi} is empty")
         for field_name, (admissible, requirement) in RANGES.items():

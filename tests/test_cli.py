@@ -145,6 +145,31 @@ def test_domain_error_exits_4_with_json_error(specfile, tmp_path, capsys):
     assert json.loads(target.read_text()) == err
 
 
+# a field undefined at every point, and literals no float holds
+UNDEFINED_EVERYWHERE = {
+    "control-1/0": (PLANE.replace("control = 0, 1", "control = 0, 1/0"), "DOMAIN_ERROR"),
+    "drift-x1/0": (PLANE.replace("drift = 1, 0", "drift = x1/0, 0"), "DOMAIN_ERROR"),
+    "drift-ln(0)": (PLANE.replace("drift = 1, 0", "drift = 1, x2*ln(0)"), "DOMAIN_ERROR"),
+    "control-1e999": (PLANE.replace("control = 0, 1", "control = 0, 1e999"), "SPEC_INVALID"),
+    "window-1e999": (PLANE.replace("window = -2:2", "window = -1e999:2"), "SPEC_INVALID"),
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "check", "reach", "dist", "loop"])
+@pytest.mark.parametrize("case", sorted(UNDEFINED_EVERYWHERE))
+def test_non_finite_constants_exit_4_on_every_command(specfile, tmp_path, capsys, command, case):
+    text, want = UNDEFINED_EVERYWHERE[case]
+    target = tmp_path / "report.json"
+    argv = [command, specfile(text), "--json", str(target)]
+    if command == "dist":
+        argv += ["--from", "0,0", "--to", "1,1"]
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert err["code"] == want
+    assert json.loads(target.read_text())["error"] == err
+
+
 # ----------------------------------------------------------------- audit
 
 

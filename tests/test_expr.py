@@ -78,6 +78,50 @@ def test_evaluate_domain_errors():
         evaluate(parse_expression("sqrt(x1)", NAMES2), (-4.0, 0.0))
 
 
+def test_a_literal_too_large_for_a_float_is_refused():
+    for src in ("1e999", "x1 + 2e400", "x1^1e999", "x1^-1e999"):
+        with pytest.raises(ExprSyntaxError, match="too large for a float"):
+            parse_expression(src, NAMES2)
+    assert parse_expression("1e308", NAMES2) == Const(1e308)
+
+
+UNDEFINED_EVERYWHERE = [
+    "1/0", "0/0", "x1/0", "x1/(2 - 2)", "x2 + ln(0)", "sqrt(-1)*x1", "(-1)^0.5",
+    "0^-1", "exp(1000) - x1", "sin(x1 + 1/0)",
+]
+DEFINED_SOMEWHERE = ["1/x1", "x1/(x2 - x2 + 1)", "ln(x1)", "2/4", "sqrt(x1 - 1)", "x1^-1"]
+
+
+@pytest.mark.parametrize("src", UNDEFINED_EVERYWHERE)
+def test_constant_parts_undefined_everywhere_are_domain_errors(src):
+    e = parse_expression(src, NAMES2)
+    with pytest.raises(EvalDomainError):
+        ex.check_constant_parts(e)
+    for p in np.random.default_rng(0).uniform(-2.0, 2.0, size=(20, 2)):
+        with pytest.raises(EvalDomainError):
+            evaluate(e, p)
+
+
+@pytest.mark.parametrize("src", DEFINED_SOMEWHERE)
+def test_constant_parts_that_are_defined_pass(src):
+    ex.check_constant_parts(parse_expression(src, NAMES2))
+
+
+def test_kernels_divide_constants_as_numpy_does():
+    exprs = [parse_expression(src, NAMES2) for src in ("1/0", "0/0", "-1/0", "x1/0")]
+    fn = compile_exprs(exprs + [Const(math.inf), Const(math.nan)])
+    with np.errstate(all="ignore"):
+        one = fn(np.array([0.5, 1.0]))
+        batch = fn(np.array([[0.5, 1.0], [-0.5, 1.0]]))
+    assert one[0] == math.inf and math.isnan(one[1]) and one[2] == -math.inf
+    assert one[3] == math.inf and one[4] == math.inf and math.isnan(one[5])
+    assert batch[1, 3] == -math.inf and np.array_equal(batch[0], one, equal_nan=True)
+    # a division with a variable on either side is emitted as before
+    assert ex._emit(parse_expression("x1/2 + 3/x2", NAMES2)) == (
+        "((X[..., 0] / 2.0) + (3.0 / X[..., 1]))"
+    )
+
+
 def test_unary_minus_binds_tighter_than_binary():
     # -x1^2 is -(x1^2), not (-x1)^2
     assert evaluate(parse_expression("-x1^2", NAMES2), (2.0, 0.0)) == -4.0

@@ -420,9 +420,9 @@ def _scalar_shoot(streams, limit):
     for stream in streams:
         sh = stream.shooter
         while sh.evals < limit and sh.best_cost > 0.0:
-            draws = metrics._draw(stream.rng, sh.nchan)
-            word = sh.prepare(*sh.build(draws, sh.evals, sh.inc))
-            sh.fold(*word, integrate_words(sh.fields, [(sh.x, *word)], sh.ctrl)[0])
+            draws = metrics._draw(stream.source, sh.nchan)
+            word = sh.prepare(sh.build(draws, sh.evals, sh.inc))
+            sh.fold(word, integrate_words(sh.fields, [(sh.x, *word)], sh.ctrl)[0])
 
 
 def _decided_nodes(monkeypatch):
@@ -515,25 +515,33 @@ def test_zero_cost_stop_mid_round_matches_one_at_a_time(seed, monkeypatch):
     )
 
 
-def _propose_one_at_a_time(shooter, rng):
-    """The proposal rule as a single function of the shooter's state."""
+def _generator_draws(rng, nchan):
+    """The draws of one candidate as `Generator` calls."""
     smax = metrics._MAX_SEGMENTS
+    lo_a, hi_a = np.log(metrics._AMP_RANGE)
+    return (
+        int(rng.integers(1, smax + 1)),
+        rng.uniform(metrics._DUR_RANGE[0], metrics._DUR_RANGE[1], size=smax),
+        rng.standard_normal((smax, nchan)),
+        float(np.exp(rng.uniform(lo_a, hi_a))),
+        int(rng.integers(0, smax)),
+        metrics._FACTORS[int(rng.integers(0, len(metrics._FACTORS)))],
+    )
+
+
+def _propose_one_at_a_time(shooter, rng, incumbent):
+    """The proposal rule as a single function of the shooter's state, on
+    arrays; incumbent is a pair of arrays (durations, weights)."""
     nchan = shooter.nchan
     free = slice(1, None) if shooter.fixed_drift else slice(0, None)
-    lo_a, hi_a = np.log(metrics._AMP_RANGE)
-    nseg = int(rng.integers(1, smax + 1))
-    raw_dur = rng.uniform(metrics._DUR_RANGE[0], metrics._DUR_RANGE[1], size=smax)
-    raw_amp = rng.standard_normal((smax, nchan))
-    amp_scale = float(np.exp(rng.uniform(lo_a, hi_a)))
-    pick_seg = int(rng.integers(0, smax))
-    factor = metrics._FACTORS[int(rng.integers(0, len(metrics._FACTORS)))]
+    nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor = _generator_draws(rng, nchan)
     mode = shooter.evals % 5
-    if mode == 0 or shooter.inc is None:
+    if mode == 0 or incumbent is None:
         durations = raw_dur[:nseg].copy()
         weights = np.zeros((nseg, nchan))
         weights[:, free] = raw_amp[:nseg, free] * amp_scale
         return durations, weights
-    durations, weights = shooter.inc
+    durations, weights = incumbent
     durations = durations.copy()
     weights = weights.copy()
     j = pick_seg % len(durations)
@@ -550,24 +558,167 @@ def _propose_one_at_a_time(shooter, rng):
     return durations, weights
 
 
-@pytest.mark.parametrize("fixed_drift", [True, False])
-@pytest.mark.parametrize("with_incumbent", [True, False])
-def test_draw_and_build_replay_the_proposal_sequence(fixed_drift, with_incumbent):
+def _prepare_on_arrays(shooter, durations, weights):
+    """The evaluated form of a word, and its cost, on arrays."""
+    durations = np.maximum(np.asarray(durations, dtype=float), 1e-4)
+    total = float(durations.sum())
+    if total > metrics.TIME_CAP:
+        durations = durations * (metrics.TIME_CAP / total)
+    weights = np.array(weights, dtype=float)
+    if shooter.fixed_drift:
+        weights[:, 0] = 1.0
+    w = weights if shooter.drift_in_cost else weights[:, 1:]
+    cost = float(np.sum(np.linalg.norm(w, axis=1) * durations))
+    return durations, weights, cost
+
+
+def _assert_same_word(word, durations, weights):
+    got_d, got_w = word
+    assert all(type(t) is float for t in got_d)
+    assert all(type(c) is float for row in got_w for c in row)
+    assert np.asarray(got_d).tobytes() == durations.tobytes()
+    assert np.asarray(got_w).tobytes() == weights.tobytes()
+
+
+INCUMBENTS = {
+    "plain": [0.3, 1.2, 0.7],
+    "clamped": [1.2e-4, 2.0e-4, 0.7],  # a factor of 0.4 or 0.6 goes below 1e-4
+    "capped": [30.0, 15.0, 4.99],  # a factor above one goes past TIME_CAP
+}
+
+
+def _replay_the_proposal_sequence(fixed_drift, incumbent):
+    """Draw, build, prepare and cost 60 candidates of a shooter whose
+    incumbent is INCUMBENTS[incumbent] (or none), against the reference
+    on arrays."""
     sh = metrics._Shooter(
         unicycle(), np.zeros(3), np.ones(3), 0.05,
         fixed_drift=fixed_drift, drift_in_cost=not fixed_drift,
     )
-    if with_incumbent:
-        sh.inc = (np.array([0.3, 1.2, 0.7]), np.arange(6.0).reshape(3, 2) - 2.5)
+    inc_arrays = None
+    if incumbent is not None:
+        inc_arrays = (np.array(INCUMBENTS[incumbent]), np.arange(6.0).reshape(3, 2) - 2.5)
+        # a prepared incumbent, as the shooter keeps it
+        d, w, _ = _prepare_on_arrays(sh, *inc_arrays)
+        inc_arrays = (d, w)
+        sh.inc = (tuple(d.tolist()), tuple(map(tuple, w.tolist())))
     ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    source = metrics._Source(rng)
+    clamped = capped = 0
     for i in range(60):
         sh.evals = i
-        want = _propose_one_at_a_time(sh, ref_rng)
-        got = sh.build(metrics._draw(rng, sh.nchan), i, sh.inc)
-        for a, b in zip(want, got):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    # both consumed the same draws
+        want = _propose_one_at_a_time(sh, ref_rng, inc_arrays)
+        built = sh.build(metrics._draw(source, sh.nchan), i, sh.inc)
+        if not fixed_drift:  # the reference leaves a fixed drift's column to prepare
+            _assert_same_word(built, *want)
+        d, w, cost = _prepare_on_arrays(sh, *want)
+        word = sh.prepare(built)
+        _assert_same_word(word, d, w)
+        assert sh._cost(word) == cost
+        clamped += bool((want[0] < 1e-4).any())
+        capped += float(np.maximum(want[0], 1e-4).sum()) > metrics.TIME_CAP
+    assert clamped > 0 if incumbent == "clamped" else clamped == 0
+    assert capped > 0 if incumbent == "capped" else capped == 0
+    # both consumed the same draws and hold the same buffered half word
+    state = ref_rng.bit_generator.state
+    assert (source.half is not None) == bool(state["has_uint32"])
+    assert source.half in (None, state["uinteger"])
     assert ref_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("fixed_drift", [True, False])
+@pytest.mark.parametrize("with_incumbent", [True, False])
+def test_draw_and_build_replay_the_proposal_sequence(fixed_drift, with_incumbent):
+    _replay_the_proposal_sequence(fixed_drift, "plain" if with_incumbent else None)
+
+
+@pytest.mark.parametrize("fixed_drift", [True, False])
+@pytest.mark.parametrize("incumbent", ["clamped", "capped"])
+def test_refinements_clamp_and_cap_as_arrays_do(fixed_drift, incumbent):
+    _replay_the_proposal_sequence(fixed_drift, incumbent)
+
+
+@pytest.mark.parametrize("nchan", [2, 3, 4, 5])
+def test_draws_read_what_the_generator_calls_draw(nchan):
+    for seed in range(120):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        source = metrics._Source(rng)
+        for _ in range(15):
+            nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor = _generator_draws(ref_rng, nchan)
+            got = metrics._draw(source, nchan)
+            assert (got.nseg, got.amp_scale, got.pick_seg, got.factor) == (
+                nseg, amp_scale, pick_seg, factor
+            )
+            assert got.raw_dur == raw_dur.tolist()
+            assert got.raw_amp == raw_amp.tolist()
+        assert ref_rng.bit_generator.random_raw() == rng.bit_generator.random_raw()
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_about_to_give(raw: int, seed: int) -> dict:
+    """A PCG64 state whose next raw value is `raw`: PCG64 steps its
+    128-bit state s to s * MULTIPLIER + inc and outputs the rotated xor
+    of its halves, which is the low half where the high half is 0."""
+    state = np.random.PCG64(seed).state
+    inc = state["state"]["inc"]
+    before = (raw - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    return {**state, "state": {"state": before, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+@pytest.mark.parametrize("nchan", [2, 4])
+def test_a_rejected_bounded_draw_reads_on(nchan):
+    # low word 0: 0 * 6 leaves 0 < 2**32 mod 6, so Lemire draws again,
+    # from the high half 5: 5 * 6 >> 32 gives 0, one segment
+    state = _pcg64_about_to_give(5 << 32, seed=nchan)
+    probe, ref_bits, bits = np.random.PCG64(), np.random.PCG64(), np.random.PCG64()
+    probe.state = ref_bits.state = bits.state = state
+    assert probe.random_raw() == 5 << 32
+    ref_rng, rng = np.random.Generator(ref_bits), np.random.Generator(bits)
+    source = metrics._Source(rng)
+    for k in range(20):
+        want = _generator_draws(ref_rng, nchan)
+        got = metrics._draw(source, nchan)
+        if k == 0:
+            assert want[0] == got.nseg == 1
+        assert (got.nseg, got.raw_dur, got.raw_amp, got.amp_scale, got.pick_seg, got.factor) == (
+            want[0], want[1].tolist(), want[2].tolist(), *want[3:]
+        )
+    assert ref_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("drift_in_cost", [True, False])
+def test_concatenated_loops_prepare_and_cost_as_arrays(drift_in_cost):
+    """Out-and-back words of 7 to 12 segments: 8 or more durations sum
+    pairwise, as numpy does, and the longest ones are scaled to TIME_CAP."""
+    rng = np.random.default_rng(3)
+    sh = metrics._Shooter(
+        unicycle(), np.zeros(3), np.zeros(3), 0.05,
+        fixed_drift=True, drift_in_cost=drift_in_cost, closure_frac=0.2,
+    )
+    sizes = []
+    capped = 0
+    for _ in range(400):
+        out_len, back_len = rng.integers(1, 7, size=2)
+        if out_len + back_len < 7:
+            continue
+        legs = []
+        for n in (out_len, back_len):
+            durations = np.exp(rng.uniform(-6.0, 3.6, size=n))
+            weights = rng.standard_normal((n, sh.nchan)) * np.exp(rng.uniform(-4, 4, (n, 1)))
+            weights[:, 0] = 1.0
+            legs.append(tuple(
+                (t, tuple(row)) for t, row in zip(durations.tolist(), weights.tolist())
+            ))
+        word = tuple(zip(*(legs[0] + legs[1])))
+        d, w, cost = _prepare_on_arrays(sh, *map(np.array, word))
+        got = sh.prepare(word)
+        _assert_same_word(got, d, w)
+        assert sh._cost(got) == cost
+        sizes.append(len(d))
+        capped += float(np.maximum(np.array(word[0]), 1e-4).sum()) > metrics.TIME_CAP
+    assert set(sizes) == set(range(7, 13)) and capped > 10
 
 
 # ------------------------------------------------------ searches together
@@ -588,9 +739,8 @@ def _loop_length_reference(
         system, x, x, endpoint_tol,
         fixed_drift=True, drift_in_cost=True, closure_frac=0.2,
     )
-    stationary = np.zeros((1, sh.nchan))
-    stationary[0, 0] = 1.0
-    metrics._evaluate([(sh, np.array([min_duration]), stationary)])
+    stationary = ((float(min_duration),), ((1.0,) + (0.0,) * (sh.nchan - 1),))
+    metrics._evaluate([(sh, stationary)])
     if sh.best_word is not None:
         return sh.result()
     n = system.dim
@@ -609,21 +759,21 @@ def _loop_length_reference(
         for k, (a, b) in enumerate(((x, yp), (yp, x)))
     ]
     metrics._evaluate([
-        (leg.shooter, d, w)
+        (leg.shooter, word)
         for leg in legs
-        for d, w in metrics._lstsq_candidates(leg.shooter)
+        for word in metrics._lstsq_candidates(leg.shooter)
     ])
     snapshots = []
     for done in range(checkpoint, leg_budget + 1, checkpoint):
         metrics._shoot(legs, done)
         snapshots.append([leg.shooter.best_word for leg in legs])
     loops = [
-        metrics._word_arrays(snap[2 * pi] + snap[2 * pi + 1])
+        tuple(zip(*(snap[2 * pi] + snap[2 * pi + 1])))
         for pi in range(len(probes))
         for snap in snapshots
         if snap[2 * pi] is not None and snap[2 * pi + 1] is not None
     ]
-    metrics._evaluate([(sh, d, w) for d, w in loops])
+    metrics._evaluate([(sh, word) for word in loops])
     leg_evals = sum(leg.shooter.evals for leg in legs)
     est = sh.result()
     return CostEstimate(

@@ -25,6 +25,10 @@ oracle runs (`cross_validate` under a stand-in CONTROLLABLE verdict, so
 all 10 coverage runs at the spec's own trajectory count and horizon),
 digested over the whole oracle report, on every system at seeds 0, 3
 and 7: `check` reaches coverage mode on the certified systems only.
+Last of all come the ops of the benchmark's `steer` workload
+(`perfbench/workloads.py`: `dist` of planar_shear and unicycle between
+the endpoints drawn from the seed, `loop` of planar_shear and
+`loop --grid 2` of unicycle) at seeds 1 to 12, the seeds its runs use.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -47,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = (0, 3, 7)
+STEER_SEEDS = tuple(range(1, 13))
 VERIFY_CANDIDATES = (("0", "1", "0"), ("0", "x3", "0"))
 
 
@@ -58,33 +63,37 @@ def _plain(obj):
     return obj.item() if hasattr(obj, "item") else str(obj)
 
 
-def _runs(systems: list[str]):
-    """(command, system, seed, grid) of every run, in print order."""
+def _runs(systems: list[str], steer):
+    """(command, system, seed, grid, dist endpoints) of every run, in print
+    order; `steer(seed)` gives the steer workload's ops."""
     for seed in SEEDS:
         for name in systems:
-            yield "audit", name, seed, None
-            yield "check", name, seed, 2
-            yield "reach", name, seed, None
-            yield "dist", name, seed, None
-            yield "loop", name, seed, 2
+            yield "audit", name, seed, None, None
+            yield "check", name, seed, 2, None
+            yield "reach", name, seed, None, None
+            yield "dist", name, seed, None, None
+            yield "loop", name, seed, 2, None
         for cand in VERIFY_CANDIDATES:
-            yield "verify S=(" + ",".join(cand) + ")", "unicycle_offset", seed, 3
+            yield "verify S=(" + ",".join(cand) + ")", "unicycle_offset", seed, 3, None
     for name in systems:
-        yield "check", name, SEEDS[0], None
+        yield "check", name, SEEDS[0], None, None
     for seed in SEEDS:
         for name in systems:
-            yield "dist --to = --from", name, seed, None
-            yield "loop", name, seed, None
+            yield "dist --to = --from", name, seed, None, None
+            yield "loop", name, seed, None, None
     for seed in SEEDS:
         for name in systems:
-            yield "walks", name, seed, 3
+            yield "walks", name, seed, 3, None
     for seed in SEEDS:
         for name in systems:
-            yield "verdict", name, seed, 2
-            yield "verdict", name, seed, None
+            yield "verdict", name, seed, 2, None
+            yield "verdict", name, seed, None, None
     for seed in SEEDS:
         for name in systems:
-            yield "oracle", name, seed, None
+            yield "oracle", name, seed, None, None
+    for seed in STEER_SEEDS:
+        for op in steer(seed):
+            yield op.kind, op.system, seed, op.grid, op.points
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
@@ -121,8 +130,8 @@ def _verdict_digest(g, spec, seed: int, grid: int | None) -> str:
     return _sha(repr((verdict.status, points)).encode())
 
 
-def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, str]:
-    """(exit code, digests) of one run."""
+def _digest(g, spec, command: str, seed: int, grid: int | None, points) -> tuple[str, str]:
+    """(exit code, digests) of one run; `points` are given `dist` endpoints."""
     if command == "walks":
         return "-", _walk_digest(spec, seed, grid)
     if command == "verdict":
@@ -149,6 +158,8 @@ def _digest(g, spec, command: str, seed: int, grid: int | None) -> tuple[str, st
         overrides["to_point"] = [a + 0.6 * (b - a) for a, b in zip(lo, hi)]
         if command.endswith("= --from"):
             overrides["to_point"] = overrides["from_point"]
+        if points is not None:
+            overrides["from_point"], overrides["to_point"] = map(list, points)
     rep = g.run_pipeline(spec, command.split()[0], overrides)
     out = _sha(rep.to_json().encode())
     if rep.cloud is not None:
@@ -164,13 +175,24 @@ def main(argv=None) -> int:
 
     root = Path(args.root).resolve()
     sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root / "perfbench"))
     g = importlib.import_module("geoctrl")
+    workloads = importlib.import_module("workloads")
     systems = sorted(p.stem for p in (root / "systems").glob("*.sys"))
-    for command, name, seed, grid in _runs(systems):
-        spec = g.load_spec(root / "systems" / f"{name}.sys")
+
+    def load(name: str):
+        return g.load_spec(root / "systems" / f"{name}.sys")
+
+    def steer(seed: int):
+        return workloads.steer(seed, load)
+
+    for command, name, seed, grid, points in _runs(systems, steer):
+        spec = load(name)
         label = command if grid is None else f"{command} --grid {grid}"
+        if points is not None:
+            label += " --from {} --to {}".format(*(",".join(map(repr, p)) for p in points))
         try:
-            code, digest = _digest(g, spec, command, seed, grid)
+            code, digest = _digest(g, spec, command, seed, grid, points)
         except Exception as exc:  # a run that raises prints its error
             code, digest = "error", f"{type(exc).__name__}: {exc}"
         print(f"{label}\t{name}\t{seed}\t{code}\t{digest}", flush=True)
