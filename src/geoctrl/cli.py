@@ -39,6 +39,24 @@ def _point(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated point: {text!r}") from exc
 
 
+def _join_points(argv: list[str]) -> list[str]:
+    """`--from -1,0` as `--from=-1,0`: argparse takes a token that starts
+    with '-' for an option, so a point with a negative first coordinate
+    is joined to its flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--from", "--to") and tok.startswith("-"):
+            try:
+                _point(tok)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 class _UsageError(Exception):
     """A command line the parser refuses; carries argparse's message."""
 
@@ -120,6 +138,7 @@ def _json_path(argv: list[str] | None) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = _join_points(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:

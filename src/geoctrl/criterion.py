@@ -24,11 +24,13 @@ Monte-Carlo reachability oracle corroborates separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .expr import EvalDomainError
 from .fields import VectorField
 from .flows import (  # noqa: F401 (sample_leaf: perfbench/tracing.py patches it here)
     LeafSample,
@@ -287,18 +289,47 @@ def _leaf_verdict(
     eps_sign: float,
     det_frame: Sequence[VectorField] | None,
 ) -> PointVerdict:
-    """One base point's hull test: its walks fold in walk order until inside."""
-    collected = np.array([Q @ f(x) for f in drifts])
-    inside, wit = interior_convex_test(collected, margin)
-    folded = 0  # walks whose shifted drifts are in the hull
-    for moved in () if inside else leaf.shifted_drifts(drifts):
-        if moved is None:
-            continue
-        folded += 1
-        collected = np.vstack([collected, (Q @ moved).T])
-        inside, wit = interior_convex_test(collected, margin)
+    """One base point's hull test: its first prefix of walks whose hull is inside.
+
+    The verdict is the one a fold of the walks in walk order, stopping
+    at the first inside, reaches. The base drifts are tested alone;
+    if they do not close the hull, every walk's shifted drifts are
+    stacked and the full stack is tested once. Interiority is monotone
+    in the point set, so a full stack that is not inside is where the
+    fold ends too, and one that is inside is bisected over walk
+    prefixes to the fold's first inside. A walk whose drifts raise
+    `EvalDomainError` ends the stack: the error is raised where the
+    walks before it leave the hull open, as the fold would reach it,
+    and dropped where they close it.
+    """
+    blocks = [np.array([Q @ f(x) for f in drifts])]
+    inside, wit = interior_convex_test(blocks[0], margin)
+    error = None
+    if not inside:
+        try:
+            for moved in leaf.shifted_drifts(drifts):
+                if moved is not None:
+                    blocks.append((Q @ moved).T)
+        except EvalDomainError as exc:  # re-raised below where the fold would meet it
+            error = exc
+    folded = len(blocks) - 1  # walks whose shifted drifts are in the hull
+    collected = blocks[0]
+    if folded:
+        stack = np.vstack(blocks)
+        ends = np.cumsum([len(b) for b in blocks]).tolist()
+        inside, wit = interior_convex_test(stack, margin)
+        collected = stack
         if inside:
-            break
+            lo, hi = 0, folded  # prefixes of lo walks are open, of hi walks inside
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if interior_convex_test(stack[: ends[mid]], margin)[0]:
+                    hi = mid
+                else:
+                    lo = mid
+            collected = stack[: ends[hi]]
+    if error is not None and not inside:
+        raise error
     if not inside and not folded:
         # every walk escaped or failed its frame: the base drifts alone
         # separate, which says nothing about the leaf
@@ -316,9 +347,7 @@ def _leaf_verdict(
         witness = {"kind": "separating", "covector": wit.tolist()}
     det_agrees = None
     if det_frame is not None and len(drifts) == 1:
-        det_v = sign_change_on_leaf(
-            leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
-        )
+        det_v = sign_change_on_leaf(leaf, _leaf_criterion(leaf, drifts[0], det_frame), eps_sign)
         det_agrees = det_v.condition_holds == inside
     return PointVerdict(
         base=x,
@@ -328,6 +357,29 @@ def _leaf_verdict(
         quotient_frame=Q,
         det_agrees=det_agrees,
     )
+
+
+def _leaf_criterion(
+    leaf: LeafSample, f: VectorField, gtilde: Sequence[VectorField]
+) -> Callable[[np.ndarray], float]:
+    """`criterion_value` for `sign_change_on_leaf` to read at the base and
+    then at the visits in order, from one batched determinant.
+
+    The frame matrices of all those points come from one kernel call
+    per field and go through one `np.linalg.det`. A point whose value
+    is not finite is evaluated again by `criterion_value`, which raises
+    where a field is undefined there.
+    """
+    points = np.array([leaf.base] + [y for y, _ in leaf.visits])
+    with np.errstate(all="ignore"):
+        M = np.stack([F.compiled()(points) for F in (f, *gtilde)], axis=-1)
+        values = iter(np.linalg.det(M).tolist())
+
+    def C(p: np.ndarray) -> float:
+        v = next(values)
+        return v if math.isfinite(v) else criterion_value(f, gtilde, p)
+
+    return C
 
 
 def _point_verdicts(
@@ -346,9 +398,10 @@ def _point_verdicts(
 
     The leaves of all points are sampled in one `sample_leaves` call,
     each point walking from its own seed, each walk carrying its frame.
-    Then each point folds its walks' shifted drifts into its hull test in
-    walk order and stops at the first inside; a walk's drifts are
-    evaluated only when its point folds it.
+    Then each point's verdict is the one a fold of its walks' shifted
+    drifts in walk order, stopping at the first inside, reaches: the
+    full stack is tested once and a stack that is inside is bisected
+    over walk prefixes (`_leaf_verdict`).
     """
     drifts = system.drifts
     n = family.dim
@@ -527,9 +580,10 @@ def global_verdict(
     redundant across a shared leaf but sound. Point seeds derive from
     the master seed, keeping reports reproducible. The leaves of all
     points are walked as lanes of one pool, each point from its own
-    seed and each walk carrying its frame; then each point folds its
-    walks' shifted drifts into its hull test in walk order, up to the
-    first inside.
+    seed and each walk carrying its frame; then each point takes the
+    verdict of a fold of its walks' shifted drifts in walk order, up to
+    the first inside, which one test of the full stack and a bisection
+    over walk prefixes find.
     """
     family, regularity = _prepare(system, family, regularity, grid_per_axis)
     assumptions = {

@@ -35,7 +35,16 @@ A walk along constant generators (every component a `Const`, as in
 every bundled system) needs no integrator: a segment is y + tau * v,
 its frame is exactly I and the walk carries none. The inflated window
 is a box, and a box is convex, so a segment leaves it iff its endpoint
-does, which is all the stepper ever tested.
+does, which is all the stepper ever tested. Such a walk steps tuples
+of Python floats, whose + and * round as numpy's elementwise ones do;
+its visits become arrays when its `LeafSample` is built.
+
+Walks draw their word lengths, generators, signs and durations from
+raw 64-bit values of their generator (`_Source`, which the shooting
+streams of `metrics` read too), exactly as the `Generator` calls
+`integers` and `uniform` read them. A leaf's shifted drifts cost numpy
+calls per leaf, not Python calls per visit: one kernel call per drift
+over every visit and one stacked solve per walk.
 """
 
 from __future__ import annotations
@@ -121,12 +130,55 @@ def inflate_window(
     return tuple(out)
 
 
-def _in_box(x: np.ndarray, box: tuple[tuple[float, float], ...] | None) -> bool:
-    """x is finite and, when there is a box, inside it."""
-    coords = x.tolist()
-    if box is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(coords, box)):
-        return False
+def _in_box(coords: Sequence[float], box: tuple[tuple[float, float], ...] | None) -> bool:
+    """The point (Python floats) is finite and, when there is a box, inside it."""
+    if box is not None:
+        for v, (lo, hi) in zip(coords, box):
+            if not lo <= v <= hi:
+                return False
     return all(map(math.isfinite, coords))
+
+
+class _Source:
+    """A generator read as `Generator.integers`, `.random` and `.uniform` read it.
+
+    They read raw 64-bit values of the bit generator: a double is
+    (r >> 11) * 2**-53, and `integers(0, n)` is Lemire's bounded draw on
+    32-bit words, which PCG64 serves as the low and then the high half
+    of one raw value (the high half waits in `half`). Normals come from
+    `Generator.standard_normal`, which reads whole raw values and leaves
+    the half buffered.
+    """
+
+    __slots__ = ("raw", "normal", "half")
+
+    def __init__(self, rng: np.random.Generator):
+        self.raw = rng.bit_generator.random_raw
+        self.normal = rng.standard_normal
+        self.half: int | None = None
+
+    def uniform(self, lo: float, span: float) -> float:
+        """`uniform(lo, lo + span)`; `random()` is `uniform(0.0, 1.0)`."""
+        return lo + span * ((self.raw() >> 11) * 2.0**-53)
+
+    def uniforms(self, lo: float, span: float, k: int) -> list[float]:
+        """`uniform(lo, lo + span, k)`, as a list."""
+        return [lo + span * ((r >> 11) * 2.0**-53) for r in self.raw(k).tolist()]
+
+    def index(self, n: int) -> int:
+        """`integers(0, n)` for 0 < n < 2**32; n == 1 draws nothing, as numpy's."""
+        if n == 1:
+            return 0
+        floor = (1 << 32) % n  # Lemire rejects a low product below 2**32 mod n
+        while True:
+            if self.half is None:
+                r = self.raw()
+                word, self.half = r & 0xFFFFFFFF, r >> 32
+            else:
+                word, self.half = self.half, None
+            m = word * n
+            if m & 0xFFFFFFFF >= floor:
+                return m >> 32
 
 
 # Dormand-Prince 5(4) coefficients
@@ -187,7 +239,7 @@ def _integrate(
                 # a copy, since a rejected trial overwrites k[6]
                 k0 = k[6].copy()
                 remaining -= h
-                if not _in_box(y, ctrl.window):
+                if not _in_box(y.tolist(), ctrl.window):
                     raise WindowEscapeError(y)
             # standard step resize with safety factor
             factor = 0.9 * (err + 1e-16) ** -0.2
@@ -614,11 +666,6 @@ Walk = tuple[tuple[np.ndarray, ControlWord], ...]
 MAX_FRAME_COND = 1e8
 
 
-def _sound(frame: np.ndarray) -> bool:
-    with np.errstate(all="ignore"):
-        return bool(np.isfinite(frame).all()) and np.linalg.cond(frame) <= MAX_FRAME_COND
-
-
 def _same(a, b) -> bool:
     """a == b, arrays compared by dtype, shape and bytes, sequences itemwise."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -681,21 +728,40 @@ class LeafSample:
         (n, visits * len(drifts)) column stack, deepest visit first and
         the drifts in order within a visit, or None for a failed walk:
         one whose frame is non-finite or has a condition number above
-        MAX_FRAME_COND at some visit. A walk's drifts are evaluated only
-        when its stack is asked for.
+        MAX_FRAME_COND at some visit.
+
+        Each drift's kernel runs once over every visit of the leaf, and
+        a walk's frames take one stacked solve. A visit where a kernel
+        value is not finite is evaluated again by `VectorField.__call__`,
+        deepest such visit first, when its walk is yielded: a drift
+        undefined there raises `EvalDomainError` then and not before. A
+        singularity the kernel maps to a finite value (exp(-1/x1) at
+        x1 = 0) is not caught at a visit.
         """
+        if not self.visits:
+            return
+        points = np.array([y for y, _ in self.visits])
+        with np.errstate(all="ignore"):
+            values = np.stack([f.compiled()(points) for f in drifts], axis=-1)
+            if self.frames is not None:
+                frames = np.array(self.frames)
+                sound = np.isfinite(frames).all(axis=(1, 2))
+                sound[sound] = np.linalg.cond(frames[sound]) <= MAX_FRAME_COND
+        # the visits where some kernel value is not finite
+        redo = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2))).tolist()
         start = 0
         for walk in self.walks():
-            frames = None if self.frames is None else self.frames[start : start + len(walk)]
-            start += len(walk)
-            if frames is not None and not all(_sound(F) for F in frames):
+            stop = start + len(walk)
+            if self.frames is not None and not sound[start:stop].all():
                 yield None
-                continue
-            cols = []
-            for j in range(len(walk) - 1, -1, -1):
-                values = np.column_stack([f(walk[j][0]) for f in drifts])
-                cols.append(values if frames is None else np.linalg.solve(frames[j], values))
-            yield np.hstack(cols)
+            else:
+                for j in [j for j in redo if start <= j < stop][::-1]:
+                    values[j] = np.column_stack([f(self.visits[j][0]) for f in drifts])
+                rows = values[start:stop]
+                if self.frames is not None:
+                    rows = np.linalg.solve(frames[start:stop], rows)
+                yield rows[::-1].transpose(1, 0, 2).reshape(len(self.base), -1)
+            start = stop
 
 
 def sample_leaf(
@@ -720,32 +786,36 @@ def sample_leaf(
     return sample_leaves(family, [x], budget, max_duration, [rng_seed], step)[0]
 
 
-# one segment attempt of a walk: start state, (field_index, sign), duration
-Attempt = tuple[np.ndarray, tuple[int, int], float]
+# one segment attempt of a walk: start state (an array, or a tuple of
+# floats in a closed-form walk), (field_index, sign), duration
+Attempt = tuple[object, tuple[int, int], float]
 
 
 def _walks(
-    start: np.ndarray, m: int, budget: int, max_duration: float, rng: np.random.Generator
-) -> Generator[Attempt, np.ndarray | None, tuple[list, int]]:
+    start, m: int, budget: int, max_duration: float, source: _Source
+) -> Generator[Attempt, object, tuple[list, int]]:
     """`sample_leaf`'s walks from start as a coroutine over its segment attempts.
 
     Yields each attempt and receives its end state, or None where the
     flow failed; returns the visits as (state, word) pairs and the
-    discard count. Draws come from rng alone, so they do not depend on
-    when the end states arrive.
+    discard count. Draws come from source alone, so they do not depend
+    on when the end states arrive. They are the numbers of the
+    `Generator` calls `integers(1, 9)` (the word length), then per
+    attempt `integers(0, m)` (none when m == 1), `random()` (the sign)
+    and `uniform(0.0, max_duration)`.
     """
-    visits: list[tuple[np.ndarray, ControlWord]] = []
+    visits: list[tuple[object, ControlWord]] = []
     discarded = 0
     for _ in range(budget):
-        length = int(rng.integers(1, 9))
+        length = 1 + source.index(8)
         y = start
         word: list[Segment] = []
         for _ in range(length):
             for _ in range(3):
-                idx = int(rng.integers(0, m))
-                sign = 1 if rng.random() < 0.5 else -1
+                idx = source.index(m)
+                sign = 1 if source.uniform(0.0, 1.0) < 0.5 else -1
                 # durations stay strictly positive
-                tau = float(rng.uniform(0.0, max_duration))
+                tau = source.uniform(0.0, max_duration)
                 if tau == 0.0:
                     tau = max_duration * 0.5
                 end = yield y, (idx, sign), tau
@@ -795,30 +865,34 @@ def sample_leaves(
         signed[i, 1] = g
         signed[i, -1] = g.negate()
     bases = [np.asarray(x, dtype=float) for x in points]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sources = [_Source(np.random.default_rng(seed)) for seed in seeds]
     if all(g.is_constant for g in gens):
+        # states are tuples of Python floats, whose + and * are numpy's
+        # elementwise; the visits become arrays once the walks are done
         origin = np.zeros(n)
-        values = {key: V.compiled()(origin) for key, V in signed.items()}
+        values = {key: V.compiled()(origin).tolist() for key, V in signed.items()}
         leaves = []
-        for x, rng in zip(bases, rngs):
-            walk = _walks(x, len(gens), budget, max_duration, rng)
+        for x, source in zip(bases, sources):
+            walk = _walks(tuple(x.tolist()), len(gens), budget, max_duration, source)
             end = None  # sending None starts the coroutine at its first attempt
             try:
                 while True:
                     y, key, tau = walk.send(end)
-                    end = y + tau * values[key]
+                    end = tuple([a + tau * v for a, v in zip(y, values[key])])
                     if not _in_box(end, ctrl.window):
                         end = None
             except StopIteration as stop:
                 visits, discarded = stop.value
-            leaves.append(LeafSample(x, tuple(visits), discarded))
+            states = np.array([y for y, _ in visits], dtype=float).reshape(len(visits), n)
+            visits = tuple(zip(states, (word for _, word in visits)))
+            leaves.append(LeafSample(x, visits, discarded))
         return leaves
 
     kernels = {key: (V.compiled(), V.compiled_jacobian()) for key, V in signed.items()}
     eye = np.eye(n).ravel()
     walks = [
-        _walks(np.concatenate([x, eye]), len(gens), budget, max_duration, rng)
-        for x, rng in zip(bases, rngs)
+        _walks(np.concatenate([x, eye]), len(gens), budget, max_duration, source)
+        for x, source in zip(bases, sources)
     ]
     leaves: list[LeafSample | None] = [None] * len(walks)
 

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flows import FlowError, StepControl, _integrate, inflate_window, integrate_words
+from .flows import FlowError, StepControl, _integrate, _Source, inflate_window, integrate_words
 from .system import SystemSpec
 
 __all__ = [
@@ -347,46 +347,6 @@ class _Draws:
         self.factor = factor
 
 
-class _Source:
-    """A generator read as `Generator.integers` and `.uniform` read it.
-
-    Both read raw 64-bit values of the bit generator: a double is
-    (r >> 11) * 2**-53, and `integers(0, n)` is Lemire's bounded draw on
-    32-bit words, which PCG64 serves as the low and then the high half
-    of one raw value (the high half waits in `half`). Normals come from
-    `Generator.standard_normal`, which reads whole raw values and leaves
-    the half buffered.
-    """
-
-    __slots__ = ("raw", "normal", "half")
-
-    def __init__(self, rng: np.random.Generator):
-        self.raw = rng.bit_generator.random_raw
-        self.normal = rng.standard_normal
-        self.half: int | None = None
-
-    def uniform(self, lo: float, span: float) -> float:
-        """`uniform(lo, lo + span)`."""
-        return lo + span * ((self.raw() >> 11) * 2.0**-53)
-
-    def uniforms(self, lo: float, span: float, k: int) -> list[float]:
-        """`uniform(lo, lo + span, k)`, as a list."""
-        return [lo + span * ((r >> 11) * 2.0**-53) for r in self.raw(k).tolist()]
-
-    def index(self, n: int) -> int:
-        """`integers(0, n)` for 1 < n < 2**32."""
-        floor = (1 << 32) % n  # Lemire rejects a low product below 2**32 mod n
-        while True:
-            if self.half is None:
-                r = self.raw()
-                word, self.half = r & 0xFFFFFFFF, r >> 32
-            else:
-                word, self.half = self.half, None
-            m = word * n
-            if m & 0xFFFFFFFF >= floor:
-                return m >> 32
-
-
 def _draw(source: _Source, nchan: int) -> _Draws:
     """The next candidate's draws: what `integers(1, smax + 1)`,
     `uniform(*_DUR_RANGE, smax)`, `standard_normal((smax, nchan))`,
@@ -570,10 +530,16 @@ def _drift_orbit_words(shooter: _Shooter, system: SystemSpec) -> list:
 
 
 def _lstsq_candidates(shooter: _Shooter) -> list[Word]:
-    """Single-segment words aimed by least squares against the local frame."""
+    """Single-segment words aimed by least squares against the local frame.
+
+    No words where the frame or the gap is not finite (a field undefined at
+    the start): shooting goes on without them.
+    """
     with np.errstate(all="ignore"):
         M = np.column_stack([F.compiled()(shooter.x) for F in shooter.fields])
     gap = shooter.y - shooter.x
+    if not (np.isfinite(M).all() and np.isfinite(gap).all()):
+        return []
     out = []
     for T in (0.5, 1.0, 2.0):
         sol, *_ = np.linalg.lstsq(M, gap / T, rcond=None)

@@ -238,6 +238,31 @@ def test_dist_rejects_wrong_arity(specfile, capsys):
     assert "2 coordinates" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["loop", "--budget", "50"], ["dist", "--from=-1,0", "--to", "1,1"]],
+    ids=["loop", "dist"],
+)
+def test_shooting_goes_on_where_the_start_frame_is_undefined(specfile, capsys, argv):
+    # sqrt(x1) is nan at x1 < 0, so the least-squares words have no frame
+    # to aim by; they are left out and the random words still shoot
+    code, doc = run_json(capsys, [argv[0], specfile(SQRT_DRIFT), *argv[1:]])
+    assert code == 0
+    assert doc["metrics"]
+
+
+def test_a_negative_point_may_follow_its_flag(specfile, capsys):
+    spec = specfile(PLANE)
+    tail = ["--budget", "40"]
+    code = main(["dist", spec, "--from", "-1,0", "--to", "-0.5,-1", *tail])
+    spaced = capsys.readouterr().out
+    assert code == 0
+    code = main(["dist", spec, "--from=-1,0", "--to=-0.5,-1", *tail])
+    assert code == 0
+    assert capsys.readouterr().out == spaced
+    assert json.loads(spaced)["metrics"]["from"] == [-1.0, 0.0]
+
+
 def test_loop_scan_reports_grid_and_max(specfile, capsys):
     code, doc = run_json(
         capsys, ["loop", specfile(DRIFTLESS), "--grid", "2", "--budget", "60"]

@@ -25,8 +25,16 @@ from geoctrl.criterion import (
     switched_condition,
     verify_supporting_distribution,
 )
+from geoctrl.expr import EvalDomainError
 from geoctrl.fields import VectorField
-from geoctrl.flows import MAX_FRAME_COND, LeafSample, Segment, sample_leaf, sample_leaves
+from geoctrl.flows import (
+    MAX_FRAME_COND,
+    LeafSample,
+    Segment,
+    fields_equal,
+    sample_leaf,
+    sample_leaves,
+)
 from geoctrl.lie import NotRegularError, generate_bracket_basis
 from geoctrl.report import run_pipeline
 from geoctrl.system import SystemSpec, load_spec, loads_spec
@@ -652,3 +660,150 @@ def test_verifier_does_not_depend_on_the_walk_pool(monkeypatch):
     alone = verify_supporting_distribution(spec, [S], grid_per_axis=3)
     assert pooled.accepted
     assert pooled == alone
+
+
+# --- the bisected fold and the batched determinant route ----------------------
+
+
+def _sequential_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame):
+    """The fold that `_leaf_verdict` bisects, kept here as its reference:
+    walks fold in walk order, one hull test each, until the hull is
+    inside, and the determinant route runs `criterion_value` at each
+    point it reads."""
+    collected = np.array([Q @ f(x) for f in drifts])
+    inside, wit = interior_convex_test(collected, margin)
+    folded = 0
+    for moved in () if inside else leaf.shifted_drifts(drifts):
+        if moved is None:
+            continue
+        folded += 1
+        collected = np.vstack([collected, (Q @ moved).T])
+        inside, wit = interior_convex_test(collected, margin)
+        if inside:
+            break
+    if not inside and not folded:
+        return criterion.PointVerdict(
+            base=x,
+            condition_holds=False,
+            witness=None,
+            samples_used=len(collected),
+            quotient_frame=Q,
+            error=NO_LEAF_EVIDENCE,
+        )
+    if inside:
+        witness = criterion._interior_certificate(collected, margin)
+    else:
+        witness = {"kind": "separating", "covector": wit.tolist()}
+    det_agrees = None
+    if det_frame is not None and len(drifts) == 1:
+        det_v = sign_change_on_leaf(
+            leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
+        )
+        det_agrees = det_v.condition_holds == inside
+    return criterion.PointVerdict(
+        base=x,
+        condition_holds=inside,
+        witness=witness,
+        samples_used=len(collected),
+        quotient_frame=Q,
+        det_agrees=det_agrees,
+    )
+
+
+class _Stacks:
+    """A leaf stand-in whose walks shift to the given column stacks."""
+
+    def __init__(self, stacks):
+        self.stacks = stacks
+
+    def shifted_drifts(self, drifts):
+        yield from self.stacks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bisected_fold_equals_the_sequential_fold_on_random_sets(k):
+    names = tuple(f"x{i + 1}" for i in range(k))
+    Q = np.eye(k)
+    x = np.zeros(k)
+    closed_late = opened = empty = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        # a bias keeps some hulls open and makes others close late
+        bias = rng.uniform(0.0, 2.5) * rng.standard_normal(k)
+        stacks = [
+            None
+            if rng.random() < 0.15
+            else rng.standard_normal((k, int(rng.integers(1, 4)))) + bias[:, None]
+            for _ in range(int(rng.integers(0, 14)))
+        ]
+        drift = VectorField.constant(bias + 0.3 * rng.standard_normal(k), names)
+        leaf = _Stacks(stacks)
+        args = (x, Q, leaf, [drift], criterion.DEFAULT_MARGIN, criterion.DEFAULT_EPS_SIGN, None)
+        got = criterion._leaf_verdict(*args)
+        want = _sequential_verdict(*args)
+        assert fields_equal(got, want), seed
+        first = next((s.shape[1] for s in stacks if s is not None), 0)
+        closed_late += bool(want.condition_holds and want.samples_used > 1 + first)
+        opened += bool(want.error is None and not want.condition_holds)
+        empty += want.error == NO_LEAF_EVIDENCE
+    assert closed_late > 10 and opened > 10 and empty > 5
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SYS_DIR.glob("*.sys")))
+def test_bisected_fold_equals_the_sequential_fold_on_bundled_systems(name, monkeypatch):
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    for seed in (0, 3, 7):
+        got = global_verdict(spec, grid_per_axis=3, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(criterion, "_leaf_verdict", _sequential_verdict)
+            want = global_verdict(spec, grid_per_axis=3, seed=seed)
+        assert got.status == want.status
+        assert len(got.points) == len(want.points) == 3**spec.dim
+        for p, q in zip(got.points, want.points):
+            assert fields_equal(p, q)
+
+
+def test_batched_determinants_equal_criterion_value():
+    for name in ("planar_shear", "saddle3d"):
+        spec = load_spec(SYS_DIR / f"{name}.sys")
+        family, regularity = criterion._prepare(spec, None, None, 2)
+        frame = criterion._global_frame(spec, family, regularity)
+        assert frame is not None
+        x = [0.5, -0.5] + [0.0] * (spec.dim - 2)
+        leaf = sample_leaf(family, x, 12, spec.walk_duration(), 3)
+        C = criterion._leaf_criterion(leaf, spec.drifts[0], frame)
+        points = [leaf.base] + [y for y, _ in leaf.visits]
+        assert [C(p) for p in points] == [criterion_value(spec.drifts[0], frame, p) for p in points]
+
+
+# the quotient of control (0, 1) reads the drift's first component, x2;
+# its second component ln(1 - x1) is undefined at x1 >= 1
+_LN_DRIFT = VectorField.parse(["x2", "ln(1 - x1)"], N2)
+
+
+def _one_visit_walks(*points):
+    seg = Segment(0, 1, 0.5)
+    return LeafSample(
+        base=np.zeros(2), visits=tuple((np.array(p), (seg,)) for p in points), discarded=0
+    )
+
+
+def test_a_drift_undefined_past_the_closing_walk_does_not_raise():
+    # walks 1 and 2 close the hull (x2 = 1 and -1); walk 3 is undefined
+    leaf = _one_visit_walks([0.5, 1.0], [0.5, -1.0], [2.0, 0.5])
+    with pytest.raises(EvalDomainError):
+        list(leaf.shifted_drifts([_LN_DRIFT]))
+    args = (leaf.base, np.array([[1.0, 0.0]]), leaf, [_LN_DRIFT], 1e-7, 1e-9, None)
+    got = criterion._leaf_verdict(*args)
+    assert got.condition_holds and got.samples_used == 3
+    assert fields_equal(got, _sequential_verdict(*args))
+
+
+def test_a_drift_undefined_before_the_closing_walk_raises_as_the_fold_did():
+    leaf = _one_visit_walks([0.5, 1.0], [2.0, -1.0], [0.5, -1.0])
+    args = (leaf.base, np.array([[1.0, 0.0]]), leaf, [_LN_DRIFT], 1e-7, 1e-9, None)
+    with pytest.raises(EvalDomainError) as want:
+        _sequential_verdict(*args)
+    with pytest.raises(EvalDomainError) as got:
+        criterion._leaf_verdict(*args)
+    assert str(got.value) == str(want.value) == "ln of nonpositive value -1.0"

@@ -759,6 +759,63 @@ def test_closed_form_walks_match_integrate(name):
     assert visits > 100 * len(pts)
 
 
+def _generator_walks(m, budget, max_duration, rng, refused):
+    """The `Generator` calls the leaf walks drew before they read raw
+    words, kept here as their reference, in `_walks`' loop: per walk
+    `integers(1, 9)`, then per segment attempt `integers(0, m)`,
+    `random()` and `uniform(0.0, max_duration)`. Attempt k fails where
+    refused[k]. Returns the attempts ((index, sign), duration), the
+    visits' words and the discard count."""
+    attempts, words, discarded = [], [], 0
+    for _ in range(budget):
+        length = int(rng.integers(1, 9))
+        word = []
+        for _ in range(length):
+            for _ in range(3):
+                idx = int(rng.integers(0, m))
+                sign = 1 if rng.random() < 0.5 else -1
+                tau = float(rng.uniform(0.0, max_duration))
+                if tau == 0.0:
+                    tau = max_duration * 0.5
+                attempts.append(((idx, sign), tau))
+                if refused[len(attempts) - 1]:
+                    discarded += 1
+                    continue
+                word.append(Segment(idx, sign, tau))
+                words.append(tuple(word))
+                break
+            else:
+                break
+    return attempts, words, discarded
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_walk_draws_read_what_the_generator_calls_draw(m):
+    # m == 1 draws no index, as integers(0, 1) draws nothing; refusals
+    # make discards and walks that end after three failed attempts
+    for seed in range(200):
+        refused = np.random.default_rng(seed + 1000).random(4000) < 0.4
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _generator_walks(m, 6, 0.7, ref_rng, refused)
+        source = flows._Source(rng)
+        walk = flows._walks(0, m, 6, 0.7, source)
+        attempts = []
+        end = None
+        try:
+            while True:
+                y, key, tau = walk.send(end)
+                attempts.append((key, tau))
+                end = None if refused[len(attempts) - 1] else y + 1
+        except StopIteration as stop:
+            visits, discarded = stop.value
+        assert (attempts, [w for _, w in visits], discarded) == want
+        # both consumed the same raw values and hold the same buffered half
+        state = ref_rng.bit_generator.state
+        assert (source.half is not None) == bool(state["has_uint32"])
+        assert source.half in (None, state["uinteger"])
+        assert ref_rng.bit_generator.random_raw() == rng.bit_generator.random_raw()
+
+
 def test_a_leaf_does_not_depend_on_the_points_it_walks_with():
     spec = load_spec(SYS_DIR / "unicycle.sys")
     family, _ = _prepare(spec, None, None, 2)
@@ -782,6 +839,91 @@ def test_sample_leaves_of_no_points_is_empty():
 
 
 # --- drifts shifted along sampled leaves ----------------------------------
+
+
+def _shifted_per_visit(leaf, drifts):
+    """The per-visit shift that `LeafSample.shifted_drifts` batched, kept
+    here as its reference: per walk, each visit's drifts by
+    `VectorField.__call__`, deepest visit first, each visit solved
+    against its own frame; None for a walk with a frame that is not
+    finite or is worse conditioned than MAX_FRAME_COND."""
+    start = 0
+    for walk in leaf.walks():
+        frames = None if leaf.frames is None else leaf.frames[start : start + len(walk)]
+        start += len(walk)
+        with np.errstate(all="ignore"):
+            if frames is not None and not all(
+                np.isfinite(F).all() and np.linalg.cond(F) <= MAX_FRAME_COND for F in frames
+            ):
+                yield None
+                continue
+        cols = []
+        for j in range(len(walk) - 1, -1, -1):
+            values = np.column_stack([f(walk[j][0]) for f in drifts])
+            cols.append(values if frames is None else np.linalg.solve(frames[j], values))
+        yield np.hstack(cols)
+
+
+def _assert_shifts_match_per_visit(leaf, drifts, maxulp=0):
+    """The batched shifts against `_shifted_per_visit`, bit for bit at
+    maxulp 0; returns the walks shifted and the entries that differ."""
+    got = list(leaf.shifted_drifts(drifts))
+    want = list(_shifted_per_visit(leaf, drifts))
+    assert len(got) == len(want) == len(leaf.walks())
+    differ = 0
+    for W, ref in zip(got, want):
+        assert (W is None) == (ref is None)
+        if W is not None:
+            np.testing.assert_array_max_ulp(W, ref, maxulp=maxulp)
+            differ += int(np.count_nonzero(W != ref))
+    return sum(W is not None for W in got), differ
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_batched_shifts_equal_the_per_visit_shifts(name):
+    # the leaves `check` draws at grid 3, seeds 0, 3 and 7. numpy's sin,
+    # cos and arithmetic round as Python's do, so the kernel gives the
+    # tree's values; planar_forward's 1 + x2^2 is np.power against libm's
+    # pow, which differ in the last bit at a few visits
+    spec = load_spec(SYS_DIR / f"{name}.sys")
+    family, _ = _prepare(spec, None, None, 3)
+    step = _step_control(spec)
+    pts = list(window_grid(spec.window, 3))
+    maxulp = 1 if name == "planar_forward" else 0
+    shifted = differ = entries = 0
+    for seed in (0, 3, 7):
+        seeds = [_child_seed(c) for c in np.random.SeedSequence(seed).spawn(len(pts))]
+        for leaf in sample_leaves(family, pts, spec.leaf_budget, spec.walk_duration(), seeds, step):
+            walks, d = _assert_shifts_match_per_visit(leaf, spec.drifts, maxulp)
+            shifted += walks
+            differ += d
+            entries += len(leaf.visits) * spec.dim * len(spec.drifts)
+    assert shifted > 10 * len(pts)
+    assert differ <= entries // 1000
+
+
+def test_batched_shifts_equal_the_per_visit_shifts_through_frames():
+    # the wiggly family carries frames: one stacked solve per walk gives
+    # each visit's own solve, and a walk with an ill-conditioned frame fails
+    # (x1*x1, not x1^2: np.power and libm's pow differ in the last bit)
+    fam = _family(*WIGGLY)
+    drifts = [VectorField.parse(["x2", "x1*x1"], N2), VectorField.parse(["1", "sin(x1)"], N2)]
+    step = StepControl(window=inflate_window(((-2.0, 2.0), (-2.0, 2.0))))
+    shifted = 0
+    for seed, x in enumerate([[0.3, -0.2], [-1.5, 1.0], [1.9, 1.9]]):
+        leaf = sample_leaf(fam, x, budget=24, max_duration=2.0, rng_seed=seed, step=step)
+        assert leaf.frames is not None
+        shifted += _assert_shifts_match_per_visit(leaf, drifts)[0]
+    assert shifted > 30
+    seg = Segment(0, 1, 0.1)
+    ill = np.diag([1.0, 0.5 / MAX_FRAME_COND])
+    leaf = LeafSample(
+        base=np.zeros(2),
+        visits=tuple((np.array([0.1 * i, 0.5]), (seg,) * k) for i, k in enumerate([1, 2, 1])),
+        discarded=0,
+        frames=(np.eye(2), ill, 2 * np.eye(2)),
+    )
+    assert _assert_shifts_match_per_visit(leaf, drifts) == (1, 0)
 
 
 def test_shift_identity_transport_shear():

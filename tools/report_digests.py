@@ -28,7 +28,10 @@ and 7: `check` reaches coverage mode on the certified systems only.
 Last of all come the ops of the benchmark's `steer` workload
 (`perfbench/workloads.py`: `dist` of planar_shear and unicycle between
 the endpoints drawn from the seed, `loop` of planar_shear and
-`loop --grid 2` of unicycle) at seeds 1 to 12, the seeds its runs use.
+`loop --grid 2` of unicycle) and then those of its `refute` workload
+(`check planar_forward --grid 2`, `check unicycle_offset --grid 2` and
+the two `verify` runs above), each at seeds 1 to 12, the seeds its runs
+use.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -51,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = (0, 3, 7)
-STEER_SEEDS = tuple(range(1, 13))
+BENCH_SEEDS = tuple(range(1, 13))
 VERIFY_CANDIDATES = (("0", "1", "0"), ("0", "x3", "0"))
 
 
@@ -63,9 +66,13 @@ def _plain(obj):
     return obj.item() if hasattr(obj, "item") else str(obj)
 
 
-def _runs(systems: list[str], steer):
+def _verify_command(candidate) -> str:
+    return "verify S=(" + ",".join(candidate) + ")"
+
+
+def _runs(systems: list[str], workload):
     """(command, system, seed, grid, dist endpoints) of every run, in print
-    order; `steer(seed)` gives the steer workload's ops."""
+    order; `workload(name, seed)` gives that benchmark workload's ops."""
     for seed in SEEDS:
         for name in systems:
             yield "audit", name, seed, None, None
@@ -74,7 +81,7 @@ def _runs(systems: list[str], steer):
             yield "dist", name, seed, None, None
             yield "loop", name, seed, 2, None
         for cand in VERIFY_CANDIDATES:
-            yield "verify S=(" + ",".join(cand) + ")", "unicycle_offset", seed, 3, None
+            yield _verify_command(cand), "unicycle_offset", seed, 3, None
     for name in systems:
         yield "check", name, SEEDS[0], None, None
     for seed in SEEDS:
@@ -91,9 +98,11 @@ def _runs(systems: list[str], steer):
     for seed in SEEDS:
         for name in systems:
             yield "oracle", name, seed, None, None
-    for seed in STEER_SEEDS:
-        for op in steer(seed):
-            yield op.kind, op.system, seed, op.grid, op.points
+    for name in ("steer", "refute"):
+        for seed in BENCH_SEEDS:
+            for op in workload(name, seed):
+                command = op.kind if op.candidate is None else _verify_command(op.candidate)
+                yield command, op.system, seed, op.grid, op.points
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
@@ -183,10 +192,10 @@ def main(argv=None) -> int:
     def load(name: str):
         return g.load_spec(root / "systems" / f"{name}.sys")
 
-    def steer(seed: int):
-        return workloads.steer(seed, load)
+    def workload(name: str, seed: int):
+        return workloads.WORKLOADS[name](seed, load)
 
-    for command, name, seed, grid, points in _runs(systems, steer):
+    for command, name, seed, grid, points in _runs(systems, workload):
         spec = load(name)
         label = command if grid is None else f"{command} --grid {grid}"
         if points is not None:
