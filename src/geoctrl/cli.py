@@ -10,7 +10,8 @@ Reports are JSON on stdout (or --json PATH); reach clouds go to --csv.
 Exit codes: 0 clean/agreement, 2 oracle disagreement, 3 rank not
 constant on the audit grid, 4 bad input or missing assumption (including
 a command line argparse refuses: USAGE, and a field expression undefined
-at a point the run evaluates: DOMAIN_ERROR).
+where the command evaluates it with domain checks: DOMAIN_ERROR; see the
+README for which command checks which fields).
 """
 
 from __future__ import annotations

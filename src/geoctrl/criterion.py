@@ -210,42 +210,44 @@ def quotient_projection(
 def interior_convex_test(
     points: np.ndarray | Sequence[Sequence[float]],
     margin: float = DEFAULT_MARGIN,
-) -> tuple[bool, np.ndarray | None]:
+) -> tuple[bool, dict]:
     """Is 0 interior to the convex hull of a finite point set in R^k?
 
     k=1 and k=2 are exact (extremes; sorted angular gaps). k>=3 scans a
     deterministic unit-direction design of at least 2k^2 directions and
-    may report false "inside"; callers label that route approximate.
-    Returns (inside, witness) where a non-None witness d is a unit
-    covector with <d, p> >= -margin for every input point p.
+    may report false "inside", so its certificate says `approximate`.
+    Returns (inside, witness), the witness being the certificate a
+    `PointVerdict` carries, read off the numbers the test decided on:
+    inside, the extremes `value_pos`/`value_neg` (k=1), the largest
+    angular gap `max_angular_gap` (k=2) or the smallest support over
+    the design `design_support_min` (k>=3); outside, a unit covector d
+    with <d, p> >= -margin for every input point p.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.size == 0:
         raise ValueError("empty point list")
     k = P.shape[1]
     if k == 1:
-        vals = P[:, 0]
-        inside = bool(vals.max() > margin and vals.min() < -margin)
-        if inside:
-            return True, None
-        d = np.array([1.0]) if vals.min() >= -margin else np.array([-1.0])
-        return False, d
+        hi, lo = float(P[:, 0].max()), float(P[:, 0].min())
+        if hi > margin and lo < -margin:
+            return True, {"kind": "interior", "value_pos": hi, "value_neg": lo}
+        return False, _separating([1.0] if lo >= -margin else [-1.0])
     if k == 2:
         norms = np.linalg.norm(P, axis=1)
         big = P[norms > margin]
         if len(big) == 0:
-            return False, np.array([1.0, 0.0])
+            return False, _separating([1.0, 0.0])
         ang = np.sort(np.arctan2(big[:, 1], big[:, 0]))
         gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
         j = int(np.argmax(gaps))
         if gaps[j] < np.pi:
-            return True, None
+            return True, {"kind": "interior", "max_angular_gap": float(gaps[j])}
         # witness points at the middle of the occupied arc, i.e. opposite
         # the midpoint of the largest empty gap
         alpha = ang[j]
         beta = ang[j + 1] if j + 1 < len(ang) else ang[0] + 2 * np.pi
         mu = 0.5 * (alpha + beta) + np.pi
-        return False, np.array([np.cos(mu), np.sin(mu)])
+        return False, _separating([float(np.cos(mu)), float(np.sin(mu))])
     # k >= 3: finite direction design
     design = _direction_design(k)
     support = (P @ design.T).max(axis=0)
@@ -253,8 +255,16 @@ def interior_convex_test(
     if bad.size:
         # no point on the positive side of that direction, so its negation
         # has every point at inner product >= -margin
-        return False, -design[bad[0]]
-    return True, None
+        return False, _separating((-design[bad[0]]).tolist())
+    return True, {
+        "kind": "interior",
+        "design_support_min": float(support.min()),
+        "approximate": True,
+    }
+
+
+def _separating(covector: list[float]) -> dict:
+    return {"kind": "separating", "covector": covector}
 
 
 _design_cache: dict[int, np.ndarray] = {}
@@ -300,10 +310,12 @@ def _leaf_verdict(
     prefixes to the fold's first inside. A walk whose drifts raise
     `EvalDomainError` ends the stack: the error is raised where the
     walks before it leave the hull open, as the fold would reach it,
-    and dropped where they close it.
+    and dropped where they close it. The witness is the certificate of
+    the test that decided: the base test, the full-stack test or the
+    bisection's last inside test.
     """
     blocks = [np.array([Q @ f(x) for f in drifts])]
-    inside, wit = interior_convex_test(blocks[0], margin)
+    inside, witness = interior_convex_test(blocks[0], margin)
     error = None
     if not inside:
         try:
@@ -317,14 +329,15 @@ def _leaf_verdict(
     if folded:
         stack = np.vstack(blocks)
         ends = np.cumsum([len(b) for b in blocks]).tolist()
-        inside, wit = interior_convex_test(stack, margin)
+        inside, witness = interior_convex_test(stack, margin)
         collected = stack
         if inside:
             lo, hi = 0, folded  # prefixes of lo walks are open, of hi walks inside
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if interior_convex_test(stack[: ends[mid]], margin)[0]:
-                    hi = mid
+                closes, certificate = interior_convex_test(stack[: ends[mid]], margin)
+                if closes:
+                    hi, witness = mid, certificate
                 else:
                     lo = mid
             collected = stack[: ends[hi]]
@@ -341,10 +354,6 @@ def _leaf_verdict(
             quotient_frame=Q,
             error=NO_LEAF_EVIDENCE,
         )
-    if inside:
-        witness = _interior_certificate(collected, margin)
-    else:
-        witness = {"kind": "separating", "covector": wit.tolist()}
     det_agrees = None
     if det_frame is not None and len(drifts) == 1:
         det_v = sign_change_on_leaf(leaf, _leaf_criterion(leaf, drifts[0], det_frame), eps_sign)
@@ -447,30 +456,6 @@ def _point_verdicts(
     for (i, x, Q, _), leaf in zip(walked, leaves):
         verdicts[i] = _leaf_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame)
     return verdicts
-
-
-def _interior_certificate(collected: np.ndarray, margin: float) -> dict:
-    k = collected.shape[1]
-    if k == 1:
-        vals = collected[:, 0]
-        return {
-            "kind": "interior",
-            "value_pos": float(vals.max()),
-            "value_neg": float(vals.min()),
-        }
-    if k == 2:
-        norms = np.linalg.norm(collected, axis=1)
-        big = collected[norms > margin]
-        ang = np.sort(np.arctan2(big[:, 1], big[:, 0]))
-        gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-        return {"kind": "interior", "max_angular_gap": float(gaps.max())}
-    design = _direction_design(k)
-    support = (collected @ design.T).max(axis=0)
-    return {
-        "kind": "interior",
-        "design_support_min": float(support.min()),
-        "approximate": True,
-    }
 
 
 def _prepare(

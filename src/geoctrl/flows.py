@@ -23,8 +23,8 @@ kernels enter none.
 per-lane step sizes, each lane reproducing the scalar `_integrate` bit
 for bit; a refill hook admits new lanes as others leave. `integrate_words`
 runs the piecewise-constant control words of the shooting estimators on
-it (a single word runs `_integrate` itself, and a constant channel's
-term is formed when the lanes' rhs is built, not at every stage),
+it, every word as a lane, also in a call with one word (a constant
+channel's term is formed when the lanes' rhs is built, not at every stage),
 `sample_leaves` the leaf walks of non-constant families, one lane per
 walking point, and `pushforward_along` one flow with its frame. Frame
 columns are passengers: the step control reads the point columns alone,
@@ -267,50 +267,57 @@ def integrate_words(
     `_integrate` raises FlowError on some segment (escape, non-finite
     state, step underflow, max_steps).
 
-    One job runs `_integrate` segment by segment. Two or more step
-    together as lanes of one DP54 with per-lane step sizes, whose per-lane
-    arithmetic is `_integrate`'s bit for bit: an endpoint does not depend
-    on which jobs share the call. No jobs give no endpoints.
+    Every job is a lane of `_step_lanes`, one DP54 with per-lane step
+    sizes whose per-lane arithmetic is `_integrate`'s bit for bit: an
+    endpoint does not depend on which jobs share the call. The segments
+    of all jobs are read from one stacked array of their durations and
+    one of their coefficient rows; a lane's segment payload is its row's
+    index there. No jobs give no endpoints.
     """
-    if len(jobs) == 1:
-        return [_word_endpoint([F.compiled() for F in fields], *jobs[0], ctrl)]
-    return _lane_words(fields, jobs, ctrl)
+    results: list[np.ndarray | None] = [None] * len(jobs)
+    if not jobs:
+        return results
+    taus = np.array([t for _, d, _ in jobs for t in d], dtype=float)
+    R = np.array([row for _, _, w in jobs for row in w], dtype=float)
+    R = R.reshape(len(taus), len(fields))
+    moving = (np.any(R != 0.0, axis=1) & (taus != 0.0)).tolist()
+    taus = taus.tolist()
+    lanes: list[_Lane] = []
+    starts = []
+    s = 0
+    for j, (x0, durations, _) in enumerate(jobs):
+        e = s + len(durations)
+        segs = [(taus[k], k) for k in range(s, e) if moving[k]]
+        s = e
+        if segs:
+            lanes.append(_Lane(j, segs, ctrl))
+            starts.append(x0)
+        else:
+            results[j] = np.array(x0, dtype=float)
+    if lanes:
+        fns = [F.compiled() for F in fields]
+        values = [
+            fn(np.zeros(F.dim)) if F.is_constant else None for F, fn in zip(fields, fns)
+        ]
 
+        def field(lanes: list[_Lane]) -> _LaneField:
+            return _LaneField(fns, values, R[[lane.segs[lane.seg][1] for lane in lanes]])
 
-def _word_endpoint(
-    fns: Sequence[Kernel],
-    x0: np.ndarray,
-    durations: np.ndarray,
-    rows: np.ndarray,
-    ctrl: StepControl,
-) -> np.ndarray | None:
-    z = np.array(x0, dtype=float)
-    try:
-        for tau, w in zip(durations, rows):
-            active = [(float(c), fns[i]) for i, c in enumerate(w) if c != 0.0]
-            if not active:
-                continue
-
-            def rhs(p, active=active):
-                out = active[0][0] * active[0][1](p)
-                for c, fn in active[1:]:
-                    out = out + c * fn(p)
-                return out
-
-            z = _integrate(rhs, z, float(tau), ctrl)
-    except FlowError:
-        return None
-    return z
+        ends = _step_lanes(lanes, np.array(starts, dtype=float), field, ctrl)
+        for j, end in ends.items():
+            results[j] = end
+    return results
 
 
 class _LaneField:
     """Word RHS over a (L, n) batch: lane j is sum_i C[j, i] * fns[i].
 
-    Sums like `_word_endpoint`'s rhs, in channel order from each lane's
-    first nonzero coefficient. A channel is evaluated on every lane once
-    any lane uses it, but never enters the sum of a lane whose
-    coefficient is 0: 0 * f flips signs of zero and 0 * nan poisons the
-    lane where f leaves its domain. A constant channel (its value in
+    Sums as the scalar word rhs c_0 * f_0(p) + c_1 * f_1(p) + ... would,
+    in channel order from each lane's first nonzero coefficient. A
+    channel is evaluated on every lane once any lane uses it, but never
+    enters the sum of a lane whose coefficient is 0: 0 * f flips signs
+    of zero and 0 * nan poisons the lane where f leaves its domain. A
+    constant channel (its value in
     `values`, None for the others) is no kernel call: its term
     C[:, i] * value is formed once here, not at every stage, and is the
     same product the kernel's rows would give. A channel whose
@@ -392,52 +399,6 @@ class _Lane:
         self.h = min(ctrl.h_init, self.remaining)
         self.steps = 0
         return True
-
-
-def _lane_words(
-    fields: Sequence[VectorField],
-    jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ctrl: StepControl,
-) -> list[np.ndarray | None]:
-    """`integrate_words` for several jobs, as lanes of `_step_lanes`.
-
-    The segments of all jobs are read from one stacked array of their
-    durations and one of their coefficient rows; a lane's segment
-    payload is its row's index there.
-    """
-    results: list[np.ndarray | None] = [None] * len(jobs)
-    if not jobs:
-        return results
-    taus = np.array([t for _, d, _ in jobs for t in d], dtype=float)
-    R = np.array([row for _, _, w in jobs for row in w], dtype=float)
-    R = R.reshape(len(taus), len(fields))
-    moving = (np.any(R != 0.0, axis=1) & (taus != 0.0)).tolist()
-    taus = taus.tolist()
-    lanes: list[_Lane] = []
-    starts = []
-    s = 0
-    for j, (x0, durations, _) in enumerate(jobs):
-        e = s + len(durations)
-        segs = [(taus[k], k) for k in range(s, e) if moving[k]]
-        s = e
-        if segs:
-            lanes.append(_Lane(j, segs, ctrl))
-            starts.append(x0)
-        else:
-            results[j] = np.array(x0, dtype=float)
-    if lanes:
-        fns = [F.compiled() for F in fields]
-        values = [
-            fn(np.zeros(F.dim)) if F.is_constant else None for F, fn in zip(fields, fns)
-        ]
-
-        def field(lanes: list[_Lane]) -> _LaneField:
-            return _LaneField(fns, values, R[[lane.segs[lane.seg][1] for lane in lanes]])
-
-        ends = _step_lanes(lanes, np.array(starts, dtype=float), field, ctrl)
-        for j, end in ends.items():
-            results[j] = end
-    return results
 
 
 Settled = list[tuple[int, np.ndarray | None]]

@@ -307,8 +307,8 @@ class _Shooter:
 def _evaluate(candidates) -> None:
     """Evaluate (shooter, word) candidates of one system.
 
-    All words are prepared, integrated in one `integrate_words` call (as
-    lanes when there are several) and folded in the given order. No word
+    All words are prepared, integrated as lanes of one `integrate_words`
+    call and folded in the given order. No word
     depends on an earlier one's result, so the outcome equals submitting
     them one by one.
     """

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .expr import _fmt_number
 from .fields import VectorField
 
 __all__ = [
@@ -242,12 +243,6 @@ def load_spec(path: str | Path) -> SystemSpec:
     return loads_spec(p.read_text(encoding="utf-8"), name_hint=p.stem)
 
 
-def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
 def serialize_spec(spec: SystemSpec) -> str:
     """Canonical text form; load of the result reproduces the spec."""
     lines = [f"name = {spec.name}", f"vars = {', '.join(spec.var_names)}"]
@@ -255,15 +250,14 @@ def serialize_spec(spec: SystemSpec) -> str:
         lines.append(f"drift = {', '.join(d.component_strings())}")
     for g in spec.controls:
         lines.append(f"control = {', '.join(g.component_strings())}")
-    lines.append(
-        "window = " + ", ".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in spec.window)
-    )
+    window = ", ".join(f"{_fmt_number(lo)}:{_fmt_number(hi)}" for lo, hi in spec.window)
+    lines.append(f"window = {window}")
     lines.append(f"assume_not_dense = {'true' if spec.assume_not_dense else 'false'}")
     lines.append(f"leaf_budget = {spec.leaf_budget}")
     lines.append(f"grid = {spec.grid_per_axis}")
     lines.append(f"traj = {spec.n_traj}")
-    lines.append(f"horizon = {_fmt(spec.horizon)}")
+    lines.append(f"horizon = {_fmt_number(spec.horizon)}")
     if spec.max_duration is not None:
-        lines.append(f"max_duration = {_fmt(spec.max_duration)}")
+        lines.append(f"max_duration = {_fmt_number(spec.max_duration)}")
     lines.append(f"seed = {spec.seed}")
     return "\n".join(lines) + "\n"

@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from geoctrl.cli import main
 from geoctrl.report import run_pipeline
@@ -143,6 +145,41 @@ def test_domain_error_exits_4_with_json_error(specfile, tmp_path, capsys):
     assert err["error"]["code"] == "DOMAIN_ERROR"
     assert "sqrt" in err["error"]["message"]
     assert json.loads(target.read_text()) == err
+
+
+# ln(x1) is undefined on the left half of the window; only check reads
+# the drift with domain checks
+LN_DRIFT = """\
+name = ln_drift
+vars = x1, x2
+drift = 1, ln(x1) + 2
+control = 0.5, x2
+window = -1:1, -1:1
+assume_not_dense = true
+grid = 3
+traj = 50
+horizon = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "command,want",
+    [("audit", 0), ("check", 4), ("reach", 0), ("dist", 0), ("loop", 0)],
+)
+def test_a_drift_undefined_in_the_window_is_refused_by_check_alone(
+    specfile, capsys, command, want
+):
+    argv = [command, specfile(LN_DRIFT)]
+    if command == "dist":
+        argv += ["--from", "0.2,0.2", "--to", "0.5,0.5"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == want
+    if want == 4:
+        err = json.loads(captured.err)["error"]
+        assert err == {"code": "DOMAIN_ERROR", "message": "ln of nonpositive value -1.0"}
+    else:
+        assert "error" not in json.loads(captured.out)
 
 
 # a field undefined at every point, and literals no float holds
@@ -465,3 +502,72 @@ def test_run_pipeline_rejects_unknown_command():
     spec = loads_spec(PLANE)
     with pytest.raises(ValueError, match="unknown command"):
         run_pipeline(spec, "dance")
+
+
+# ------------------------------------------------------- generated specs
+
+_ATOMS = st.sampled_from(["x1", "x2", "0", "1", "2", "0.5", "3"])
+
+
+def _grow(children):
+    unary = st.tuples(
+        st.sampled_from(["sin", "cos", "tan", "tanh", "exp", "ln", "sqrt"]), children
+    ).map(lambda fa: f"{fa[0]}({fa[1]})")
+    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children).map(
+        lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+    )
+    powed = st.tuples(children, st.sampled_from(["2", "3", "-1", "0.5"])).map(
+        lambda t: f"({t[0]})^{t[1]}"
+    )
+    return unary | binary | powed | children.map(lambda a: f"-({a})")
+
+
+_EXPRS = st.recursive(_ATOMS, _grow, max_leaves=6)
+
+# the shooting budgets are small: at the default 300, one stiff word can
+# step to max_steps and hold its round for half a minute
+_GENERATED_COMMANDS = (
+    ["audit"],
+    ["check"],
+    ["reach"],
+    ["dist", "--from", "0.5,-0.25", "--to", "-0.25,0.5", "--budget", "40"],
+    ["loop", "--budget", "40"],
+)
+
+
+def _generated_spec(drift, control):
+    return (
+        "name = generated\nvars = x1, x2\n"
+        f"drift = {drift[0]}, {drift[1]}\ncontrol = {control[0]}, {control[1]}\n"
+        "window = -1:1, -1:1\nassume_not_dense = true\n"
+    )
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(drift=st.tuples(_EXPRS, _EXPRS), control=st.tuples(_EXPRS, _EXPRS))
+def test_every_command_ends_in_a_documented_exit_on_generated_specs(
+    tmp_path, capfd, drift, control
+):
+    path = tmp_path / "generated.sys"
+    path.write_text(_generated_spec(drift, control))
+    target = tmp_path / "report.json"
+    for command in _GENERATED_COMMANDS:
+        target.unlink(missing_ok=True)
+        argv = [*command[:1], str(path), *command[1:], "--json", str(target)]
+        argv += ["--grid", "2", "--leaf-budget", "4", "--traj", "20", "--horizon", "1"]
+        code = main(argv)
+        err = capfd.readouterr().err
+        if "illegal value" in err:
+            event("LAPACK illegal-value lines on stderr")
+        event(f"{command[0]} exit {code}")
+        assert code in (0, 2, 3, 4), (command[0], code)
+        doc = json.loads(target.read_text())
+        assert ("error" in doc) == (code == 4), (command[0], code)
+        if code == 4:
+            assert set(doc["error"]) == {"code", "message"}
+            assert doc["error"]["code"] in err

@@ -249,26 +249,34 @@ def test_quotient_deterministic_frame():
 
 def test_interior_k1_examples():
     inside, wit = interior_convex_test(np.array([[0.5], [-0.3]]), margin=1e-6)
-    assert inside and wit is None
+    assert inside and wit == {"kind": "interior", "value_pos": 0.5, "value_neg": -0.3}
     inside, wit = interior_convex_test(np.array([[0.5], [0.2]]), margin=1e-6)
-    assert not inside
-    assert np.all(np.asarray([[0.5], [0.2]]) @ wit >= -1e-6)
+    assert not inside and wit == {"kind": "separating", "covector": [1.0]}
+    inside, wit = interior_convex_test(np.array([[-0.5], [1e-7]]), margin=1e-6)
+    assert not inside and wit == {"kind": "separating", "covector": [-1.0]}
 
 
 def test_interior_k2_eighth_roots():
     ang = np.arange(8) * (2 * PI / 8)
     P = np.column_stack([np.cos(ang), np.sin(ang)])
     inside, wit = interior_convex_test(P)
-    assert inside and wit is None
+    assert inside and wit["kind"] == "interior" and set(wit) == {"kind", "max_angular_gap"}
+    assert wit["max_angular_gap"] == pytest.approx(PI / 4, abs=1e-12)
+    # one root fewer leaves a gap of pi/2, four fewer in a row one of 5pi/4
+    inside, wit = interior_convex_test(P[1:])
+    assert inside and wit["max_angular_gap"] == pytest.approx(PI / 2, abs=1e-12)
+    inside, wit = interior_convex_test(P[4:])
+    assert not inside and wit["kind"] == "separating"
 
 
 def test_interior_k2_shifted_circle_witness():
     ang = np.arange(8) * (2 * PI / 8)
     P = np.column_stack([2 + np.cos(ang), np.sin(ang)])
     inside, wit = interior_convex_test(P)
-    assert not inside
-    assert np.allclose(wit, [1.0, 0.0], atol=1e-9)
-    assert np.all(P @ wit >= -1e-7)
+    assert not inside and set(wit) == {"kind", "covector"} and wit["kind"] == "separating"
+    d = np.array(wit["covector"])
+    assert np.allclose(d, [1.0, 0.0], atol=1e-9)
+    assert np.all(P @ d >= -1e-7)
 
 
 def test_interior_empty_raises():
@@ -313,24 +321,61 @@ def test_interior_monotone_under_extra_points(seed, k):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 4))
+def test_interior_certificate_reads_the_tested_points(seed, k):
+    rng = np.random.default_rng(seed)
+    margin = criterion.DEFAULT_MARGIN
+    P = rng.uniform(-1, 1, size=(int(rng.integers(2, 12)), k))
+    inside, wit = interior_convex_test(P, margin)
+    if not inside:
+        assert wit["kind"] == "separating" and np.all(P @ np.array(wit["covector"]) >= -margin)
+        return
+    assert wit["kind"] == "interior"
+    if k == 1:
+        assert wit == {"kind": "interior", "value_pos": P.max(), "value_neg": P.min()}
+        assert wit["value_pos"] > margin and wit["value_neg"] < -margin
+    elif k == 2:
+        big = P[np.hypot(P[:, 0], P[:, 1]) > margin]
+        ang = sorted(math.atan2(q[1], q[0]) for q in big)
+        gaps = [b - a for a, b in zip(ang, ang[1:] + [ang[0] + 2 * PI])]
+        assert set(wit) == {"kind", "max_angular_gap"}
+        assert wit["max_angular_gap"] == pytest.approx(max(gaps), abs=1e-12)
+        assert wit["max_angular_gap"] < PI
+    else:
+        support = (P @ criterion._direction_design(k).T).max(axis=0)
+        assert wit == {
+            "kind": "interior",
+            "design_support_min": float(support.min()),
+            "approximate": True,
+        }
+        assert wit["design_support_min"] > margin
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 4))
 def test_interior_witness_is_valid_post_hoc(seed, k):
     rng = np.random.default_rng(seed)
     P = rng.uniform(0.05, 1, size=(int(rng.integers(2, 8)), k))  # first orthant
     inside, wit = interior_convex_test(P)
-    assert not inside
-    assert wit is not None
-    assert np.isclose(np.linalg.norm(wit), 1.0, atol=1e-9)
-    assert np.all(P @ wit >= -1e-7)
+    assert not inside and wit["kind"] == "separating"
+    d = np.array(wit["covector"])
+    assert d.shape == (k,) and all(type(c) is float for c in wit["covector"])
+    assert np.isclose(np.linalg.norm(d), 1.0, atol=1e-9)
+    assert np.all(P @ d >= -1e-7)
 
 
 def test_interior_k3_cross_polytope_and_halfspace():
     P = np.vstack([2 * np.eye(3), -2 * np.eye(3)])
-    inside, _ = interior_convex_test(P)
-    assert inside
+    inside, wit = interior_convex_test(P)
+    assert inside and wit["kind"] == "interior" and wit["approximate"] is True
+    # the design holds the +-axes, whose support is 2, and unit directions,
+    # whose support over the cross-polytope is 2 * max |d_i| >= 2 / sqrt(3)
+    design = criterion._direction_design(3)
+    assert wit["design_support_min"] == float((P @ design.T).max(axis=0).min())
+    assert 2 / np.sqrt(3) - 1e-12 <= wit["design_support_min"] < 2.0
     shifted = P + np.array([5.0, 0.0, 0.0])
     inside, wit = interior_convex_test(shifted)
-    assert not inside
-    assert np.all(shifted @ wit >= -1e-7)
+    assert not inside and wit["kind"] == "separating"
+    assert np.all(shifted @ np.array(wit["covector"]) >= -1e-7)
 
 
 # --- check_condition -------------------------------------------------------
@@ -668,17 +713,18 @@ def test_verifier_does_not_depend_on_the_walk_pool(monkeypatch):
 def _sequential_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame):
     """The fold that `_leaf_verdict` bisects, kept here as its reference:
     walks fold in walk order, one hull test each, until the hull is
-    inside, and the determinant route runs `criterion_value` at each
-    point it reads."""
+    inside, the witness is the certificate of the last hull test, and
+    the determinant route runs `criterion_value` at each point it
+    reads."""
     collected = np.array([Q @ f(x) for f in drifts])
-    inside, wit = interior_convex_test(collected, margin)
+    inside, witness = interior_convex_test(collected, margin)
     folded = 0
     for moved in () if inside else leaf.shifted_drifts(drifts):
         if moved is None:
             continue
         folded += 1
         collected = np.vstack([collected, (Q @ moved).T])
-        inside, wit = interior_convex_test(collected, margin)
+        inside, witness = interior_convex_test(collected, margin)
         if inside:
             break
     if not inside and not folded:
@@ -690,10 +736,6 @@ def _sequential_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame):
             quotient_frame=Q,
             error=NO_LEAF_EVIDENCE,
         )
-    if inside:
-        witness = criterion._interior_certificate(collected, margin)
-    else:
-        witness = {"kind": "separating", "covector": wit.tolist()}
     det_agrees = None
     if det_frame is not None and len(drifts) == 1:
         det_v = sign_change_on_leaf(

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from geoctrl import metrics
 from geoctrl.fields import VectorField
-from geoctrl.flows import StepControl, inflate_window, integrate_words
+from geoctrl.flows import FlowError, StepControl, _integrate, inflate_window, integrate_words
 from geoctrl.lie import window_grid
 from geoctrl.metrics import (
     CostEstimate,
@@ -318,6 +318,31 @@ def _random_jobs(system: SystemSpec, rng: np.random.Generator, count: int):
     return jobs
 
 
+def _word_alone(fields, job, ctrl):
+    """A word integrated alone, segment by segment through `_integrate`,
+    all-zero rows skipped, None on FlowError: the reference whose
+    arithmetic the lanes of `integrate_words` repeat bit for bit."""
+    fns = [F.compiled() for F in fields]
+    x0, durations, rows = job
+    z = np.array(x0, dtype=float)
+    try:
+        for tau, w in zip(durations, rows):
+            active = [(float(c), fns[i]) for i, c in enumerate(w) if c != 0.0]
+            if not active:
+                continue
+
+            def rhs(p, active=active):
+                out = active[0][0] * active[0][1](p)
+                for c, fn in active[1:]:
+                    out = out + c * fn(p)
+                return out
+
+            z = _integrate(rhs, z, float(tau), ctrl)
+    except FlowError:
+        return None
+    return z
+
+
 def wavy() -> SystemSpec:
     """A control that is not constant, so its kernel runs at every stage."""
     return make2(("0", "x1"), control=("1", "0.1*sin(x1)"), name="wavy")
@@ -354,7 +379,7 @@ def test_lanes_equal_each_word_integrated_alone(system, limit):
         (center, np.array([1e6]), creep),  # steps grow 5x from 0.01: 13 steps
         (center, np.array([0.5, 0.7]), np.zeros((2, nchan))),  # never moves
     ]
-    alone = [integrate_words(fields, [job], ctrl)[0] for job in jobs]
+    alone = [_word_alone(fields, job, ctrl) for job in jobs]
     together = integrate_words(fields, jobs, ctrl)
     assert alone[-4] is None and alone[-3] is None
     # steps of 0.01 and 0.05 come before any step of 0.3
@@ -364,14 +389,18 @@ def test_lanes_equal_each_word_integrated_alone(system, limit):
     if "h_min" in limit:
         # h grows 0.01, 0.05, 0.25 at most: a segment longer than 0.31 underflows
         steps = StepControl(atol=1e-8, rtol=1e-8, window=window)
-        failed = [integrate_words(fields, [job], steps)[0] is None for job in jobs]
+        failed = [_word_alone(fields, job, steps) is None for job in jobs]
         assert len(alone) - len(ends) > sum(failed) and len(ends) >= 2
     else:
         assert len(ends) >= 10 and len(alone) - len(ends) >= 3
     # and lanes that use every channel, so that every sum starts unmasked
     dense = [(x0, d, np.where(w == 0.0, 0.5, w)) for x0, d, w in jobs[:8]]
-    alone += [integrate_words(fields, [job], ctrl)[0] for job in dense]
+    alone += [_word_alone(fields, job, ctrl) for job in dense]
     together += integrate_words(fields, dense, ctrl)
+    # a call with one job steps it as a lane of its own
+    for i in [*range(8), *range(len(jobs) - 4, len(jobs) + 8)]:
+        alone.append(alone[i])
+        together += integrate_words(fields, [(jobs + dense)[i]], ctrl)
     for ref, got in zip(alone, together, strict=True):
         if ref is None:
             assert got is None
@@ -381,7 +410,7 @@ def test_lanes_equal_each_word_integrated_alone(system, limit):
 
 
 def _one_job_at_a_time(fields, jobs, ctrl):
-    return [end for job in jobs for end in integrate_words(fields, [job], ctrl)]
+    return [_word_alone(fields, job, ctrl) for job in jobs]
 
 
 def _round_of_one(monkeypatch):
@@ -422,7 +451,7 @@ def _scalar_shoot(streams, limit):
         while sh.evals < limit and sh.best_cost > 0.0:
             draws = metrics._draw(stream.source, sh.nchan)
             word = sh.prepare(sh.build(draws, sh.evals, sh.inc))
-            sh.fold(word, integrate_words(sh.fields, [(sh.x, *word)], sh.ctrl)[0])
+            sh.fold(word, _word_alone(sh.fields, (sh.x, *word), sh.ctrl))
 
 
 def _decided_nodes(monkeypatch):
