@@ -40,11 +40,6 @@ from .flows import (
     StepControl,
     Segment,
     LeafSample,
-    FlowError,
-    WindowEscapeError,
-    StepUnderflowError,
-    integrate_flow,
-    pushforward_along,
     sample_leaf,
     sample_leaves,
 )

@@ -35,6 +35,7 @@ from .fields import VectorField
 from .flows import (  # noqa: F401 (sample_leaf: perfbench/tracing.py patches it here)
     LeafSample,
     StepControl,
+    _spawned_states,
     inflate_window,
     sample_leaf,
     sample_leaves,
@@ -537,10 +538,6 @@ def switched_condition(
     return verdict
 
 
-def _child_seed(child: np.random.SeedSequence) -> int:
-    return int(child.generate_state(1, dtype=np.uint64)[0])
-
-
 def _global_frame(
     system: SystemSpec, family: BracketFamily, regularity: RegularityReport
 ) -> tuple[VectorField, ...] | None:
@@ -585,13 +582,12 @@ def global_verdict(
     if seed is None:
         seed = system.seed
     pts = window_grid(system.window, grid_per_axis or system.grid_per_axis)
-    children = np.random.SeedSequence(seed).spawn(len(pts))
     verdicts = _point_verdicts(
         system,
         family,
         regularity.rank,
         pts,
-        [_child_seed(child) for child in children],
+        _spawned_states(seed, len(pts))[:, 0].tolist(),
         leaf_budget or system.leaf_budget,
         _step_control(system),
         det_frame=_global_frame(system, family, regularity),
@@ -729,10 +725,10 @@ def verify_supporting_distribution(
     # leaves of every point are walked in one call
     if clauses["complement_rank"] and clauses["control_invariance"]:
         step = _step_control(system)
-        children = np.random.SeedSequence(seed).spawn(len(pts))
+        seeds = _spawned_states(seed, len(pts))[:, 0].tolist()
         planes = []  # per point (Q, normal), or None where S degenerates
         walked = []  # (point, seed) of the points with a plane
-        for p, child in zip(pts, children):
+        for p, point_seed in zip(pts, seeds):
             Q = quotient_projection(family.evaluate_matrix(p), expected_rank=regularity.rank)
             PS = np.column_stack([Q @ S(p) for S in S_candidate])
             try:
@@ -742,7 +738,7 @@ def verify_supporting_distribution(
                 planes.append(None)
                 continue
             planes.append((Q, normal))
-            walked.append((p, _child_seed(child)))
+            walked.append((p, point_seed))
         leaves = iter(
             sample_leaves(
                 family,

@@ -19,17 +19,20 @@ fused kernel (`VectorField.compiled`/`compiled_jacobian`) per stage and
 owns the np.errstate for them: entered once per integration, since the
 kernels enter none.
 
-`_step_lanes` steps many flows as lanes of one vectorized DP54 with
-per-lane step sizes, each lane reproducing the scalar `_integrate` bit
-for bit; a refill hook admits new lanes as others leave. `integrate_words`
-runs the piecewise-constant control words of the shooting estimators on
-it, every word as a lane, also in a call with one word (a constant
-channel's term is formed when the lanes' rhs is built, not at every stage),
-`sample_leaves` the leaf walks of non-constant families, one lane per
-walking point, and `pushforward_along` one flow with its frame. Frame
-columns are passengers: the step control reads the point columns alone,
-so a point steps exactly as a bare one does, and on those steps the
-frame is the exact derivative of the numerical flow.
+`_step_lanes` is the one stepper: it steps many flows as lanes of one
+vectorized DP54 with per-lane step sizes, each lane's arithmetic that of
+a scalar DP54 loop over its flow alone (the loop lives on in the tests
+as the lanes' reference, bit for bit); a refill hook admits new lanes as
+others leave. A flow that fails is a None endpoint, never an exception.
+`integrate_words` runs the piecewise-constant control words of the
+shooting estimators on it, every word as a lane, also in a call with one
+word (a constant channel's term is formed when the lanes' rhs is built,
+not at every stage), `sample_leaves` the leaf walks of non-constant
+families, one lane per walking point, and `metrics` the drift orbits of
+its steering searches. Frame columns are passengers: the step control
+reads the point columns alone, so a point steps exactly as a bare one
+does, and on those steps the frame is the exact derivative of the
+numerical flow.
 
 A walk along constant generators (every component a `Const`, as in
 every bundled system) needs no integrator: a segment is y + tau * v,
@@ -50,6 +53,7 @@ over every visit and one stacked solve per walk.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Generator, Iterator, Sequence
 
@@ -63,41 +67,13 @@ __all__ = [
     "ControlWord",
     "Segment",
     "LeafSample",
-    "FlowError",
     "MAX_FRAME_COND",
-    "WindowEscapeError",
-    "StepUnderflowError",
     "Walk",
     "inflate_window",
-    "integrate_flow",
     "integrate_words",
-    "pushforward_along",
     "sample_leaf",
     "sample_leaves",
 ]
-
-
-class FlowError(RuntimeError):
-    pass
-
-
-class WindowEscapeError(FlowError):
-    """Trajectory left the inflated analysis window.
-
-    Keeps the state it left at as `probe` and formats the message only
-    when printed: most escapes are caught and dropped by their caller.
-    """
-
-    def __init__(self, probe: np.ndarray):
-        super().__init__(probe)
-        self.probe = probe
-
-    def __str__(self) -> str:
-        return f"trajectory left the inflated window near {self.probe}"
-
-
-class StepUnderflowError(FlowError):
-    """Step size collapsed below h_min; the field is too stiff here."""
 
 
 @dataclass(frozen=True)
@@ -181,8 +157,72 @@ class _Source:
                 return m >> 32
 
 
+# SeedSequence's hash constants, from numpy/random/bit_generator.pyx
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_POOL = 4
+_U32 = 0xFFFFFFFF
+
+
+def _spawned_states(seed: int, n: int) -> np.ndarray:
+    """(n, 4) uint64: row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64).
+
+    Child i hashes the entropy words of seed, zero-padded to the pool
+    size, followed by its spawn word i. Each step of SeedSequence's
+    `mix_entropy` and `generate_state` runs here once for all children,
+    on uint32 arrays, each step's hash constant shared by all of them.
+    Column 0 is `generate_state(1, np.uint64)[0]` of each child: the
+    walk seeds of the grid points of `criterion`. Rows seed the oracle's
+    trajectories (`reach`).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = []  # seed as little-endian 32-bit words
+    while True:
+        entropy.append(seed & _U32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (_SS_POOL - len(entropy))
+    words = [np.full(n, w, dtype=np.uint32) for w in entropy] + [np.arange(n, dtype=np.uint32)]
+    shift = np.uint32(16)
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_A & _U32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return out ^ (out >> shift)
+
+    pool = [hashmix(w) for w in words[:_SS_POOL]]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = np.empty((n, 8), dtype=np.uint32)
+    hash_const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_B & _U32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> shift)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 # Dormand-Prince 5(4) coefficients
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -198,59 +238,6 @@ _DP_B4 = np.array(
 )
 
 
-def _integrate(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    t: float,
-    ctrl: StepControl,
-) -> np.ndarray:
-    """Adaptive DP54 from 0 to t (t may be negative)."""
-    if t == 0.0:
-        return y0.copy()
-    y = y0.astype(float).copy()
-    direction = 1.0 if t > 0 else -1.0
-    remaining = abs(t)
-    h = min(ctrl.h_init, remaining)
-    k = np.empty((7, y.size))
-    # the kernels enter no errstate: nan/inf from a domain violation is
-    # rejected as an infinite error estimate or caught as an escape below
-    with np.errstate(all="ignore"):
-        k0 = rhs(y)
-        for _ in range(ctrl.max_steps):
-            if remaining <= 0.0:
-                return y
-            h = min(h, remaining)
-            hs = direction * h
-            k[0] = k0
-            for i in range(1, 7):
-                yi = y + hs * (_DP_A[i] @ k[:i])
-                k[i] = rhs(yi)
-            y5 = y + hs * (_DP_B5 @ k)
-            y4 = y + hs * (_DP_B4 @ k)
-            err_vec = y5 - y4
-            scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(y5))
-            # np.mean's reduction and division, without its dispatch
-            err = float(np.sqrt(np.add.reduce((err_vec / scale) ** 2) / y.size))
-            if not np.isfinite(err):
-                err = np.inf
-            if err <= 1.0:
-                y = y5
-                # FSAL: the last stage is evaluated at the accepted point;
-                # a copy, since a rejected trial overwrites k[6]
-                k0 = k[6].copy()
-                remaining -= h
-                if not _in_box(y.tolist(), ctrl.window):
-                    raise WindowEscapeError(y)
-            # standard step resize with safety factor
-            factor = 0.9 * (err + 1e-16) ** -0.2
-            h *= min(5.0, max(0.2, factor))
-            if h < ctrl.h_min and h < remaining:
-                raise StepUnderflowError(f"step size underflow at h={h:.2e}")
-    if remaining <= 0.0:  # the last allowed step reached the end
-        return y
-    raise StepUnderflowError(f"exceeded {ctrl.max_steps} steps")
-
-
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
@@ -263,12 +250,11 @@ def integrate_words(
 
     A job (x0, durations, rows) flows x0 for durations[s] with channel
     coefficients rows[s], segment after segment (arrays, or sequences of
-    floats); all-zero rows are skipped. An entry is None where
-    `_integrate` raises FlowError on some segment (escape, non-finite
-    state, step underflow, max_steps).
+    floats); all-zero rows are skipped. An entry is None where some
+    segment fails (escape, non-finite state, step underflow, max_steps).
 
     Every job is a lane of `_step_lanes`, one DP54 with per-lane step
-    sizes whose per-lane arithmetic is `_integrate`'s bit for bit: an
+    sizes whose per-lane arithmetic is that of the job stepped alone: an
     endpoint does not depend on which jobs share the call. The segments
     of all jobs are read from one stacked array of their durations and
     one of their coefficient rows; a lane's segment payload is its row's
@@ -389,7 +375,7 @@ class _Lane:
         self.next_segment(ctrl)
 
     def next_segment(self, ctrl: StepControl) -> bool:
-        """Start the following segment as `_integrate` starts; False at the end."""
+        """Start the following segment (h = min(h_init, |t|)); False at the end."""
         self.seg += 1
         if self.seg == len(self.segs):
             return False
@@ -428,29 +414,37 @@ def _step_lanes(
     """Step every lane through its segments: one DP54 step per lane per round.
 
     Row k of Y is lane k's state; `field(lanes)` builds the rhs of the
-    lanes' current segments over such rows. Each lane keeps its own h,
-    remaining time and step count, resized by the scalar rule in Python
-    floats (numpy's array power differs from `**` in the last ulp).
-    Stacked `_DP_A[i] @ K[:, :i]` and row means reproduce `_integrate`'s
-    products and means exactly. Lanes leave the batch when their segments
-    end or fail; a lane entering a new segment gets k0 = rhs(y) as
-    `_integrate` does, and an accepted step hands on its last stage.
-    Its lanes are shooting words (bare points) and the walks of
-    non-constant families (points with their frames).
+    lanes' current segments over such rows. A segment of duration t
+    starts with h = min(h_init, |t|) and k0 = rhs(y). Each round, a
+    lane's step is accepted where the RMS of its error over
+    atol + rtol * max(|y|, |y5|) is at most 1 (a non-finite error is
+    infinite), and its h is then resized by 0.9 * err**-0.2, clamped to
+    [0.2, 5], and cut to the time left. The segment fails where an
+    accepted step ends outside the window or at a non-finite point,
+    where h falls below h_min short of the end, or where max_steps
+    rounds do not reach the end; an accepted step hands on its last
+    stage as the next k0.
+    Each lane keeps its own h, remaining time and step count, resized in
+    Python floats (numpy's array power differs from `**` in the last
+    ulp), and stacked `_DP_A[i] @ K[:, :i]` and row means round as the
+    products and means of one lane stepped alone, so a lane's endpoint
+    does not depend on the lanes beside it. Its lanes are shooting words
+    and drift orbits (bare points) and the walks of non-constant
+    families (points with their frames).
 
     The first `dim` columns of a state are its point (all of them when
     dim is None); the rest are frame columns, passengers that never
     steer: the error norm, the finiteness test and the window box read
     the point alone, and `_mix` sums the point's stages as a bare
-    lane's. So a lane's point steps bit for bit as `_integrate` steps it
-    without frames.
+    lane's. So a lane's point steps bit for bit as it does without
+    frames.
 
     After each round the jobs whose lanes left go to `refill` as (job,
-    endpoint) pairs in lane order, the endpoint None where `_integrate`
-    would raise FlowError. It returns (lane, start) pairs to admit; they
-    step from the next round on, each starting as `_integrate` starts
-    (h = min(h_init, t), k0 = rhs(start)). Without `refill`, returns the
-    endpoint of every lane that finished, keyed by its job.
+    endpoint) pairs in lane order, the endpoint None where a segment
+    failed. It returns (lane, start) pairs to admit; they step from the
+    next round on, each starting its first segment as above. Without
+    `refill`, returns the endpoint of every lane that finished, keyed by
+    its job.
     """
     ends: dict[int, np.ndarray] = {}
     if refill is None:
@@ -533,47 +527,6 @@ def _step_lanes(
             elif fresh:
                 K0[fresh] = field([lanes[k] for k in fresh])(Y[fresh])
     return ends
-
-
-def integrate_flow(
-    V: VectorField, x0: Sequence[float], t: float, step: StepControl | None = None
-) -> np.ndarray:
-    """Flow point psi^V_t(x0); t may be negative."""
-    ctrl = step or StepControl()
-    fn = V.compiled()
-    x0 = np.asarray(x0, dtype=float)
-    return _integrate(fn, x0, t, ctrl)
-
-
-def pushforward_along(
-    V: VectorField,
-    y: Sequence[float],
-    t: float,
-    eta: np.ndarray,
-    step: StepControl | None = None,
-) -> np.ndarray:
-    """Transport tangent data eta from y along the flow of V for time t.
-
-    Runs the flow as one lane that carries the frame dW/ds = DV(x(s)) W
-    with W(0) = eta, the way a leaf walk carries its frame. eta may be a
-    single n-vector or an (n, k) column stack; the result, W(t) expressed
-    at psi^V_t(y), has the same shape. Raises FlowError where the flow
-    leaves the window or its step size collapses.
-    """
-    ctrl = step or StepControl()
-    eta = np.asarray(eta, dtype=float)
-    n = V.dim
-    cols = eta.reshape(n, -1)
-    kernels = {0: (V.compiled(), V.compiled_jacobian())}
-    state = np.concatenate([np.asarray(y, dtype=float), cols.ravel()])
-
-    def field(lanes: list[_Lane]) -> _FrameLanes:
-        return _FrameLanes(kernels, [0] * len(lanes), n)
-
-    ends = _step_lanes([_Lane(0, [(t, 0)], ctrl)], state[None], field, ctrl, dim=n)
-    if not ends:
-        raise FlowError(f"the flow of {V} from {y} for t={t} failed")
-    return ends[0][n:].reshape(eta.shape)
 
 
 class _FrameLanes:
@@ -811,9 +764,8 @@ def sample_leaves(
     Otherwise each point's walks run as one lane of a `_step_lanes`
     pool: when its segment ends or fails, the point's next attempt joins
     the pool in the same round, so no point waits for another. Lanes are
-    grouped by signed generator, and each lane's point is `_integrate`
-    of its segment bit for bit, so a point's sample does not depend on
-    the other points. A lane carries its walk's frame as n x n passenger
+    grouped by signed generator, and a lane's point steps as it would
+    alone, so a point's sample does not depend on the other points. A lane carries its walk's frame as n x n passenger
     columns, from I at the base, so each visit records its frame.
     """
     if budget < 1:

@@ -21,7 +21,9 @@ Searches that belong together run together: `steering_costs` runs the
 two estimate_cost directions and sr_distance of one pair of points, and
 `loop_lengths` runs loop_length at many points. estimate_cost,
 sr_distance and loop_length are their one-search cases. Every word that
-is integrated goes through `flows.integrate_words`, and every search is
+is integrated goes through `flows.integrate_words`, the drift orbits
+that open the drifted searches of one call step as lanes of one
+`flows._step_lanes` pool (`_drift_orbit_words`), and every search is
 a stream of one stream driver (`_shoot`): the three streams of
 `steering_costs`, the out-and-back leg searches of every point of
 `loop_lengths` that its stationary word does not close. Each round,
@@ -35,8 +37,10 @@ at least a feasible incumbent cannot change the best or the incumbent,
 whatever its endpoint (the bound of branch and bound), so its tree
 decides it without integrating it; it still counts as an evaluation.
 A stream's candidates depend only on its own generator and incumbent,
-and lanes repeat the scalar arithmetic exactly, so every incumbent and
-result is what one-at-a-time shooting of each search alone gives.
+and a lane's arithmetic is that of its flow stepped alone (the scalar
+DP54 loop the tests keep as its bit-for-bit reference), so every
+incumbent and result is what one-at-a-time shooting of each search
+alone gives.
 
 A candidate costs Python float arithmetic, not numpy dispatch. A word
 is a pair of tuples of floats, (durations, coefficient rows), and every
@@ -60,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flows import FlowError, StepControl, _integrate, _Source, inflate_window, integrate_words
+from .flows import StepControl, _Lane, _Source, _step_lanes, inflate_window, integrate_words
 from .system import SystemSpec
 
 __all__ = [
@@ -73,6 +77,11 @@ __all__ = [
 ]
 
 TIME_CAP = 50.0
+# the drift orbit of a drifted search is scanned at the ends of legs this long
+_ORBIT_LEG = 0.05
+# DP54 steps a shooting segment may take: a stiff word fails here instead
+# of holding its round of lanes for StepControl's default 100,000
+_MAX_STEPS = 1_000
 # every shooting flow must stay in the window inflated by this factor
 SHOOTING_INFLATION = 0.5
 DEFAULT_BUDGET = 300
@@ -165,6 +174,7 @@ class _Shooter:
         self.ctrl = StepControl(
             atol=1e-8,
             rtol=1e-8,
+            max_steps=_MAX_STEPS,
             window=inflate_window(system.window, SHOOTING_INFLATION),
         )
         self.evals = 0
@@ -504,29 +514,50 @@ def _drift_row(nchan: int) -> tuple[float, ...]:
     return (1.0,) + (0.0,) * (nchan - 1)
 
 
-def _drift_orbit_words(shooter: _Shooter, system: SystemSpec) -> list:
-    """u = 0: ride the drift to its closest approach to the target, as a
-    list of one word. An orbit that never comes closer than its start
-    gives no word and counts as one evaluation."""
-    fn = system.drift.compiled()
-    z = shooter.x.copy()
-    best_t = 0.0
-    best_d = float(np.linalg.norm(z - shooter.y))
-    t = 0.0
-    dt = 0.05
-    try:
-        while t < TIME_CAP:
-            z = _integrate(fn, z, dt, shooter.ctrl)
-            t += dt
-            d = float(np.linalg.norm(z - shooter.y))
-            if d < best_d:
-                best_d, best_t = d, t
-    except FlowError:
-        pass
-    if best_t == 0.0:
-        shooter.evals += 1
+def _drift_orbit_words(shooters: list[_Shooter], system: SystemSpec) -> list[list[Word]]:
+    """u = 0: per shooter, ride the drift to its closest approach to the
+    target, as a list of one word. An orbit that never comes closer than
+    its start gives no word and counts as one evaluation.
+
+    Every orbit is a lane of one `_step_lanes` pool that flows the drift
+    in legs of _ORBIT_LEG up to TIME_CAP, each leg a lane of its own that
+    starts where the last one ended, so the leg ends are those of the
+    legs flowed one at a time. After each leg its end's distance to the
+    target is recorded; an orbit stops at TIME_CAP or at its first leg
+    that fails (it leaves the window, or its step control gives up).
+    """
+    if not shooters:
         return []
-    return [((best_t,), (_drift_row(shooter.nchan),))]
+    ctrl = shooters[0].ctrl
+    clock = [0.0] * len(shooters)
+    # (time, distance) of each orbit's closest approach so far
+    best = [(0.0, float(np.linalg.norm(sh.x - sh.y))) for sh in shooters]
+
+    def advance(settled) -> list:
+        legs = []
+        for j, end in settled:
+            if end is None:
+                continue
+            clock[j] += _ORBIT_LEG
+            d = float(np.linalg.norm(end - shooters[j].y))
+            if d < best[j][1]:
+                best[j] = (clock[j], d)
+            if clock[j] < TIME_CAP:
+                legs.append((_Lane(j, [(_ORBIT_LEG, None)], ctrl), end))
+        return legs
+
+    fn = system.drift.compiled()
+    lanes = [_Lane(j, [(_ORBIT_LEG, None)], ctrl) for j in range(len(shooters))]
+    starts = np.array([sh.x for sh in shooters], dtype=float)
+    _step_lanes(lanes, starts, lambda _: fn, ctrl, refill=advance)
+    words = []
+    for sh, (t, _) in zip(shooters, best):
+        if t == 0.0:
+            sh.evals += 1
+            words.append([])
+        else:
+            words.append([((t,), (_drift_row(sh.nchan),))])
+    return words
 
 
 def _lstsq_candidates(shooter: _Shooter) -> list[Word]:
@@ -567,24 +598,23 @@ def _steer(
     if endpoint_tol <= 0:
         raise ValueError("endpoint_tol must be positive")
     shooters: list[_Shooter | None] = []
-    opening = []
     for x, y, extended in searches:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if extended and np.array_equal(x, y):
             shooters.append(None)
             continue
-        sh = _Shooter(
-            system, x, y, endpoint_tol, fixed_drift=not extended, drift_in_cost=extended
+        shooters.append(
+            _Shooter(system, x, y, endpoint_tol, fixed_drift=not extended, drift_in_cost=extended)
         )
-        words = [] if extended else _drift_orbit_words(sh, system)
+    live = [sh for sh in shooters if sh is not None]
+    orbits = iter(_drift_orbit_words([sh for sh in live if sh.fixed_drift], system))
+    opening = []
+    for sh in live:
+        words = next(orbits) if sh.fixed_drift else []
         opening += [(sh, word) for word in words + _lstsq_candidates(sh)]
-        shooters.append(sh)
     _evaluate(opening)
-    _shoot(
-        [_Stream(sh, np.random.default_rng(seed)) for sh in shooters if sh is not None],
-        budget,
-    )
+    _shoot([_Stream(sh, np.random.default_rng(seed)) for sh in live], budget)
     return [
         CostEstimate(value=0.0, best_word=(), endpoint_error=0.0, budget_spent=0)
         if sh is None

@@ -15,7 +15,7 @@ coarsened family, which is all an occupancy estimate needs.
 Trajectory i draws its segments from its own child generator of
 SeedSequence(seed), in raw 64-bit blocks a few segments at a time
 (`_Draws`); the seed states of all children come from one vectorized
-pass of SeedSequence's hash (`_spawned_states`). The blocks are turned
+pass of SeedSequence's hash (`flows._spawned_states`). The blocks are turned
 into exactly the numbers that Generator.uniform and Generator.integers
 give for the same stream, so a cloud does not depend on how its draws
 are batched, and the trajectories whose segments end at a step draw
@@ -31,7 +31,6 @@ the covector test, so those runs store no point.
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -43,7 +42,7 @@ from .criterion import (
     STATUS_UNCONTROLLABLE,
     GlobalVerdict,
 )
-from .flows import fields_equal, inflate_window
+from .flows import _spawned_states, fields_equal, inflate_window
 from .system import SystemSpec
 
 __all__ = [
@@ -144,68 +143,6 @@ def _covector_values(
 ) -> np.ndarray:
     """<d, Q (p - x0)> for every point p."""
     return ((pts - origin) @ quotient_frame.T) @ np.asarray(witness, dtype=float)
-
-
-# SeedSequence's hash constants, from numpy/random/bit_generator.pyx
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_L = 0xCA01F9DD
-_SS_MIX_R = 0x4973F715
-_SS_POOL = 4
-_U32 = 0xFFFFFFFF
-
-
-def _spawned_states(seed: int, n: int) -> np.ndarray:
-    """(n, 4) uint64: row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64).
-
-    Child i hashes the entropy words of seed, zero-padded to the pool
-    size, followed by its spawn word i. Each step of SeedSequence's
-    `mix_entropy` and `generate_state` runs here once for all children,
-    on uint32 arrays, each step's hash constant shared by all of them.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = []  # seed as little-endian 32-bit words
-    while True:
-        entropy.append(seed & _U32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [0] * (_SS_POOL - len(entropy))
-    words = [np.full(n, w, dtype=np.uint32) for w in entropy] + [np.arange(n, dtype=np.uint32)]
-    shift = np.uint32(16)
-    hash_const = _SS_INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _SS_MULT_A & _U32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> shift)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return out ^ (out >> shift)
-
-    pool = [hashmix(w) for w in words[:_SS_POOL]]
-    for src in range(_SS_POOL):
-        for dst in range(_SS_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_SS_POOL:]:
-        for dst in range(_SS_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    state = np.empty((n, 8), dtype=np.uint32)
-    hash_const = _SS_INIT_B
-    for i in range(8):
-        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
-        hash_const = hash_const * _SS_MULT_B & _U32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> shift)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _child_generators(seed: int, n: int) -> list:
@@ -510,24 +447,6 @@ def _respected(
     return bool(lowest[0] >= -WITNESS_TOL)
 
 
-def _quotient_is_constant(system: SystemSpec, probes: int = 8) -> bool:
-    """Control span constant over the window (projector comparison)."""
-    rng = np.random.default_rng(0)
-    lo = np.array([w[0] for w in system.window])
-    hi = np.array([w[1] for w in system.window])
-    base = None
-    for _ in range(probes):
-        p = rng.uniform(lo, hi)
-        M = np.column_stack([g(p) for g in system.controls])
-        q, _ = np.linalg.qr(M)
-        proj = q @ q.T
-        if base is None:
-            base = proj
-        elif not np.allclose(proj, base, atol=1e-8):
-            return False
-    return True
-
-
 def cross_validate(
     verdict: GlobalVerdict,
     system: SystemSpec,
@@ -544,10 +463,13 @@ def cross_validate(
     threshold, since a controllable system reaches the whole window from
     anywhere in either time direction. UNCONTROLLABLE: re-simulate from
     a failing base point and require the cloud to respect the separating
-    covector. Anything else is untested. Each run is the ensemble
-    `simulate_reach` would step, folded as it goes into the occupancy
-    grid of `coverage` or the lowest value of `monotone_witness_check`,
-    so no run stores its points and the results are the same.
+    covector; `exact` says whether the verdict's points share one
+    quotient (the projectors of their quotient frames agree), so that
+    the covector means the same at every point. Anything else is
+    untested. Each run is the ensemble `simulate_reach` would step,
+    folded as it goes into the occupancy grid of `coverage` or the
+    lowest value of `monotone_witness_check`, so no run stores its
+    points and the results are the same.
     """
     seed = system.seed if seed is None else seed
     if verdict.status == STATUS_CONTROLLABLE:
@@ -602,10 +524,13 @@ def cross_validate(
             failing.witness["covector"],
             failing.quotient_frame,
         )
+        projectors = [
+            p.quotient_frame.T @ p.quotient_frame for p in verdict.points if len(p.quotient_frame)
+        ]
         return {
             "mode": "witness",
             "status": "AGREE" if ok else "DISAGREE",
-            "exact": _quotient_is_constant(system),
+            "exact": all(np.allclose(P, projectors[0], atol=1e-8) for P in projectors[1:]),
             "entries": [
                 {
                     "base": [float(v) for v in failing.base],

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from flow_reference import flow, pushforward_along
+from geoctrl.cli import main as cli_main
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
     STATUS_UNCONTROLLABLE,
@@ -29,7 +31,6 @@ from geoctrl.criterion import (
 )
 from geoctrl.expr import differentiate, evaluate, parse_expression
 from geoctrl.fields import VectorField, lie_bracket
-from geoctrl.flows import integrate_flow, pushforward_along
 from geoctrl.metrics import estimate_cost, loop_length, sr_distance
 from geoctrl.reach import cross_validate, monotone_witness_check, simulate_reach
 from geoctrl.system import load_spec, loads_spec
@@ -126,10 +127,10 @@ def test_symbolic_layer_brackets_and_derivatives():
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             s = np.sqrt(t)
-            y = integrate_flow(X, x0, s)
-            y = integrate_flow(Y, y, s)
-            y = integrate_flow(X, y, -s)
-            y = integrate_flow(Y, y, -s)
+            y = flow(X, x0, s)
+            y = flow(Y, y, s)
+            y = flow(X, y, -s)
+            y = flow(Y, y, -s)
             errs.append(np.linalg.norm((y - x0) / t - B(x0)))
         assert errs[0] > errs[1] > errs[2]
 
@@ -162,8 +163,8 @@ def test_transport_layer_pushforward():
             y = rng.uniform(-1, 1, size=n)
             eta = rng.uniform(-1, 1, size=n)
             t = float(rng.uniform(-0.8, 0.8))
-            plus = integrate_flow(V, y + h * eta, t)
-            minus = integrate_flow(V, y - h * eta, t)
+            plus = flow(V, y + h * eta, t)
+            minus = flow(V, y - h * eta, t)
             fd = (plus - minus) / (2 * h)
             got = pushforward_along(V, y, t, eta)
             assert np.linalg.norm(got - fd) <= 1e-3 * max(1.0, np.linalg.norm(got))
@@ -367,6 +368,30 @@ def test_metric_estimates_bounds_and_monotonicity():
             loop_length(shear, (0.0, 1.0), budget=b).value for b in (200, 400, 800)
         ]
         _nonincreasing(ladder)
+
+
+STIFF = """
+name = stiff
+vars = x1, x2
+drift = -(exp(x2)), -(sin(x1))
+control = tan(x1), 0
+window = -1:1, -1:1
+"""
+
+
+def test_a_stiff_shooting_word_fails_at_its_step_cap(tmp_path, capsys):
+    # tan(x1) makes some candidate words stiff; each shooting segment may
+    # take 1,000 steps, so such a word fails instead of holding its round
+    # of lanes for 100,000
+    specfile = tmp_path / "stiff.sys"
+    specfile.write_text(STIFF)
+    argv = ["dist", str(specfile), "--from", "0.5,-0.25", "--to", "-0.25,0.5", "--budget", "200"]
+    with wall_clock(15.0):
+        code = cli_main(argv)
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)["metrics"]
+    for key in ("forward", "reverse", "extended_driftless"):
+        assert doc[key]["budget_spent"] == 200
 
 
 # --- deterministic reports ---------------------------------------------------

@@ -10,25 +10,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_reference import FlowError, _integrate, flow, pushforward_along
 from geoctrl import flows
-from geoctrl.criterion import _child_seed, _prepare, _step_control
+from geoctrl.criterion import _prepare, _step_control
 from geoctrl.expr import add, const, mul, sin, var
 from geoctrl.fields import VectorField, lie_bracket
 from geoctrl.flows import (
     MAX_FRAME_COND,
-    FlowError,
     LeafSample,
     Segment,
     StepControl,
-    StepUnderflowError,
-    WindowEscapeError,
     inflate_window,
-    integrate_flow,
     integrate_words,
-    pushforward_along,
     sample_leaf,
     sample_leaves,
-    _integrate,
 )
 from geoctrl.lie import BracketFamily, generate_bracket_basis, window_grid
 from geoctrl.system import load_spec, loads_spec
@@ -48,6 +43,11 @@ OTHER_FAMILIES = {
         "window = -2:2, -2:2\n"
     ),
 }
+
+
+def _point_seeds(seed, n):
+    """The walk seeds `check` gives the n points of its grid."""
+    return flows._spawned_states(seed, n)[:, 0].tolist()
 
 
 def _spec(name):
@@ -74,22 +74,22 @@ def _affine_field(rng: np.random.Generator, n: int) -> VectorField:
     return VectorField(tuple(comps), names)
 
 
-# --- integrate_flow -------------------------------------------------------
+# --- one flow through integrate_words --------------------------------------
 
 
 def test_constant_field_unit_step():
     V = VectorField.parse(["0", "0", "1"], N3)
-    end = integrate_flow(V, [0.0, 0.0, 0.0], 1.0)
+    end = flow(V, [0.0, 0.0, 0.0], 1.0)
     assert np.allclose(end, [0.0, 0.0, 1.0], atol=1e-9)
 
 
 def test_rotation_quarter_turn():
-    end = integrate_flow(ROTATION, [1.0, 0.0], np.pi / 2)
+    end = flow(ROTATION, [1.0, 0.0], np.pi / 2)
     assert np.allclose(end, [0.0, 1.0], atol=1e-6)
 
 
 def test_heading_flow_keeps_angle():
-    end = integrate_flow(HEADING, [0.0, 0.0, 0.0], 1.0)
+    end = flow(HEADING, [0.0, 0.0, 0.0], 1.0)
     assert np.allclose(end, [1.0, 0.0, 0.0], atol=1e-6)
 
 
@@ -100,7 +100,7 @@ def test_rotation_matches_matrix_exponential():
         x0 = rng.uniform(-2, 2, size=2)
         t = float(rng.uniform(-3, 3))
         expected = scipy.linalg.expm(A * t) @ x0
-        got = integrate_flow(ROTATION, x0, t)
+        got = flow(ROTATION, x0, t)
         assert np.allclose(got, expected, atol=1e-7)
 
 
@@ -114,77 +114,60 @@ def test_flow_group_law(t, s, seed):
     rng = np.random.default_rng(seed)
     V = _affine_field(rng, 2)
     x0 = rng.uniform(-1, 1, size=2)
-    via = integrate_flow(V, integrate_flow(V, x0, t), s)
-    direct = integrate_flow(V, x0, t + s)
+    via = flow(V, flow(V, x0, t), s)
+    direct = flow(V, x0, t + s)
     assert np.allclose(via, direct, atol=1e-6)
 
 
 def test_negative_time_inverts():
     x0 = np.array([0.4, -0.7, 1.1])
-    mid = integrate_flow(HEADING, x0, 0.8)
-    back = integrate_flow(HEADING, mid, -0.8)
+    mid = flow(HEADING, x0, 0.8)
+    back = flow(HEADING, mid, -0.8)
     assert np.allclose(back, x0, atol=1e-8)
 
 
 def test_window_escape_raises():
+    # a failed flow is a None endpoint, not an exception
     V = VectorField.parse(["1", "0"], N2)
     ctrl = StepControl(window=((-1.0, 1.0), (-1.0, 1.0)))
-    with pytest.raises(WindowEscapeError):
-        integrate_flow(V, [0.0, 0.0], 10.0, ctrl)
-
-
-def test_window_escape_formats_its_message_only_when_printed():
-    V = VectorField.parse(["1", "0"], N2)
-    ctrl = StepControl(window=((-1.0, 1.0), (-1.0, 1.0)))
-    formatted = []
-
-    def fmt(v):
-        formatted.append(v)
-        return repr(v)
-
-    with np.printoptions(formatter={"float": fmt}):
-        with pytest.raises(WindowEscapeError) as info:
-            integrate_flow(V, [0.0, 0.0], 10.0, ctrl)
-        assert formatted == []
-        probe = info.value.probe
-        assert probe[0] > 1.0 and probe[1] == 0.0
-        assert str(info.value) == f"trajectory left the inflated window near {probe}"
-        assert formatted
+    assert flow(V, [0.0, 0.0], 10.0, ctrl) is None
+    with pytest.raises(FlowError):
+        _integrate(V.compiled(), np.zeros(2), 10.0, ctrl)
 
 
 def test_finite_time_blowup_raises():
     # x' = x^2 from 1 blows up at t=1; the stepper must not loop forever
     V = VectorField.parse(["x1^2"], ("x1",))
-    with pytest.raises(FlowError):
-        integrate_flow(V, [1.0], 2.0)
+    assert flow(V, [1.0], 2.0) is None
 
 
 def test_domain_violation_is_a_flow_error_not_a_warning():
     # backward along sqrt(x1) the state reaches x1 < 0, where the kernel
-    # returns nan; the integrator owns the errstate, so nothing warns
+    # returns nan; the stepper owns the errstate, so nothing warns
     V = VectorField.parse(["sqrt(x1)", "0"], N2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FlowError):
-            integrate_flow(V, [1.0, 0.0], -3.0)
+        assert flow(V, [1.0, 0.0], -3.0) is None
 
 
 def test_last_allowed_step_may_end_the_flow():
     # steps of 0.01 and 0.05 reach t = 0.06 in exactly max_steps = 2
     V = VectorField.parse(["1", "0"], N2)
     two = StepControl(h_init=0.01, max_steps=2)
-    end = integrate_flow(V, [0.0, 0.0], 0.06, two)
+    end = flow(V, [0.0, 0.0], 0.06, two)
     three = StepControl(h_init=0.01, max_steps=3)
-    assert np.array_equal(end, integrate_flow(V, [0.0, 0.0], 0.06, three))
+    assert np.array_equal(end, flow(V, [0.0, 0.0], 0.06, three))
     assert np.allclose(end, [0.06, 0.0])
-    with pytest.raises(StepUnderflowError):
-        integrate_flow(V, [0.0, 0.0], 0.06, StepControl(h_init=0.01, max_steps=1))
-    # the lane stepper keeps the same rule
+    assert flow(V, [0.0, 0.0], 0.06, StepControl(h_init=0.01, max_steps=1)) is None
+    # the lanes of one call keep the same rule, and the scalar reference too
     job = (np.zeros(2), np.array([0.06]), np.array([[1.0]]))
     short = (np.zeros(2), np.array([0.01]), np.array([[1.0]]))
     lanes = integrate_words([V], [job, short], two)
     assert np.array_equal(lanes[0], end)
-    assert np.array_equal(lanes[1], integrate_flow(V, [0.0, 0.0], 0.01, two))
+    assert np.array_equal(lanes[1], flow(V, [0.0, 0.0], 0.01, two))
+    assert np.array_equal(end, _integrate(V.compiled(), np.zeros(2), 0.06, two))
+    with pytest.raises(FlowError):
+        _integrate(V.compiled(), np.zeros(2), 0.06, StepControl(h_init=0.01, max_steps=1))
 
 
 def test_inflate_window():
@@ -193,7 +176,7 @@ def test_inflate_window():
     assert np.isclose(lo, -0.1) and np.isclose(hi, 1.1)
 
 
-# --- pushforward_along ----------------------------------------------------
+# --- pushforward_along (the reference) ------------------------------------
 
 
 def test_pushforward_constant_field_is_identity():
@@ -234,8 +217,8 @@ def test_pushforward_matches_finite_difference():
         y = rng.uniform(-1, 1, size=n)
         eta = rng.uniform(-1, 1, size=n)
         t = float(rng.uniform(-0.8, 0.8))
-        plus = integrate_flow(V, y + h * eta, t)
-        minus = integrate_flow(V, y - h * eta, t)
+        plus = flow(V, y + h * eta, t)
+        minus = flow(V, y - h * eta, t)
         fd = (plus - minus) / (2 * h)
         got = pushforward_along(V, y, t, eta)
         assert np.linalg.norm(got - fd) <= 1e-3 * max(1.0, np.linalg.norm(got))
@@ -256,7 +239,7 @@ def test_pushforward_composition():
     y = np.array([0.1, -0.3])
     eta = np.array([0.7, 0.2])
     t, s = 0.5, 0.3
-    mid_point = integrate_flow(V, y, t)
+    mid_point = flow(V, y, t)
     staged = pushforward_along(V, mid_point, s, pushforward_along(V, y, t, eta))
     direct = pushforward_along(V, y, t + s, eta)
     assert np.allclose(staged, direct, atol=1e-6)
@@ -274,10 +257,10 @@ def test_commutator_flow_limit():
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             s = np.sqrt(t)
-            y = integrate_flow(X, x0, s)
-            y = integrate_flow(Y, y, s)
-            y = integrate_flow(X, y, -s)
-            y = integrate_flow(Y, y, -s)
+            y = flow(X, x0, s)
+            y = flow(Y, y, s)
+            y = flow(X, y, -s)
+            y = flow(Y, y, -s)
             errs.append(np.linalg.norm((y - x0) / t - B(x0)))
         assert errs[0] > errs[1] > errs[2]
 
@@ -286,10 +269,10 @@ def test_commutator_flow_limit():
 
 
 def _replay(generators, x, word, step=None):
-    """Run a word segment by segment with chained integrate_flow calls."""
+    """Run a word segment by segment with chained one-segment flows."""
     for seg in word:
         V = generators[seg.field_index]
-        x = integrate_flow(V if seg.sign > 0 else V.negate(), x, seg.duration, step)
+        x = flow(V if seg.sign > 0 else V.negate(), x, seg.duration, step)
     return x
 
 
@@ -303,7 +286,7 @@ def _walk_leaf(generators, base, word):
         V = generators[seg.field_index]
         V = V if seg.sign > 0 else V.negate()
         F = pushforward_along(V, y, seg.duration, F)
-        y = integrate_flow(V, y, seg.duration)
+        y = flow(V, y, seg.duration)
         visits.append((y, word[:j + 1]))
         frames.append(F)
     return LeafSample(
@@ -389,7 +372,7 @@ def _flow_back(walk, generators, drifts, step):
             V = generators[word[j].field_index]
             V = V if word[j].sign > 0 else V.negate()
             W = pushforward_along(V, y, -word[j].duration, W, step)
-            y = integrate_flow(V, y, -word[j].duration, step)
+            y = _integrate(V.compiled(), y, -word[j].duration, step)
             if j >= 1:
                 W = np.column_stack([W] + [f(walk[j - 1][0]) for f in drifts])
     except FlowError:
@@ -419,15 +402,14 @@ def test_lanes_equal_each_walk_transported_alone(name):
     family, regularity = _prepare(spec, None, None, 2)
     step = _step_control(spec)
     pts = window_grid(spec.window, 2)
-    children = np.random.SeedSequence(spec.seed).spawn(len(pts))
     walked = 0
-    for p, child in zip(pts, children):
+    for p, seed in zip(pts, _point_seeds(spec.seed, len(pts))):
         leaf = sample_leaf(
             family,
             p,
             budget=spec.leaf_budget,
             max_duration=spec.walk_duration(),
-            rng_seed=_child_seed(child),
+            rng_seed=seed,
             step=step,
         )
         assert leaf.frames is None
@@ -465,7 +447,7 @@ def test_rotation_frames_match_the_backward_chain():
 
 def test_walk_frames_match_finite_differences_of_the_flow():
     # column k of a visit's frame is d(visit)/d(base_k): central
-    # differences of the walk's word replayed with integrate_flow
+    # differences of the walk's word replayed one segment at a time
     fam = _family(*WIGGLY)
     leaf = sample_leaf(fam, [0.3, -0.2], budget=8, max_duration=1.0, rng_seed=4)
     deep = max(leaf.walks(), key=len)
@@ -705,7 +687,7 @@ def test_sample_leaves_equals_the_scalar_walk_loop(name, variant):
     duration = spec.walk_duration()
     discarded = 0
     for seed, budget in ((0, 1), (3, 5), (7, 9)):
-        seeds = [_child_seed(c) for c in np.random.SeedSequence(seed).spawn(len(pts))]
+        seeds = _point_seeds(seed, len(pts))
         lanes = sample_leaves(family, pts, budget, duration, seeds, step)
         assert len(lanes) == len(pts)
         for p, s, leaf in zip(pts, seeds, lanes):
@@ -747,7 +729,7 @@ def test_closed_form_walks_match_integrate(name):
     duration = spec.walk_duration()
     visits = 0
     for seed in (0, 3, 7):
-        seeds = [_child_seed(c) for c in np.random.SeedSequence(seed).spawn(len(pts))]
+        seeds = _point_seeds(seed, len(pts))
         leaves = sample_leaves(family, pts, spec.leaf_budget, duration, seeds, step)
         for p, s, leaf in zip(pts, seeds, leaves):
             ref = _scalar_sample_leaf(family, p, spec.leaf_budget, duration, s, step, True)
@@ -892,7 +874,7 @@ def test_batched_shifts_equal_the_per_visit_shifts(name):
     maxulp = 1 if name == "planar_forward" else 0
     shifted = differ = entries = 0
     for seed in (0, 3, 7):
-        seeds = [_child_seed(c) for c in np.random.SeedSequence(seed).spawn(len(pts))]
+        seeds = _point_seeds(seed, len(pts))
         for leaf in sample_leaves(family, pts, spec.leaf_budget, spec.walk_duration(), seeds, step):
             walks, d = _assert_shifts_match_per_visit(leaf, spec.drifts, maxulp)
             shifted += walks

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from flow_reference import FlowError, _integrate
 from geoctrl import metrics
 from geoctrl.fields import VectorField
-from geoctrl.flows import FlowError, StepControl, _integrate, inflate_window, integrate_words
+from geoctrl.flows import StepControl, inflate_window, integrate_words
 from geoctrl.lie import window_grid
 from geoctrl.metrics import (
     CostEstimate,
@@ -755,6 +756,54 @@ def test_concatenated_loops_prepare_and_cost_as_arrays(drift_in_cost):
 
 SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
 BUNDLED = sorted(p.stem for p in SYS_DIR.glob("*.sys"))
+
+
+def _scalar_orbit_words(shooter, system):
+    """The scalar drift-orbit scan that the lane pool replaced, kept here
+    as its reference: one `_integrate` call per 0.05 leg up to TIME_CAP.
+    Returns the words, the evaluations it counts and how the orbit ended
+    ("cap" or "failed")."""
+    fn = system.drift.compiled()
+    z = shooter.x.copy()
+    best_t = 0.0
+    best_d = float(np.linalg.norm(z - shooter.y))
+    t = 0.0
+    ended = "cap"
+    try:
+        while t < metrics.TIME_CAP:
+            z = _integrate(fn, z, 0.05, shooter.ctrl)
+            t += 0.05
+            d = float(np.linalg.norm(z - shooter.y))
+            if d < best_d:
+                best_d, best_t = d, t
+    except FlowError:
+        ended = "failed"
+    if best_t == 0.0:
+        return [], 1, ended
+    return [((best_t,), ((1.0,) + (0.0,) * (shooter.nchan - 1),))], 0, ended
+
+
+def test_lane_orbit_scan_equals_the_scalar_scan():
+    # per bundled drift, three drifted searches in one call: between two
+    # window points both ways, and from next to the center, where the
+    # shears' and the saddle's drifts are slow enough to run to TIME_CAP
+    ends, worded = set(), set()
+    for name in BUNDLED:
+        spec = load_spec(SYS_DIR / f"{name}.sys")
+        lo, hi = np.array(spec.window).T
+        a, b, c = (lo + f * (hi - lo) for f in (0.3, 0.6, 0.51))
+        shooters = [
+            metrics._Shooter(spec, x, y, 0.05, fixed_drift=True, drift_in_cost=False)
+            for x, y in ((a, b), (b, a), (c, a))
+        ]
+        got = metrics._drift_orbit_words(shooters, spec)
+        for sh, words in zip(shooters, got):
+            ref, evals, ended = _scalar_orbit_words(sh, spec)
+            assert words == ref and sh.evals == evals
+            ends.add(ended)
+            worded.add(bool(words))
+    assert ends == {"cap", "failed"} and worded == {True, False}
+    assert metrics._drift_orbit_words([], shear()) == []
 
 
 def _loop_length_reference(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoctrl import reach
+from geoctrl import flows, reach
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
     STATUS_INCONCLUSIVE,
@@ -344,7 +344,7 @@ def test_child_generators_are_the_spawned_ones(seed):
     n = 300
     children = np.random.SeedSequence(seed).spawn(n)
     want = np.array([c.generate_state(4, np.uint64) for c in children])
-    got = reach._spawned_states(seed, n)
+    got = flows._spawned_states(seed, n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for gen, child in zip(reach._child_generators(seed, n), children):
         raw = gen.random_raw(50)
@@ -539,9 +539,21 @@ def test_cross_validate_witness_mode_on_uncontrollable():
     report = cross_validate(verdict, sys_)
     assert report["mode"] == "witness"
     assert report["status"] == "AGREE"
-    assert report["exact"] is True  # constant control span
+    assert report["exact"] is True  # one quotient at every point
     entry = report["entries"][0]
     assert "covector" in entry and entry["respected"]
+
+
+def test_cross_validate_witness_is_not_exact_where_the_quotient_turns():
+    # the control (1, 0.1 sin x1) turns with x1, and so does its normal,
+    # the quotient, from one grid column to the next
+    sys_ = _sys2(["0", "1"], ["1", "0.1*sin(x1)"], assume_not_dense=True, n_traj=300)
+    verdict = global_verdict(sys_, grid_per_axis=3)
+    assert verdict.status == STATUS_UNCONTROLLABLE
+    report = cross_validate(verdict, sys_)
+    assert report["mode"] == "witness"
+    assert report["status"] == "AGREE"
+    assert report["exact"] is False
 
 
 def test_cross_validate_untested_for_inconclusive():

@@ -117,7 +117,7 @@ def _walk_digest(spec, seed: int, grid: int) -> str:
         points,
         spec.leaf_budget,
         spec.walk_duration(),
-        [criterion._child_seed(c) for c in children],
+        [int(c.generate_state(1, np.uint64)[0]) for c in children],
         criterion._step_control(spec),
     )
     h = hashlib.sha256()
