@@ -533,6 +533,9 @@ def _drift_orbit_words(shooters: list[_Shooter], system: SystemSpec) -> list[lis
     # (time, distance) of each orbit's closest approach so far
     best = [(0.0, float(np.linalg.norm(sh.x - sh.y))) for sh in shooters]
 
+    def leg(j: int) -> _Lane:
+        return _Lane(j, [(_ORBIT_LEG, None)], ctrl)
+
     def advance(settled) -> list:
         legs = []
         for j, end in settled:
@@ -543,13 +546,12 @@ def _drift_orbit_words(shooters: list[_Shooter], system: SystemSpec) -> list[lis
             if d < best[j][1]:
                 best[j] = (clock[j], d)
             if clock[j] < TIME_CAP:
-                legs.append((_Lane(j, [(_ORBIT_LEG, None)], ctrl), end))
+                legs.append((leg(j), end))
         return legs
 
     fn = system.drift.compiled()
-    lanes = [_Lane(j, [(_ORBIT_LEG, None)], ctrl) for j in range(len(shooters))]
     starts = np.array([sh.x for sh in shooters], dtype=float)
-    _step_lanes(lanes, starts, lambda _: fn, ctrl, refill=advance)
+    _step_lanes([leg(j) for j in range(len(shooters))], starts, lambda _: fn, ctrl, refill=advance)
     words = []
     for sh, (t, _) in zip(shooters, best):
         if t == 0.0:
