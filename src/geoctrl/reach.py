@@ -7,10 +7,13 @@ criterion pipeline: it shares no geometry code beyond the system
 definition, so agreement between the two is meaningful evidence.
 
 Integration is fixed-step RK4 over the live trajectories at once
-(`_run`, the one stepper). The controls are piecewise constant with
-segment ends quantized to the step grid; the realized inputs are
-therefore still admissible controls, just drawn from a slightly
-coarsened family, which is all an occupancy estimate needs.
+(`_run`, the one stepper). A constant control field's kernel runs once
+per run, and its term u^i g_i is formed once per step and added at each
+of the four stages; a non-constant control costs a kernel call per
+stage. The controls are piecewise constant with segment ends quantized
+to the step grid; the realized inputs are therefore still admissible
+controls, just drawn from a slightly coarsened family, which is all an
+occupancy estimate needs.
 
 Trajectory i draws its segments from its own child generator of
 SeedSequence(seed), in raw 64-bit blocks a few segments at a time
@@ -265,10 +268,21 @@ def _run(
     the points of the live trajectories inside the window and their
     ids, in ascending id. A trajectory that leaves the inflated roaming
     window, or turns nan, retires at once and is stepped no more.
+
+    A constant control's term U[:, i] * g_i is formed once per step,
+    the same product its kernel's rows would give, and enters each RK4
+    stage in channel order; a non-constant control costs one kernel call
+    per stage. So every stage sum is bit for bit that of calling every
+    kernel at every stage.
     """
     m = len(system.controls)
     drift_fns = [d.compiled() for d in system.drifts]
     control_fns = [g.compiled() for g in system.controls]
+    # a constant control's kernel runs once, here, at one point
+    values = [
+        fn(np.zeros(system.dim)) if g.is_constant else None
+        for g, fn in zip(system.controls, control_fns)
+    ]
     n_drifts = len(drift_fns)
     roam = np.array(inflate_window(system.window, ORACLE_INFLATION))
     win = np.array(system.window)
@@ -280,7 +294,7 @@ def _run(
     seg_end = np.zeros(n_traj)
     didx = np.zeros(n_traj, dtype=np.intp)
 
-    def rhs(Y: np.ndarray, masks: list[np.ndarray]) -> np.ndarray:
+    def rhs(Y: np.ndarray, masks: list[np.ndarray], terms: list) -> np.ndarray:
         if n_drifts == 1:
             out = drift_fns[0](Y)
         else:
@@ -288,8 +302,8 @@ def _run(
             for fn, mask in zip(drift_fns, masks):
                 if mask.any():
                     out[mask] = fn(Y[mask])
-        for i in range(m):
-            out = out + U[:, i : i + 1] * control_fns[i](Y)
+        for i, term in enumerate(terms):
+            out = out + (U[:, i : i + 1] * control_fns[i](Y) if term is None else term)
         return out
 
     def record(t: float) -> None:
@@ -310,10 +324,11 @@ def _run(
                 U[due], dur, didx[due] = draws.segments(ids[due])
                 seg_end[due] = t + dur
             masks = [didx == j for j in range(n_drifts)] if n_drifts > 1 else []
-            k1 = rhs(X, masks)
-            k2 = rhs(X + 0.5 * h * k1, masks)
-            k3 = rhs(X + 0.5 * h * k2, masks)
-            k4 = rhs(X + h * k3, masks)
+            terms = [None if v is None else U[:, i : i + 1] * v for i, v in enumerate(values)]
+            k1 = rhs(X, masks, terms)
+            k2 = rhs(X + 0.5 * h * k1, masks, terms)
+            k3 = rhs(X + 0.5 * h * k2, masks, terms)
+            k4 = rhs(X + h * k3, masks, terms)
             X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             live = _inside(X, roam)
@@ -548,5 +563,6 @@ def export_csv(cloud: ReachCloud, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["traj_id", "t"] + [f"x{i + 1}" for i in range(n)])
-        for tid, t, p in zip(cloud.traj_ids, cloud.times, cloud.points):
+        rec, tids = cloud._stored()  # expanded once, for both columns
+        for tid, t, p in zip(tids, cloud.record_times[rec], cloud.points):
             writer.writerow([int(tid), f"{t:.6f}"] + [repr(float(v)) for v in p])

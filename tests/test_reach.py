@@ -58,13 +58,36 @@ def _switched(n_drifts: int) -> SystemSpec:
     )
 
 
-# the bundled systems and two switched families the bundle lacks
-FAMILIES = {p.stem: p for p in SYSTEMS} | {"switched3": 3, "switched5": 5}
+# a control that is not constant, alone: the oracle calls its kernel at
+# every RK4 stage
+WAVY = SystemSpec(
+    name="wavy",
+    var_names=N2,
+    drifts=(VectorField.parse(["0", "x1"], N2),),
+    controls=(VectorField.parse(["1", "0.1*sin(x1)"], N2),),
+    window=WIN2,
+)
+# a non-constant control ahead of a constant one, both acting on x2 and
+# x3, so that a hoisted term added out of channel order rounds otherwise
+MIXED3D = SystemSpec(
+    name="mixed3d",
+    var_names=N3,
+    drifts=(VectorField.parse(["x2", "0 - x1", "sin(x1)"], N3),),
+    controls=(
+        VectorField.parse(["cos(x3)", "sin(x3)", "0.5*x1"], N3),
+        VectorField.parse(["0", "1", "0.3"], N3),
+    ),
+    window=((-2.0, 2.0), (-2.0, 2.0), (-PI, PI)),
+)
 
-
-def _family(name) -> SystemSpec:
-    src = FAMILIES[name]
-    return _switched(src) if isinstance(src, int) else load_spec(src)
+# the bundled systems, two switched families the bundle lacks and two
+# families with non-constant controls, which no bundled system has
+FAMILIES = {p.stem: load_spec(p) for p in SYSTEMS} | {
+    "switched3": _switched(3),
+    "switched5": _switched(5),
+    "wavy": WAVY,
+    "mixed3d": MIXED3D,
+}
 
 
 def _center(system: SystemSpec) -> list[float]:
@@ -313,7 +336,7 @@ def _reference_cloud(system, x0, T, n_traj, seed) -> ReachCloud:
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_cloud_matches_the_former_oracle(name, seed):
-    system = _family(name)
+    system = FAMILIES[name]
     x0 = _center(system)
     cloud = simulate_reach(system, x0, T=3.0, n_traj=40, seed=seed)
     want = _reference_reach(system, x0, 3.0, 40, seed)
@@ -321,6 +344,32 @@ def test_cloud_matches_the_former_oracle(name, seed):
     for a, b in zip((cloud.points, cloud.traj_ids, cloud.times), want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, per_stage", [("planar_shear", False), ("wavy", True)])
+def test_oracle_calls_a_constant_control_kernel_once_per_run(name, per_stage, monkeypatch):
+    system = FAMILIES[name]
+    (drift,), (control,) = system.drifts, system.controls
+    assert control.is_constant != per_stage
+    calls = {drift: 0, control: 0}
+    compiled = VectorField.compiled
+
+    def counted(field):
+        fn = compiled(field)
+
+        def kernel(X):
+            calls[field] += 1
+            return fn(X)
+
+        return kernel
+
+    monkeypatch.setattr(VectorField, "compiled", counted)
+    T = 1.0
+    cloud = simulate_reach(system, _center(system), T=T, n_traj=50, seed=0)
+    steps = int(np.ceil(T / reach.DEFAULT_DT))
+    assert cloud.record_times[-1] == pytest.approx(T)  # every step was taken
+    assert calls[drift] == 4 * steps
+    assert calls[control] == (4 * steps if per_stage else 1)
 
 
 @pytest.mark.parametrize("n_drifts", [1, 2, 3, 5])
@@ -372,8 +421,8 @@ def test_index_draw_rejects_a_low_word_below_the_lemire_floor(n_drifts, rejects)
 
 
 def test_cross_validate_coverage_matches_the_former_oracle():
-    for name in ("planar_shear", "saddle3d", "switched3"):
-        system = replace(_family(name), n_traj=30, horizon=3.0, seed=5)
+    for name in ("planar_shear", "saddle3d", "switched3", "wavy", "mixed3d"):
+        system = replace(FAMILIES[name], n_traj=30, horizon=3.0, seed=5)
         stand_in = GlobalVerdict(
             status=STATUS_CONTROLLABLE, points=(), assumptions={}, regularity=None
         )

@@ -31,7 +31,14 @@ the endpoints drawn from the seed, `loop` of planar_shear and
 `loop --grid 2` of unicycle) and then those of its `refute` workload
 (`check planar_forward --grid 2`, `check unicycle_offset --grid 2` and
 the two `verify` runs above), each at seeds 1 to 12, the seeds its runs
-use.
+use. After everything else come the oracle runs, as above, and then
+the `reach` runs of two specs written out in this script, at seeds 0, 3
+and 7: `wavy` (drift = 0, x1 and the non-constant control
+1, 0.1*sin(x1)) and `mixed3d` (a non-constant control ahead of a
+constant one), since every bundled system's controls are constant. An
+oracle line sees coverage fractions only; a `reach` line sees every bit
+of the cloud. They come last, so the lines before them are those of a
+run that lacks them.
 
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
@@ -56,6 +63,24 @@ import numpy as np
 SEEDS = (0, 3, 7)
 BENCH_SEEDS = tuple(range(1, 13))
 VERIFY_CANDIDATES = (("0", "1", "0"), ("0", "x3", "0"))
+# specs with non-constant controls for the last oracle and reach lines,
+# written here and not read from the checkout, so that every checkout
+# runs the same ones
+INLINE_SPECS = {
+    # at the default horizon every coverage run reads 1.0
+    "wavy": """vars = x1, x2
+drift = 0, x1
+control = 1, 0.1*sin(x1)
+window = -2:2, -2:2
+horizon = 3
+""",
+    "mixed3d": """vars = x1, x2, x3
+drift = x2, 0 - x1, sin(x1)
+control = cos(x3), sin(x3), 0.5*x1
+control = 0, 1, 0.3
+window = -2:2, -2:2, -3.141592653589793:3.141592653589793
+""",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -103,6 +128,10 @@ def _runs(systems: list[str], workload):
             for op in workload(name, seed):
                 command = op.kind if op.candidate is None else _verify_command(op.candidate)
                 yield command, op.system, seed, op.grid, op.points
+    for command in ("oracle", "reach"):
+        for seed in SEEDS:
+            for name in INLINE_SPECS:
+                yield command, name, seed, None, None
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
@@ -190,6 +219,8 @@ def main(argv=None) -> int:
     systems = sorted(p.stem for p in (root / "systems").glob("*.sys"))
 
     def load(name: str):
+        if name in INLINE_SPECS:
+            return importlib.import_module("geoctrl.system").loads_spec(INLINE_SPECS[name], name)
         return g.load_spec(root / "systems" / f"{name}.sys")
 
     def workload(name: str, seed: int):
