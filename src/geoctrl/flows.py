@@ -222,6 +222,55 @@ def _spawned_states(seed: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+# PCG64's 128-bit LCG multiplier, from numpy/random/src/pcg64/pcg64.h, in
+# 64-bit halves and the low half's 32-bit limbs
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_PCG_MULT_LO0 = np.uint64(_PCG_MULT & _U32)
+_PCG_MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _U32)
+_LIMB = np.uint64(32)
+_LIMB_MASK = np.uint64(_U32)
+
+
+def _pcg_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit states (hi, lo) times the multiplier plus inc, mod 2**128."""
+    # the high word of lo * MULT_LO, from the 32-bit limbs of both
+    a0, a1 = lo & _LIMB_MASK, lo >> _LIMB
+    p01, p10 = a0 * _PCG_MULT_LO1, a1 * _PCG_MULT_LO0
+    mid = ((a0 * _PCG_MULT_LO0) >> _LIMB) + (p01 & _LIMB_MASK) + (p10 & _LIMB_MASK)
+    carry = a1 * _PCG_MULT_LO1 + (p01 >> _LIMB) + (p10 >> _LIMB) + (mid >> _LIMB)
+    hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi  # uint64 wraps
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _pcg64_first_raws(words: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) uint64: row i is the first k `random_raw` values of PCG64
+    seeded with the 4 uint64 words words[i] (a row of `_spawned_states`).
+
+    numpy's `pcg64_set_seed` takes state word w0 * 2**64 + w1 and
+    increment word w2 * 2**64 + w3: inc = (word << 1) | 1, and from
+    state 0 it steps, adds the state word and steps again. A raw value
+    steps, then folds the 128-bit state to 64 bits by XSL-RR: the xor of
+    its halves, rotated right by its top 6 bits. Every lane steps at
+    once, on uint64 arrays.
+    """
+    one = np.uint64(1)
+    w0, w1, w2, w3 = (np.ascontiguousarray(words[:, j]) for j in range(4))
+    inc_hi, inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
+    lo = inc_lo + w1  # state 0 stepped is inc, plus the state word
+    hi, lo = _pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+    raw = np.empty((len(words), k), dtype=np.uint64)
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        folded, rot = hi ^ lo, hi >> np.uint64(58)
+        raw[:, j] = (folded >> rot) | (folded << (-rot & np.uint64(63)))
+    return raw
+
+
 # Dormand-Prince 5(4) coefficients
 _DP_A = [
     np.array([]),

@@ -15,10 +15,13 @@ to the step grid; the realized inputs are therefore still admissible
 controls, just drawn from a slightly coarsened family, which is all an
 occupancy estimate needs.
 
-Trajectory i draws its segments from its own child generator of
-SeedSequence(seed), in raw 64-bit blocks a few segments at a time
-(`_Draws`); the seed states of all children come from one vectorized
-pass of SeedSequence's hash (`flows._spawned_states`). The blocks are turned
+Trajectory i draws its segments from PCG64 seeded with its own child
+of SeedSequence(seed), in raw 64-bit blocks of BLOCK_SEGMENTS segments
+(`_Draws`). The seed states of all children come from one vectorized
+pass of SeedSequence's hash (`flows._spawned_states`), and every
+trajectory's first block from one vectorized pass of PCG64 itself
+(`flows._pcg64_first_raws`); a generator object is built only for a
+trajectory that reads past its first block. The blocks are turned
 into exactly the numbers that Generator.uniform and Generator.integers
 give for the same stream, so a cloud does not depend on how its draws
 are batched, and the trajectories whose segments end at a step draw
@@ -34,6 +37,7 @@ the covector test, so those runs store no point.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -45,7 +49,7 @@ from .criterion import (
     STATUS_UNCONTROLLABLE,
     GlobalVerdict,
 )
-from .flows import _spawned_states, fields_equal, inflate_window
+from .flows import _pcg64_first_raws, _spawned_states, fields_equal, inflate_window
 from .system import SystemSpec
 
 __all__ = [
@@ -75,7 +79,8 @@ CONTROL_AMPLITUDE = 5.0
 SEGMENT_DURATIONS = (0.05, 0.5)
 # Segments' worth of raw draws a trajectory takes from its generator at
 # a time: larger blocks mean fewer calls but more memory per trajectory.
-BLOCK_SEGMENTS = 8
+# Most witness-run trajectories retire inside their first block.
+BLOCK_SEGMENTS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +153,13 @@ def _covector_values(
     return ((pts - origin) @ quotient_frame.T) @ np.asarray(witness, dtype=float)
 
 
-def _child_generators(seed: int, n: int) -> list:
-    """PCG64(c) for every child c of SeedSequence(seed).spawn(n)."""
+@functools.cache
+def _known_seed_type():
+    """A seed class whose 4 uint64 state words are known, built once."""
     # imported here, so that importing geoctrl does not import numpy.random
-    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
-    class State(ISeedSequence):
+    class KnownSeed(ISeedSequence):
         """A seed whose state is known: PCG64 asks for 4 uint64 words."""
 
         def __init__(self, words: np.ndarray):
@@ -165,14 +170,18 @@ def _child_generators(seed: int, n: int) -> list:
                 raise ValueError("this seed holds 4 uint64 words")
             return self.words
 
-    return [PCG64(State(words)) for words in _spawned_states(seed, n)]
+    return KnownSeed
 
 
 class _Draws:
     """The control segments of every trajectory, drawn from its own generator.
 
     Trajectory i owns child i of SeedSequence(seed) and reads raw 64-bit
-    values of it, a block at a time. They become the numbers that
+    values of PCG64 seeded from it, a block at a time. Every lane's
+    first block comes from one vectorized pass (`flows._pcg64_first_raws`);
+    a lane that reads past it gets its numpy PCG64 then, advanced past
+    the block, so only the lanes that outlive their first block ever
+    build one. The raw values become the numbers that
     Generator.uniform(-A, A, m), .uniform(*SEGMENT_DURATIONS) and, for a
     switched drift, .integers(0, n_drifts) give in turn: a double is
     (r >> 11) * 2**-53, and an index is Lemire's bounded draw on 32-bit
@@ -181,14 +190,25 @@ class _Draws:
     """
 
     def __init__(self, seed: int, n_traj: int, m: int, n_drifts: int):
-        self.gens = _child_generators(seed, n_traj)
+        self.states = _spawned_states(seed, n_traj)
+        self.gens: dict = {}  # the generator of each lane past its first block
         self.m = m
         self.n_drifts = n_drifts
         self.width = BLOCK_SEGMENTS * (m + 1 + (n_drifts > 1))
-        self.raw = np.empty((n_traj, self.width), dtype=np.uint64)
-        self.cur = np.full(n_traj, self.width)  # next unread raw; every block starts read
+        self.raw = _pcg64_first_raws(self.states, self.width)
+        self.cur = np.zeros(n_traj, dtype=np.intp)  # next unread raw
         self.half = np.zeros(n_traj, dtype=np.uint64)  # the buffered high word
         self.has_half = np.zeros(n_traj, dtype=bool)
+
+    def _generator(self, i: int):
+        """Lane i's PCG64, built when it first reads past its first block."""
+        gen = self.gens.get(i)
+        if gen is None:
+            from numpy.random import PCG64  # see _known_seed_type
+
+            gen = self.gens[i] = PCG64(_known_seed_type()(self.states[i]))
+            gen.advance(self.width)
+        return gen
 
     def _take(self, lanes: np.ndarray, k: int) -> np.ndarray:
         """The next k raw values of each lane, (len(lanes), k)."""
@@ -196,7 +216,7 @@ class _Draws:
         for i in short.tolist():  # keep the unread tail, draw the rest afresh
             c = int(self.cur[i])
             self.raw[i, : self.width - c] = self.raw[i, c:]
-            self.raw[i, self.width - c :] = self.gens[i].random_raw(c)
+            self.raw[i, self.width - c :] = self._generator(i).random_raw(c)
         self.cur[short] = 0
         cols = self.cur[lanes, None] + np.arange(k)
         self.cur[lanes] += k

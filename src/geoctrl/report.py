@@ -177,13 +177,24 @@ _OVERRIDE_RULES = {
 _MIN_BUDGET = {"dist": 4, "loop": 1}
 
 
+# the override keys `run_pipeline` reads, which are those the CLI passes;
+# the spec ones replace spec fields
+_SPEC_OVERRIDES = ("grid_per_axis", "leaf_budget", "n_traj", "horizon", "seed")
+_OVERRIDE_KEYS = _SPEC_OVERRIDES + ("budget", "endpoint_tol", "from_point", "to_point")
+
+
 def _apply_overrides(spec: SystemSpec, overrides: dict) -> SystemSpec:
+    unknown = sorted(set(overrides) - set(_OVERRIDE_KEYS))
+    if unknown:
+        raise PipelineUsageError(
+            f"unknown override {', '.join(map(repr, unknown))}; "
+            f"the known ones are {', '.join(_OVERRIDE_KEYS)}"
+        )
     for key, (flag, admissible, requirement) in _OVERRIDE_RULES.items():
         value = overrides.get(key)
         if value is not None and not admissible(value):
             raise PipelineUsageError(f"{flag} must be {requirement}, got {value}")
-    fields = {"grid_per_axis", "leaf_budget", "n_traj", "horizon", "seed"}
-    updates = {k: v for k, v in overrides.items() if k in fields and v is not None}
+    updates = {k: v for k, v in overrides.items() if k in _SPEC_OVERRIDES and v is not None}
     return dataclasses.replace(spec, **updates) if updates else spec
 
 
@@ -236,6 +247,10 @@ def run_pipeline(spec: SystemSpec, command: str, overrides: dict | None = None) 
            plus the extended driftless distance.
     loop:  drifted-loop length estimates over a probe grid, with the
            non-conclusive boundedness summary.
+
+    `overrides` maps the keys the CLI passes (grid_per_axis, leaf_budget,
+    n_traj, horizon, seed, budget, endpoint_tol, from_point, to_point) to
+    values, None for one not given; any other key is a PipelineUsageError.
     """
     if command not in COMMANDS:
         raise PipelineUsageError(f"unknown command {command!r}")

@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from geoctrl.cli import main
-from geoctrl.report import run_pipeline
+from geoctrl.report import PipelineUsageError, run_pipeline
 from geoctrl.system import load_spec, loads_spec
 
 SHEAR = """\
@@ -498,10 +502,69 @@ def test_seed_override_changes_hash_and_report(specfile, capsys):
     assert one["hash"] != two["hash"]
 
 
+# run in a child process: `check --grid 2` of a bundled system, then
+# the verdict's points; prints [exit code, report status, condition_holds]
+_CHECK_AND_POINTS = """
+import contextlib, io, json, sys
+from geoctrl import global_verdict, load_spec
+from geoctrl.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["check", sys.argv[1], "--grid", "2"])
+verdict = global_verdict(load_spec(sys.argv[1]), grid_per_axis=2)
+status = json.loads(out.getvalue())["verdict"]["status"]
+assert status == verdict.status
+print(json.dumps([code, status, [p.condition_holds for p in verdict.points]]))
+"""
+
+
+@pytest.mark.parametrize("name", ["planar_shear", "unicycle_offset"])
+def test_check_keeps_its_verdict_without_the_widest_simd_paths(name):
+    # numpy's dispatcher may round the last bit of some results otherwise
+    # on a narrower instruction set, so report bytes may move; the
+    # statuses, the points' verdicts and the exit code may not
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHECK_AND_POINTS, str(root / "systems" / f"{name}.sys")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == 2 ** len(load_spec(root / "systems" / f"{name}.sys").window)
+
+
 def test_run_pipeline_rejects_unknown_command():
     spec = loads_spec(PLANE)
     with pytest.raises(ValueError, match="unknown command"):
         run_pipeline(spec, "dance")
+
+
+def test_run_pipeline_rejects_an_unknown_override_and_names_the_known_ones():
+    spec = loads_spec(PLANE)
+    with pytest.raises(PipelineUsageError, match="unknown override 'grid'") as err:
+        run_pipeline(spec, "audit", {"grid": 21})
+    for key in (
+        "grid_per_axis",
+        "leaf_budget",
+        "n_traj",
+        "horizon",
+        "seed",
+        "budget",
+        "endpoint_tol",
+        "from_point",
+        "to_point",
+    ):
+        assert key in str(err.value)
 
 
 # ------------------------------------------------------- generated specs

@@ -379,25 +379,57 @@ def test_block_draws_match_the_generator_calls(n_drifts):
         draws = reach._Draws(seed, n_traj, m, n_drifts)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
         pick = np.random.default_rng(seed + 100)
-        for _ in range(40):  # lanes draw at different rates, so their blocks desynchronize
+        calls = np.zeros(n_traj, dtype=int)
+        for _ in range(120):  # lanes draw at different rates, so their blocks desynchronize
             lanes = np.flatnonzero(pick.random(n_traj) < 0.6)
+            calls[lanes] += 1
             u, dur, idx = draws.segments(lanes)
             for k, i in enumerate(lanes):
                 u_ref, dur_ref, j_ref = _resample_controls(rngs[i], m, n_drifts)
                 assert u[k].tobytes() == u_ref.tobytes()
                 assert dur[k] == dur_ref and idx[k] == j_ref
+        # each call reads m + 1 raw values or more: every lane read past
+        # its first block and past the block after it
+        assert (calls * (m + 1) > 2 * draws.width).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**33 + 5, 2**70 + 3])
-def test_child_generators_are_the_spawned_ones(seed):
-    n = 300
+def test_lane_streams_are_the_spawned_generators(seed):
+    n, k = 300, 50
     children = np.random.SeedSequence(seed).spawn(n)
     want = np.array([c.generate_state(4, np.uint64) for c in children])
     got = flows._spawned_states(seed, n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    for gen, child in zip(reach._child_generators(seed, n), children):
-        raw = gen.random_raw(50)
-        assert raw.tobytes() == np.random.PCG64(child).random_raw(50).tobytes()
+    want = np.array([np.random.PCG64(c).random_raw(k) for c in children])
+    assert flows._pcg64_first_raws(got, k).tobytes() == want.tobytes()
+    # the vectorized first block, then each lane's own generator
+    draws = reach._Draws(seed, n, 1, 1)
+    assert draws.width < k
+    lanes = np.arange(n)
+    raw = np.hstack([draws._take(lanes, 10) for _ in range(k // 10)])
+    assert raw.tobytes() == want.tobytes()
+
+
+def test_a_lane_builds_its_generator_only_past_its_first_block(monkeypatch):
+    built = []
+
+    class Counted(np.random.PCG64):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", Counted)
+    m, n_traj = 2, 50
+    draws = reach._Draws(3, n_traj, m, 1)
+    assert not built
+    readers = np.arange(20)
+    for _ in range(reach.BLOCK_SEGMENTS):  # exactly the first block
+        draws.segments(readers)
+    assert not built
+    for _ in range(3 * reach.BLOCK_SEGMENTS):  # three blocks more, one generator each
+        draws.segments(readers)
+    assert len(built) == len(readers)
+    assert sorted(draws.gens) == readers.tolist()
 
 
 def test_a_negative_oracle_seed_is_refused():

@@ -40,6 +40,11 @@ oracle line sees coverage fractions only; a `reach` line sees every bit
 of the cloud. They come last, so the lines before them are those of a
 run that lacks them.
 
+The first line is a header: numpy's version and the CPU features its
+dispatcher enabled. numpy's vectorized math may round the last bit of
+some results differently on another instruction set, so compare two
+digest files only when their headers match.
+
 geoctrl and the specs are taken from CHECKOUT (default: this script's
 checkout), so two checkouts compare with one diff:
 
@@ -93,6 +98,14 @@ def _plain(obj):
 
 def _verify_command(candidate) -> str:
     return "verify S=(" + ",".join(candidate) + ")"
+
+
+def _header() -> str:
+    """numpy's version and the CPU features its dispatcher enabled."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    enabled = [name for name, on in __cpu_features__.items() if on]
+    return f"# numpy {np.__version__}\tcpu features: {' '.join(enabled)}"
 
 
 def _runs(systems: list[str], workload):
@@ -226,6 +239,7 @@ def main(argv=None) -> int:
     def workload(name: str, seed: int):
         return workloads.WORKLOADS[name](seed, load)
 
+    print(_header(), flush=True)
     for command, name, seed, grid, points in _runs(systems, workload):
         spec = load(name)
         label = command if grid is None else f"{command} --grid {grid}"
