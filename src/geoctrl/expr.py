@@ -455,6 +455,17 @@ def _has_var(e: Expr) -> bool:
     return False
 
 
+def _reads(e: Expr) -> frozenset[int]:
+    """The indices of the variables e reads, syntactically: 0*x1 reads x1."""
+    if isinstance(e, Var):
+        return frozenset((e.index,))
+    if isinstance(e, Unary):
+        return _reads(e.arg)
+    if isinstance(e, Binary):
+        return _reads(e.left) | _reads(e.right)
+    return frozenset()
+
+
 def check_constant_parts(e: Expr) -> None:
     """Raise EvalDomainError where e is undefined whatever the point: a
     part without variables that `evaluate` refuses (1/0, ln(0), sqrt(-1),

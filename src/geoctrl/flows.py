@@ -82,8 +82,8 @@ class StepControl:
 
     A flow fails where a step ends outside `window` (or at a non-finite
     state), where the step size falls below `h_min`, or after `max_steps`
-    steps. A walk segment along a constant generator takes no steps, so
-    only `window` binds it.
+    steps, counted over all the segments of a word. A walk segment along
+    a constant generator takes no steps, so only `window` binds it.
     """
 
     atol: float = 1e-9
@@ -300,7 +300,8 @@ def integrate_words(
     A job (x0, durations, rows) flows x0 for durations[s] with channel
     coefficients rows[s], segment after segment (arrays, or sequences of
     floats); all-zero rows are skipped. An entry is None where some
-    segment fails (escape, non-finite state, step underflow, max_steps).
+    segment fails (escape, non-finite state, step underflow) or where the
+    word's segments together take max_steps steps short of its end.
 
     Every job is a lane of `_step_lanes`, one DP54 with per-lane step
     sizes whose per-lane arithmetic is that of the job stepped alone: an
@@ -412,7 +413,7 @@ class _Lane:
 
     A segment is (duration, payload); the payload says which rhs the
     segment flows (the index of a word's coefficient row, a signed field
-    of a walk).
+    of a walk). `steps` counts the job's steps over all its segments.
     """
 
     __slots__ = ("job", "segs", "seg", "sign", "remaining", "h", "steps")
@@ -421,6 +422,7 @@ class _Lane:
         self.job = job
         self.segs = segs
         self.seg = -1
+        self.steps = 0
         self.next_segment(ctrl)
 
     def next_segment(self, ctrl: StepControl) -> bool:
@@ -432,7 +434,6 @@ class _Lane:
         self.sign = 1.0 if t > 0 else -1.0
         self.remaining = abs(t)
         self.h = min(ctrl.h_init, self.remaining)
-        self.steps = 0
         return True
 
 
@@ -470,9 +471,10 @@ def _step_lanes(
     infinite), and its h is then resized by 0.9 * err**-0.2, clamped to
     [0.2, 5], and cut to the time left. The segment fails where an
     accepted step ends outside the window or at a non-finite point,
-    where h falls below h_min short of the end, or where max_steps
-    rounds do not reach the end; an accepted step hands on its last
-    stage as the next k0.
+    where h falls below h_min short of the end, or where the lane's
+    max_steps-th round, counted over all its segments, does not reach
+    the end of its last one; an accepted step hands on its last stage as
+    the next k0.
     Each lane keeps its own h, remaining time and step count, resized in
     Python floats (numpy's array power differs from `**` in the last
     ulp), and stacked `_DP_A[i] @ K[:, :i]` and row means round as the
@@ -542,14 +544,15 @@ def _step_lanes(
                     left.append((k, False))  # step underflow
                     continue
                 lane.steps += 1
-                if lane.remaining <= 0.0:
-                    if not lane.next_segment(ctrl):
-                        left.append((k, True))
-                        continue
-                    fresh.append(len(keep))
-                elif lane.steps == ctrl.max_steps:
-                    left.append((k, False))  # out of steps
+                ended = lane.remaining <= 0.0
+                if ended and not lane.next_segment(ctrl):
+                    left.append((k, True))
                     continue
+                if lane.steps == ctrl.max_steps:
+                    left.append((k, False))  # out of steps, over the whole word
+                    continue
+                if ended:
+                    fresh.append(len(keep))
                 else:
                     lane.h = min(h, lane.remaining)
                 keep.append(k)

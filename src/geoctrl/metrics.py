@@ -79,8 +79,8 @@ __all__ = [
 TIME_CAP = 50.0
 # the drift orbit of a drifted search is scanned at the ends of legs this long
 _ORBIT_LEG = 0.05
-# DP54 steps a shooting segment may take: a stiff word fails here instead
-# of holding its round of lanes for StepControl's default 100,000
+# DP54 steps a shooting word may take over all its segments: a stiff word
+# fails here instead of holding its round of lanes for StepControl's 100,000
 _MAX_STEPS = 1_000
 # every shooting flow must stay in the window inflated by this factor
 SHOOTING_INFLATION = 0.5

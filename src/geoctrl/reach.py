@@ -10,7 +10,12 @@ Integration is fixed-step RK4 over the live trajectories at once
 (`_run`, the one stepper). A constant control field's kernel runs once
 per run, and its term u^i g_i is formed once per step and added at each
 of the four stages; a non-constant control costs a kernel call per
-stage. The controls are piecewise constant with segment ends quantized
+stage. A step takes three field evaluations, not four, where the spec
+proves the second and third stages equal (`_k3_is_k2`): when every
+field reads only coordinates whose components are constants in every
+field, the two stages are evaluated at states that agree in every
+column the fields read, so the second stage is the third bit for bit.
+The controls are piecewise constant with segment ends quantized
 to the step grid; the realized inputs are therefore still admissible
 controls, just drawn from a slightly coarsened family, which is all an
 occupancy estimate needs.
@@ -28,10 +33,11 @@ are batched, and the trajectories whose segments end at a step draw
 together.
 
 Every record (t = 0 and then every sample stride) hands the live
-trajectories inside the window to a fold. `simulate_reach` folds them
-into a compact `ReachCloud`. `cross_validate` folds its coverage runs
-into an occupancy grid and its witness run into the running minimum of
-the covector test, so those runs store no point.
+trajectories inside the window to a fold, which may end the run.
+`simulate_reach` folds them into a compact `ReachCloud`.
+`cross_validate` folds its coverage runs into an occupancy grid and its
+witness run into the covector test, which ends the run at the first
+record that crosses the covector, so those runs store no point.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .criterion import (
     STATUS_UNCONTROLLABLE,
     GlobalVerdict,
 )
+from .expr import Const, _reads
 from .flows import _pcg64_first_raws, _spawned_states, fields_equal, inflate_window
 from .system import SystemSpec
 
@@ -272,13 +279,30 @@ def _ensemble(
     return np.asarray(x0, dtype=float), T, n_traj, system.seed if seed is None else seed
 
 
+def _k3_is_k2(system: SystemSpec) -> bool:
+    """Is RK4's third stage the second, bit for bit, in every run of the spec?
+
+    Let S be the coordinates whose component is a `Const` in every drift
+    and every control. In a column of S, every stage sums the same
+    constants and once-per-step control terms in the same channel order,
+    so k1 and k2 agree there, and so do the states X + h/2 k1 and
+    X + h/2 k2 of the second and third stages. Where every component of
+    every field reads only variables in S (syntactically: 0*x1 reads
+    x1), the elementwise kernels see the same values at both states, and
+    the drift masks are fixed within a step, so k3 is k2.
+    """
+    fields = system.drifts + system.controls
+    S = {j for j in range(system.dim) if all(isinstance(F.components[j], Const) for F in fields)}
+    return all(_reads(c) <= S for F in fields for c in F.components)
+
+
 def _run(
     system: SystemSpec,
     x0: np.ndarray,
     T: float,
     n_traj: int,
     seed: int,
-    fold: Callable[[float, np.ndarray, np.ndarray], None],
+    fold: Callable[[float, np.ndarray, np.ndarray], bool | None],
     sample_stride: float = 0.1,
     dt: float = DEFAULT_DT,
 ) -> None:
@@ -286,14 +310,17 @@ def _run(
 
     At t = 0, every sample_stride and at T, fold(t, points, ids) gets
     the points of the live trajectories inside the window and their
-    ids, in ascending id. A trajectory that leaves the inflated roaming
-    window, or turns nan, retires at once and is stepped no more.
+    ids, in ascending id; the run ends where it returns True. A
+    trajectory that leaves the inflated roaming window, or turns nan,
+    retires at once and is stepped no more, and its generator goes.
 
     A constant control's term U[:, i] * g_i is formed once per step,
     the same product its kernel's rows would give, and enters each RK4
     stage in channel order; a non-constant control costs one kernel call
     per stage. So every stage sum is bit for bit that of calling every
-    kernel at every stage.
+    kernel at every stage. Where `_k3_is_k2` holds, the second stage
+    serves as the third, which it equals bit for bit, so a step takes
+    three field evaluations.
     """
     m = len(system.controls)
     drift_fns = [d.compiled() for d in system.drifts]
@@ -326,14 +353,15 @@ def _run(
             out = out + (U[:, i : i + 1] * control_fns[i](Y) if term is None else term)
         return out
 
-    def record(t: float) -> None:
+    def record(t: float) -> bool:
         inside = _inside(X, win)
-        if inside.any():
-            fold(t, X[inside], ids[inside])
+        return bool(inside.any() and fold(t, X[inside], ids[inside]))
 
     n_steps = int(np.ceil(T / dt))
     stride_steps = max(1, int(round(sample_stride / dt)))
-    record(0.0)
+    k3_is_k2 = _k3_is_k2(system)
+    if record(0.0):
+        return
     t = 0.0
     # the kernels enter no errstate; a lane that turns nan is retired below
     with np.errstate(all="ignore"):
@@ -347,17 +375,21 @@ def _run(
             terms = [None if v is None else U[:, i : i + 1] * v for i, v in enumerate(values)]
             k1 = rhs(X, masks, terms)
             k2 = rhs(X + 0.5 * h * k1, masks, terms)
-            k3 = rhs(X + 0.5 * h * k2, masks, terms)
+            k3 = k2 if k3_is_k2 else rhs(X + 0.5 * h * k2, masks, terms)
             k4 = rhs(X + h * k3, masks, terms)
             X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             live = _inside(X, roam)
             if not live.all():
+                if draws.gens:  # a retired lane never draws again
+                    for i in ids[~live].tolist():
+                        draws.gens.pop(i, None)
                 ids, X, U, seg_end, didx = (a[live] for a in (ids, X, U, seg_end, didx))
                 if not len(ids):
                     break
             if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:
-                record(t)
+                if record(t):
+                    break
 
 
 def _trim_heap() -> None:
@@ -471,15 +503,18 @@ def _respected(
     witness: Sequence[float],
     quotient_frame: np.ndarray,
 ) -> bool:
-    """`monotone_witness_check` of `simulate_reach`, folded record by record."""
+    """`monotone_witness_check` of `simulate_reach`, folded record by record
+    up to the first record that crosses the covector."""
     x0, T, n_traj, seed = _ensemble(system, x0, T, n_traj, seed)
-    lowest = [np.inf]
+    crossed = [False]
 
-    def fold(t: float, pts: np.ndarray, ids: np.ndarray) -> None:
-        lowest[0] = min(lowest[0], np.min(_covector_values(pts, x0, witness, quotient_frame)))
+    def fold(t: float, pts: np.ndarray, ids: np.ndarray) -> bool:
+        lowest = np.min(_covector_values(pts, x0, witness, quotient_frame))
+        crossed[0] = bool(lowest < -WITNESS_TOL)
+        return crossed[0]  # True ends the run: the answer is in
 
     _run(system, x0, T, n_traj, seed, fold)
-    return bool(lowest[0] >= -WITNESS_TOL)
+    return not crossed[0]
 
 
 def cross_validate(
@@ -502,9 +537,10 @@ def cross_validate(
     quotient (the projectors of their quotient frames agree), so that
     the covector means the same at every point. Anything else is
     untested. Each run is the ensemble `simulate_reach` would step,
-    folded as it goes into the occupancy grid of `coverage` or the
-    lowest value of `monotone_witness_check`, so no run stores its
-    points and the results are the same.
+    folded as it goes into the occupancy grid of `coverage` or the test
+    of `monotone_witness_check`, which ends the witness run at the first
+    record that crosses the covector, so no run stores its points and
+    the results are the same.
     """
     seed = system.seed if seed is None else seed
     if verdict.status == STATUS_CONTROLLABLE:

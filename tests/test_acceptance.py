@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from flow_reference import flow, pushforward_along
+from geoctrl import flows, metrics
 from geoctrl.cli import main as cli_main
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
@@ -33,6 +34,7 @@ from geoctrl.expr import differentiate, evaluate, parse_expression
 from geoctrl.fields import VectorField, lie_bracket
 from geoctrl.metrics import estimate_cost, loop_length, sr_distance
 from geoctrl.reach import cross_validate, monotone_witness_check, simulate_reach
+from geoctrl.report import run_pipeline
 from geoctrl.system import load_spec, loads_spec
 
 SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
@@ -380,9 +382,9 @@ window = -1:1, -1:1
 
 
 def test_a_stiff_shooting_word_fails_at_its_step_cap(tmp_path, capsys):
-    # tan(x1) makes some candidate words stiff; each shooting segment may
-    # take 1,000 steps, so such a word fails instead of holding its round
-    # of lanes for 100,000
+    # tan(x1) makes some candidate words stiff; each shooting word may
+    # take 1,000 steps over all its segments, so such a word fails instead
+    # of holding its round of lanes for 100,000
     specfile = tmp_path / "stiff.sys"
     specfile.write_text(STIFF)
     argv = ["dist", str(specfile), "--from", "0.5,-0.25", "--to", "-0.25,0.5", "--budget", "200"]
@@ -392,6 +394,43 @@ def test_a_stiff_shooting_word_fails_at_its_step_cap(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)["metrics"]
     for key in ("forward", "reverse", "extended_driftless"):
         assert doc[key]["budget_spent"] == 200
+
+
+STIFF_LOOP = """
+name = stiff_loop
+vars = x1, x2
+drift = x2, -x2 + 8
+control = x2, -x1^3
+window = -1:1, -1:1
+"""
+
+
+def test_a_stiff_loop_word_is_capped_over_all_its_segments(monkeypatch):
+    # an out-and-back loop word has up to 12 segments; the step cap counts
+    # them together, so no round of lanes outlives the cap of one word
+    mixes = [0]
+    mix = flows._mix
+
+    def counted(*args):
+        mixes[0] += 1  # 8 calls a round: six stages and two solutions
+        return mix(*args)
+
+    rounds = []
+    step_lanes = flows._step_lanes
+
+    def spy(*args, **kwargs):
+        before = mixes[0]
+        out = step_lanes(*args, **kwargs)
+        rounds.append((mixes[0] - before) // 8)
+        return out
+
+    monkeypatch.setattr(flows, "_mix", counted)
+    monkeypatch.setattr(flows, "_step_lanes", spy)
+    spec = loads_spec(STIFF_LOOP, "stiff_loop")
+    with wall_clock(10.0):
+        report = run_pipeline(spec, "loop", {"budget": 40, "grid_per_axis": 2})
+    assert report.exit_code == 0
+    assert max(rounds) == metrics._MAX_STEPS  # some word runs into the cap, none past it
 
 
 # --- deterministic reports ---------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from flow_reference import FlowError, _integrate
+from flow_reference import FlowError, _integrate, _integrate_word
 from geoctrl import metrics
 from geoctrl.fields import VectorField
 from geoctrl.flows import StepControl, inflate_window, integrate_words
@@ -320,28 +320,28 @@ def _random_jobs(system: SystemSpec, rng: np.random.Generator, count: int):
 
 
 def _word_alone(fields, job, ctrl):
-    """A word integrated alone, segment by segment through `_integrate`,
+    """A word integrated alone, segment by segment through `_integrate_word`,
     all-zero rows skipped, None on FlowError: the reference whose
     arithmetic the lanes of `integrate_words` repeat bit for bit."""
     fns = [F.compiled() for F in fields]
     x0, durations, rows = job
-    z = np.array(x0, dtype=float)
+    segments = []
+    for tau, w in zip(durations, rows):
+        active = [(float(c), fns[i]) for i, c in enumerate(w) if c != 0.0]
+        if not active:
+            continue
+
+        def rhs(p, active=active):
+            out = active[0][0] * active[0][1](p)
+            for c, fn in active[1:]:
+                out = out + c * fn(p)
+            return out
+
+        segments.append((rhs, float(tau)))
     try:
-        for tau, w in zip(durations, rows):
-            active = [(float(c), fns[i]) for i, c in enumerate(w) if c != 0.0]
-            if not active:
-                continue
-
-            def rhs(p, active=active):
-                out = active[0][0] * active[0][1](p)
-                for c, fn in active[1:]:
-                    out = out + c * fn(p)
-                return out
-
-            z = _integrate(rhs, z, float(tau), ctrl)
+        return _integrate_word(segments, np.array(x0, dtype=float), ctrl)
     except FlowError:
         return None
-    return z
 
 
 def wavy() -> SystemSpec:

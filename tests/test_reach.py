@@ -17,6 +17,7 @@ from geoctrl.criterion import (
     GlobalVerdict,
     global_verdict,
 )
+from geoctrl.expr import Binary, Const, Var
 from geoctrl.fields import VectorField
 from geoctrl.reach import (
     ReachCloud,
@@ -346,16 +347,14 @@ def test_cloud_matches_the_former_oracle(name, seed):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name, per_stage", [("planar_shear", False), ("wavy", True)])
-def test_oracle_calls_a_constant_control_kernel_once_per_run(name, per_stage, monkeypatch):
-    system = FAMILIES[name]
-    (drift,), (control,) = system.drifts, system.controls
-    assert control.is_constant != per_stage
-    calls = {drift: 0, control: 0}
+def _count_kernel_calls(monkeypatch) -> dict:
+    """Calls of every field's compiled kernel from now on, by field."""
+    calls = {}
     compiled = VectorField.compiled
 
     def counted(field):
         fn = compiled(field)
+        calls.setdefault(field, 0)
 
         def kernel(X):
             calls[field] += 1
@@ -364,12 +363,127 @@ def test_oracle_calls_a_constant_control_kernel_once_per_run(name, per_stage, mo
         return kernel
 
     monkeypatch.setattr(VectorField, "compiled", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, per_stage", [("planar_shear", False), ("wavy", True), ("mixed3d", True)]
+)
+def test_oracle_calls_a_constant_control_kernel_once_per_run(name, per_stage, monkeypatch):
+    system = FAMILIES[name]
+    (drift,) = system.drifts
+    assert any(not g.is_constant for g in system.controls) == per_stage
+    # mixed3d's fields read coordinates that no constant holds, so its
+    # second stage is not its third and every step takes four evaluations
+    evals = 4 if name == "mixed3d" else 3
+    calls = _count_kernel_calls(monkeypatch)
     T = 1.0
     cloud = simulate_reach(system, _center(system), T=T, n_traj=50, seed=0)
     steps = int(np.ceil(T / reach.DEFAULT_DT))
     assert cloud.record_times[-1] == pytest.approx(T)  # every step was taken
-    assert calls[drift] == 4 * steps
-    assert calls[control] == (4 * steps if per_stage else 1)
+    assert calls[drift] == evals * steps
+    for g in system.controls:
+        assert calls[g] == (1 if g.is_constant else evals * steps)
+
+
+@pytest.mark.parametrize(
+    "name, holds",
+    [(p.stem, True) for p in SYSTEMS]
+    + [(f"{p.stem}-reversed", True) for p in SYSTEMS]
+    + [("wavy", True), ("switched3", False), ("mixed3d", False), ("crossed", False)],
+)
+def test_stage_two_is_stage_three_where_the_fields_read_constant_coordinates(name, holds):
+    name, _, reversed_ = name.partition("-")
+    system = (FAMILIES | {"crossed": _sys2(["x2", "x1"], ["0", "1"])})[name]
+    if reversed_:
+        system = replace(system, drifts=tuple(d.negate() for d in system.drifts))
+    assert reach._k3_is_k2(system) == holds
+
+
+def test_a_read_counts_where_its_term_vanishes():
+    # 0*x1 built as a tree reads x1, so x1's drift is no longer constant
+    # to the test, and x1 is not a coordinate every field holds constant
+    zero_x1 = Binary("mul", Const(0.0), Var(0))
+    system = _sys2(["x2", "0"])
+    assert reach._k3_is_k2(system)
+    drift = VectorField((Var(1), zero_x1), N2)
+    assert not reach._k3_is_k2(replace(system, drifts=(drift,)))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_the_reused_stage_keeps_every_cloud_byte(name, seed, monkeypatch):
+    system = FAMILIES[name]
+    x0 = _center(system)
+    cloud = simulate_reach(system, x0, T=3.0, n_traj=40, seed=seed)
+    monkeypatch.setattr(reach, "_k3_is_k2", lambda system: False)
+    assert simulate_reach(system, x0, T=3.0, n_traj=40, seed=seed) == cloud
+    assert len(cloud.points) > 0
+
+
+def test_a_witness_run_stops_at_its_first_crossing(monkeypatch):
+    system = FAMILIES["planar_shear"]
+    x0 = _center(system)
+    # x1 moves both ways under the shear, so the cloud crosses this covector
+    Q, d = np.array([[1.0, 0.0]]), (1.0,)
+    want = monotone_witness_check(simulate_reach(system, x0, seed=4), d, Q)
+    assert not want
+    calls = _count_kernel_calls(monkeypatch)
+    assert reach._respected(system, x0, None, None, 4, d, Q) == want
+    stopped = calls[system.drift]
+    run = reach._run
+
+    def to_the_horizon(system, x0, T, n_traj, seed, fold, *args):
+        run(system, x0, T, n_traj, seed, lambda *a: fold(*a) and None, *args)
+
+    monkeypatch.setattr(reach, "_run", to_the_horizon)
+    assert reach._respected(system, x0, None, None, 4, d, Q) == want
+    assert 0 < 20 * stopped < calls[system.drift] - stopped
+
+
+def test_a_retired_trajectory_drops_its_generator(monkeypatch):
+    kept = []
+    init = reach._Draws.__init__
+
+    def keep(self, *args):
+        init(self, *args)
+        kept.append(self)
+
+    class Kept(dict):
+        """gens that pop nothing, as before retired lanes dropped theirs."""
+
+        def pop(self, key, default=None):
+            return self.get(key, default)
+
+    monkeypatch.setattr(reach._Draws, "__init__", keep)
+    system = FAMILIES["unicycle"]
+    x0 = _center(system)
+    # the roaming box is the window, so the last record holds every live lane
+    monkeypatch.setattr(reach, "ORACLE_INFLATION", 0.0)
+    last = []
+    run = reach._run
+
+    def spy(system, x0, T, n_traj, seed, fold, *args):
+        def at(t, pts, ids):
+            last[:] = [t, ids.copy()]
+            return fold(t, pts, ids)
+
+        run(system, x0, T, n_traj, seed, at, *args)
+
+    monkeypatch.setattr(reach, "_run", spy)
+    cloud = simulate_reach(system, x0, T=6.0, n_traj=1000, seed=1)
+    (draws,) = kept
+    assert last[0] == pytest.approx(6.0) and 0 < len(last[1])
+    assert set(draws.gens) <= set(last[1].tolist())
+    assert len(draws.gens) > 0
+
+    def keep_all(self, *args):
+        keep(self, *args)
+        self.gens = Kept()
+
+    monkeypatch.setattr(reach._Draws, "__init__", keep_all)
+    assert simulate_reach(system, x0, T=6.0, n_traj=1000, seed=1) == cloud
+    assert not set(kept[1].gens) <= set(last[1].tolist())
 
 
 @pytest.mark.parametrize("n_drifts", [1, 2, 3, 5])
