@@ -32,7 +32,6 @@ from .lie import (
     RegularityReport,
     NotRegularError,
     generate_bracket_basis,
-    rank_at,
     audit_regularity,
     codimension,
 )
@@ -51,7 +50,6 @@ from .criterion import (
     sign_change_on_leaf,
     quotient_projection,
     interior_convex_test,
-    check_condition,
     switched_condition,
     global_verdict,
     verify_supporting_distribution,

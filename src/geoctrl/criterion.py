@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import EvalDomainError
-from .fields import VectorField
+from .fields import VectorField, evaluate_fields, lie_bracket
 from .flows import (  # noqa: F401 (sample_leaf: perfbench/tracing.py patches it here)
     LeafSample,
     StepControl,
@@ -45,6 +45,7 @@ from .lie import (
     BracketFamily,
     NotRegularError,
     RegularityReport,
+    _svd_rank,
     audit_regularity,
     generate_bracket_basis,
     matrix_rank,
@@ -66,7 +67,6 @@ __all__ = [
     "sign_change_on_leaf",
     "quotient_projection",
     "interior_convex_test",
-    "check_condition",
     "switched_condition",
     "global_verdict",
     "verify_supporting_distribution",
@@ -113,8 +113,7 @@ def criterion_value(
     n = f.dim
     if len(gtilde) != n - 1:
         raise ValueError(f"need {n - 1} frame fields, got {len(gtilde)}")
-    M = np.column_stack([f(x)] + [g(x) for g in gtilde])
-    return float(np.linalg.det(M))
+    return float(np.linalg.det(evaluate_fields((f, *gtilde), x)))
 
 
 def sign_change_on_leaf(
@@ -175,14 +174,18 @@ def quotient_projection(
     G_basis_at_x: np.ndarray | Sequence[Sequence[float]],
     tol: float = DEFAULT_RANK_TOL,
     expected_rank: int | None = None,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Orthonormal rows spanning the complement of span(G|_x).
 
     Input is the evaluated family as a column matrix (n x N) or a list
     of n-vectors (stacked as columns). Returns Q of shape (k, n) with
-    k = n - rank; the projection of v is Q @ v. Rows are sign-normalized
+    k = n - rank; the projection of v is Q @ v. A stack (P, n, N) of
+    column matrices, one per point, takes one batched SVD and gives a
+    list of P such frames, each with its own k. Each rank is read off
+    the SVD that gives its frame. Rows are sign-normalized
     (largest-magnitude entry positive) so repeated runs produce
-    identical frames.
+    identical frames. A rank other than `expected_rank` raises
+    NotRegularError, at the first such matrix of a stack.
     """
     if isinstance(G_basis_at_x, np.ndarray):
         M = G_basis_at_x.astype(float)
@@ -190,22 +193,22 @@ def quotient_projection(
             M = M[:, None]
     else:
         M = np.column_stack([np.asarray(v, dtype=float) for v in G_basis_at_x])
-    n = M.shape[0]
+    n = M.shape[-2]
     U, s, _ = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > tol * s[0]))
-    if expected_rank is not None and r != expected_rank:
-        raise NotRegularError(
-            f"span rank {r} at this point contradicts the audited rank {expected_rank}"
-        )
-    Q = U[:, r:].T.copy()
-    for i in range(Q.shape[0]):
-        j = int(np.argmax(np.abs(Q[i])))
-        if Q[i, j] < 0:
-            Q[i] = -Q[i]
-    return Q
+    ranks = np.atleast_1d(_svd_rank(s, tol)).tolist()
+    if expected_rank is not None:
+        for r in ranks:
+            if r != expected_rank:
+                raise NotRegularError(_rank_contradiction(r, expected_rank))
+    rows = np.swapaxes(U, -1, -2).reshape(-1, n, n)  # left singular vectors as rows
+    j = np.argmax(np.abs(rows), axis=-1)[..., None]
+    rows = np.where(np.take_along_axis(rows, j, axis=-1) < 0, -rows, rows)
+    frames = [R[r:] for R, r in zip(rows, ranks)]
+    return frames[0] if M.ndim == 2 else frames
+
+
+def _rank_contradiction(rank: int, expected_rank: int) -> str:
+    return f"span rank {rank} at this point contradicts the audited rank {expected_rank}"
 
 
 def interior_convex_test(
@@ -406,7 +409,10 @@ def _point_verdicts(
 ) -> list[PointVerdict]:
     """The interior condition at each base point, early-stopping per point.
 
-    The leaves of all points are sampled in one `sample_leaves` call,
+    The frames of all points come from one stacked evaluation of the
+    family and one batched SVD (`quotient_projection`); a point whose
+    rank is not the audited one is an errored verdict. The leaves of
+    all points are sampled in one `sample_leaves` call,
     each point walking from its own seed, each walk carrying its frame.
     Then each point's verdict is the one a fold of its walks' shifted
     drifts in walk order, stopping at the first inside, reaches: the
@@ -415,12 +421,11 @@ def _point_verdicts(
     """
     drifts = system.drifts
     n = family.dim
+    frames = quotient_projection(family.evaluate_matrix(np.reshape(points, (len(points), n))))
     verdicts: list[PointVerdict | None] = []
     walked = []  # (index, x, Q, seed) of the points whose leaf is walked
-    for x, seed in zip(points, seeds):
-        try:
-            Q = quotient_projection(family.evaluate_matrix(x), expected_rank=rank)
-        except NotRegularError as exc:
+    for x, seed, Q in zip(points, seeds, frames):
+        if len(Q) != n - rank:
             verdicts.append(
                 PointVerdict(
                     base=x,
@@ -428,7 +433,7 @@ def _point_verdicts(
                     witness=None,
                     samples_used=0,
                     quotient_frame=np.zeros((0, n)),
-                    error=str(exc),
+                    error=_rank_contradiction(n - len(Q), rank),
                 )
             )
             continue
@@ -482,31 +487,6 @@ def _prepare(
 
 def _step_control(system: SystemSpec) -> StepControl:
     return StepControl(window=inflate_window(system.window))
-
-
-def check_condition(
-    system: SystemSpec,
-    x: Sequence[float],
-    leaf_budget: int | None = None,
-    seed: int = 0,
-    family: BracketFamily | None = None,
-    regularity: RegularityReport | None = None,
-    margin: float = DEFAULT_MARGIN,
-    eps_sign: float = DEFAULT_EPS_SIGN,
-) -> PointVerdict:
-    """Interior condition at one point for a single-drift system."""
-    if system.is_switched:
-        raise ValueError("switched drift family: use switched_condition")
-    return switched_condition(
-        system,
-        x,
-        leaf_budget=leaf_budget,
-        seed=seed,
-        family=family,
-        regularity=regularity,
-        margin=margin,
-        eps_sign=eps_sign,
-    )
 
 
 def switched_condition(
@@ -677,38 +657,31 @@ def verify_supporting_distribution(
     # (a) projecting to the quotient must not kill any candidate vector,
     # and the candidate must reach its nominal rank k-1 somewhere (it is
     # allowed to degenerate at isolated points; clause (b) polices those)
-    generic_rank = 0
-    for p in pts:
-        Q = quotient_projection(family.evaluate_matrix(p), expected_rank=regularity.rank)
-        S_cols = np.column_stack([S(p) for S in S_candidate])
-        if matrix_rank(Q @ S_cols) != matrix_rank(S_cols):
-            clauses["complement_rank"] = False
-            details["complement_rank_failure"] = p.tolist()
-            break
-        generic_rank = max(generic_rank, matrix_rank(S_cols))
-    if clauses["complement_rank"] and generic_rank != k - 1:
+    m = len(family.fields)
+    span = evaluate_fields(family.fields + tuple(S_candidate), pts)  # (N, n, m + k-1)
+    Q = np.array(quotient_projection(span[..., :m], expected_rank=regularity.rank))
+    S_cols = span[..., m:]
+    S_rank = matrix_rank(S_cols)
+    PS = _project(Q, S_cols)  # (N, k, k-1)
+    lost = np.flatnonzero(matrix_rank(PS) != S_rank)
+    if lost.size:
+        clauses["complement_rank"] = False
+        details["complement_rank_failure"] = pts[lost[0]].tolist()
+    elif S_rank.max() != k - 1:
         clauses["complement_rank"] = False
         details["complement_rank_failure"] = (
-            f"candidate rank {generic_rank} never reaches k-1 = {k - 1}"
+            f"candidate rank {int(S_rank.max())} never reaches k-1 = {k - 1}"
         )
 
     # (b) bracket invariance: [g_i, S_j] in span(family + S) pointwise
     if clauses["complement_rank"]:
-        from .fields import lie_bracket
-
-        brackets = [
-            lie_bracket(g, S) for g in family.generators for S in S_candidate
-        ]
-        for p in pts:
-            span = np.column_stack(
-                [f(p) for f in family.fields] + [S(p) for S in S_candidate]
-            )
-            for B, (gi, Sj) in zip(
-                brackets,
-                [(i, j) for i in range(len(family.generators)) for j in range(len(S_candidate))],
-            ):
-                b = B(p)
-                resid = _span_residual(span, b)
+        pairs = [(i, j) for i in range(len(family.generators)) for j in range(len(S_candidate))]
+        brackets = [lie_bracket(family.generators[i], S_candidate[j]) for i, j in pairs]
+        # one contiguous row per (point, bracket)
+        values = np.ascontiguousarray(np.swapaxes(evaluate_fields(brackets, pts), -1, -2))
+        for p, M, B in zip(pts, span, values):
+            for (gi, Sj), b in zip(pairs, B):
+                resid = _span_residual(M, b)
                 if resid > tol * max(1.0, float(np.linalg.norm(b))):
                     clauses["control_invariance"] = False
                     details["control_invariance_failure"] = {
@@ -722,46 +695,29 @@ def verify_supporting_distribution(
                 break
 
     # (c) shifted drifts confined to one side of the projected S; the
-    # leaves of every point are walked in one call
+    # leaves of every point with a plane are walked in one call
     if clauses["complement_rank"] and clauses["control_invariance"]:
-        step = _step_control(system)
+        # the normal of the projected S, where S does not degenerate
+        normals = quotient_projection(PS)
+        walked = [i for i, N in enumerate(normals) if len(N) == 1]
         seeds = _spawned_states(seed, len(pts))[:, 0].tolist()
-        planes = []  # per point (Q, normal), or None where S degenerates
-        walked = []  # (point, seed) of the points with a plane
-        for p, point_seed in zip(pts, seeds):
-            Q = quotient_projection(family.evaluate_matrix(p), expected_rank=regularity.rank)
-            PS = np.column_stack([Q @ S(p) for S in S_candidate])
-            try:
-                normal = quotient_projection(PS, expected_rank=k - 1)[0]
-            except NotRegularError:
-                # isolated degeneration of the candidate; no hyperplane here
-                planes.append(None)
-                continue
-            planes.append((Q, normal))
-            walked.append((p, point_seed))
-        leaves = iter(
-            sample_leaves(
-                family,
-                [p for p, _ in walked],
-                budget=leaf_budget,
-                max_duration=system.walk_duration(),
-                seeds=[s for _, s in walked],
-                step=step,
-            )
+        leaves = sample_leaves(
+            family,
+            pts[walked],
+            budget=leaf_budget,
+            max_duration=system.walk_duration(),
+            seeds=[seeds[i] for i in walked],
+            step=_step_control(system),
         )
-        planes = [None if plane is None else (*plane, next(leaves)) for plane in planes]
+        base = _project(Q[walked], evaluate_fields(system.drifts, pts[walked]))
         worst = np.inf
-        skipped = 0
-        for p, plane in zip(pts, planes):
-            if plane is None:
-                skipped += 1
-                continue
-            Q, normal, leaf = plane
-            vecs = [Q @ f(p) for f in system.drifts]
+        reached = len(pts)  # the points the clause looked at
+        for i, leaf, drifts_at_p in zip(walked, leaves, base):
+            vecs = [drifts_at_p.T]
             for W in leaf.shifted_drifts(system.drifts):
                 if W is not None:
-                    vecs.extend((Q @ W).T)
-            sides = np.array([float(normal @ v) for v in vecs])
+                    vecs.append((Q[i] @ W).T)
+            sides = np.vecdot(np.vstack(vecs), normals[i][0])
             # orient the normal toward the drift majority at this point
             if sides.sum() < 0:
                 sides = -sides
@@ -769,25 +725,28 @@ def verify_supporting_distribution(
             worst = min(worst, low)
             if low < -tol:
                 clauses["one_sided_drift"] = False
-                details["one_sided_failure"] = {"point": p.tolist(), "margin": low}
+                details["one_sided_failure"] = {"point": pts[i].tolist(), "margin": low}
+                reached = i + 1
                 break
         details["one_sided_worst_margin"] = None if np.isinf(worst) else worst
+        skipped = sum(len(N) != 1 for N in normals[:reached])
         if skipped:
             details["one_sided_skipped_degenerate"] = skipped
 
-    # (d) the drift escapes the Lie closure of the candidate
+    # (d) the drift escapes the Lie closure of the candidate: the first
+    # point, drifts inner, where appending a drift keeps the rank
     if all(clauses.values()):
         S_closed = generate_bracket_basis(S_candidate, probe_points=pts)
-        for p in pts:
-            M = S_closed.evaluate_matrix(p)
-            base_rank = matrix_rank(M)
-            for f in system.drifts:
-                if matrix_rank(np.column_stack([M, f(p)])) == base_rank:
-                    clauses["drift_outside_closure"] = False
-                    details["drift_inside_closure_at"] = p.tolist()
-                    break
-            if not clauses["drift_outside_closure"]:
-                break
+        s = len(S_closed.fields)
+        both = evaluate_fields(S_closed.fields + tuple(system.drifts), pts)
+        M = both[..., :s]
+        grown = np.stack(
+            [both[..., [*range(s), s + d]] for d in range(len(system.drifts))], axis=1
+        )
+        kept = np.argwhere(matrix_rank(grown) == matrix_rank(M)[:, None])
+        if kept.size:
+            clauses["drift_outside_closure"] = False
+            details["drift_inside_closure_at"] = pts[kept[0, 0]].tolist()
 
     accepted = all(clauses.values())
     failed = None if accepted else next(k_ for k_, v in clauses.items() if not v)
@@ -806,6 +765,13 @@ def verify_supporting_distribution(
         conclusion=conclusion,
         details=details,
     )
+
+
+def _project(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Q @ v per point and per column v of V: (N, k, n) frames and
+    (N, n, c) columns give (N, k, c), each column by its own
+    matrix-vector product, which rounds as Q @ v at one point does."""
+    return np.stack([np.matvec(Q, V[..., j]) for j in range(V.shape[-1])], axis=-1)
 
 
 def _span_residual(span: np.ndarray, b: np.ndarray) -> float:

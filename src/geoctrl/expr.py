@@ -540,30 +540,16 @@ def differentiate(e: Expr, var_index: int) -> Expr:
 # No trig rewriting; equality of expressions stays numerical, not structural.
 # ---------------------------------------------------------------------------
 
-_UNARY_FOLD = {
-    "neg": lambda v: -v,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "tanh": math.tanh,
-}
-
-
 def _simplify_once(e: Expr) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Unary):
         a = _simplify_once(e.arg)
         if isinstance(a, Const):
+            # a constant folds to its value wherever `evaluate` gives one
             try:
-                if e.op in _UNARY_FOLD:
-                    return Const(_UNARY_FOLD[e.op](a.value))
-                if e.op == "ln" and a.value > 0.0:
-                    return Const(math.log(a.value))
-                if e.op == "sqrt" and a.value >= 0.0:
-                    return Const(math.sqrt(a.value))
-            except OverflowError:
+                return Const(evaluate(Unary(e.op, a), ()))
+            except EvalDomainError:
                 pass
         if e.op == "neg":
             if isinstance(a, Unary) and a.op == "neg":
@@ -601,9 +587,8 @@ def _simplify_once(e: Expr) -> Expr:
                 return Const(1.0)
             if isinstance(a, Const):
                 try:
-                    v = evaluate(Binary("pow", a, b), ())
-                    return Const(v)
-                except (EvalDomainError, OverflowError):
+                    return Const(evaluate(Binary("pow", a, b), ()))
+                except EvalDomainError:
                     pass
             return pow_(a, b)
         raise ValueError(f"unknown binary op {e.op!r}")

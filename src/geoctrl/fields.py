@@ -24,17 +24,35 @@ from .expr import (
     to_string,
 )
 
-__all__ = ["Point", "VectorField", "jacobian", "lie_bracket"]
+__all__ = ["Point", "VectorField", "evaluate_fields", "jacobian", "lie_bracket"]
 
 # points are plain float arrays of shape (n,); batches stack them as (N, n)
 Point = np.ndarray
 
 
-def _as_point(p: Sequence[float], n: int) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a point of dimension {n}, got shape {arr.shape}")
-    return arr
+def evaluate_fields(fields: Sequence["VectorField"], points: Sequence[float]) -> np.ndarray:
+    """The fields' values at a point (n,) or over a stack of points (N, n).
+
+    Column j holds fields[j]: the shape is (n, len(fields)) or
+    (N, n, len(fields)), each value from its field's fused kernel. Where
+    a field's kernel value at a point is not finite, `expr.evaluate`
+    evaluates that field there again, points in order and the fields in
+    order within a point, as a loop over the points would: a field
+    undefined there raises `EvalDomainError`, and otherwise (an overflow
+    to inf) the tree's values stand. A singularity the kernel maps to a
+    finite value (exp(0 - 1/x1) at x1 = 0) is not refused.
+    """
+    n = fields[0].dim
+    P = np.asarray(points, dtype=float)
+    if P.ndim not in (1, 2) or P.shape[-1] != n:
+        raise ValueError(f"expected points of dimension {n}, got shape {P.shape}")
+    with np.errstate(all="ignore"):
+        values = np.stack([F.compiled()(P) for F in fields], axis=-1)
+    rows = values.reshape(-1, n, len(fields))  # a view: the redo writes through
+    pts = P.reshape(-1, n)
+    for i, j in np.argwhere(~np.isfinite(rows).all(axis=1)).tolist():
+        rows[i, :, j] = [evaluate(c, pts[i]) for c in fields[j].components]
+    return values
 
 
 @dataclass(frozen=True)
@@ -70,8 +88,8 @@ class VectorField:
         return VectorField(tuple(Const(float(v)) for v in values), tuple(var_names))
 
     def __call__(self, p: Sequence[float]) -> np.ndarray:
-        p = _as_point(p, self.dim)
-        return np.array([evaluate(c, p) for c in self.components])
+        """The field at a point (n,) or over a stack (N, n): `evaluate_fields`."""
+        return evaluate_fields((self,), p)[..., 0]
 
     def component_strings(self) -> tuple[str, ...]:
         return tuple(to_string(c, self.var_names) for c in self.components)

@@ -59,7 +59,7 @@ from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import VectorField, evaluate_fields
 from .lie import BracketFamily
 
 __all__ = [
@@ -698,11 +698,9 @@ class LeafSample:
 
         Each drift's kernel runs once over every visit of the leaf, and
         a walk's frames take one stacked solve. A visit where a kernel
-        value is not finite is evaluated again by `VectorField.__call__`,
+        value is not finite is evaluated again by `evaluate_fields`,
         deepest such visit first, when its walk is yielded: a drift
-        undefined there raises `EvalDomainError` then and not before. A
-        singularity the kernel maps to a finite value (exp(-1/x1) at
-        x1 = 0) is not caught at a visit.
+        undefined there raises `EvalDomainError` then and not before.
         """
         if not self.visits:
             return
@@ -722,7 +720,7 @@ class LeafSample:
                 yield None
             else:
                 for j in [j for j in redo if start <= j < stop][::-1]:
-                    values[j] = np.column_stack([f(self.visits[j][0]) for f in drifts])
+                    values[j] = evaluate_fields(drifts, self.visits[j][0])
                 rows = values[start:stop]
                 if self.frames is not None:
                     rows = np.linalg.solve(frames[start:stop], rows)

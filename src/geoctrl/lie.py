@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Point, VectorField, lie_bracket
+from .fields import VectorField, evaluate_fields, lie_bracket
 
 __all__ = [
     "BracketFamily",
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "DEFAULT_DEPTH_CAP",
     "generate_bracket_basis",
-    "rank_at",
     "matrix_rank",
     "audit_regularity",
     "codimension",
@@ -61,8 +60,9 @@ class BracketFamily:
         return self.generators[0].dim
 
     def evaluate_matrix(self, p: Sequence[float]) -> np.ndarray:
-        """Columns are the family fields evaluated at p; shape (n, len)."""
-        return np.column_stack([f(np.asarray(p, dtype=float)) for f in self.fields])
+        """Columns are the family fields evaluated at p; shape (n, len), or
+        (N, n, len) over a stack of points (N, n)."""
+        return evaluate_fields(self.fields, p)
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,21 @@ class RegularityReport:
     note: str
 
 
-def matrix_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank as the count of singular values above tol * sigma_max."""
-    if M.size == 0:
-        return 0
+def matrix_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int | np.ndarray:
+    """Rank as the count of singular values above tol * sigma_max.
+
+    A stack (..., n, m) of matrices takes one batched SVD and gives an
+    int array of their ranks.
+    """
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    ranks = _svd_rank(s, tol)
+    return int(ranks) if np.ndim(M) == 2 else ranks
 
 
-def rank_at(
-    family: BracketFamily, p: Sequence[float], tol: float = DEFAULT_RANK_TOL
-) -> int:
-    return matrix_rank(family.evaluate_matrix(p), tol)
+def _svd_rank(s: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """The ranks that singular values (..., k), largest first, give: the
+    count above tol * sigma_max, 0 where sigma_max is 0 or k is 0."""
+    return np.sum(s > tol * s[..., :1], axis=-1)
 
 
 def _word(idx_or_pair) -> str:
@@ -125,18 +126,19 @@ def generate_bracket_basis(
     if probe_points is None:
         rng = np.random.default_rng(0)
         probe_points = [rng.uniform(-1.0, 1.0, size=n) for _ in range(8)]
-    probes = [np.asarray(p, dtype=float) for p in probe_points]
+    probes = np.asarray(probe_points, dtype=float).reshape(len(probe_points), n)
 
     entries: list[tuple[VectorField, int, object]] = [
         (g, 1, i) for i, g in enumerate(generators)
     ]
-    # per-probe evaluated columns, updated as entries are retained
-    cols = [[f(p) for f, _, _ in entries] for p in probes]
-    ranks = [matrix_rank(np.column_stack(c), tol) for c in cols]
+    # the retained entries evaluated at every probe, (probes, n, entries),
+    # and their rank at each probe
+    cols = evaluate_fields(generators, probes)
+    ranks = matrix_rank(cols, tol)
 
     newest = list(range(len(entries)))
     for depth in range(2, depth_cap + 1):
-        if all(r >= n for r in ranks):
+        if (ranks >= n).all():
             break
         added: list[int] = []
         pairs = [
@@ -147,21 +149,14 @@ def generate_bracket_basis(
         ]
         for i, j in pairs:
             cand = lie_bracket(entries[i][0], entries[j][0])
-            cand_cols = [cand(p) for p in probes]
-            gain = False
-            for k in range(len(probes)):
-                r = matrix_rank(np.column_stack(cols[k] + [cand_cols[k]]), tol)
-                if r > ranks[k]:
-                    gain = True
-                    break
-            if not gain:
+            grown = np.concatenate([cols, cand(probes)[..., None]], axis=-1)
+            grown_ranks = matrix_rank(grown, tol)
+            if not (grown_ranks > ranks).any():
                 continue
             word = (entries[i][2], entries[j][2])
             entries.append((cand, depth, word))
             added.append(len(entries) - 1)
-            for k in range(len(probes)):
-                cols[k].append(cand_cols[k])
-                ranks[k] = matrix_rank(np.column_stack(cols[k]), tol)
+            cols, ranks = grown, grown_ranks
         if not added:
             break
         newest = added
@@ -186,7 +181,7 @@ def audit_regularity(
     if grid_per_axis < 2:
         raise ValueError("grid_per_axis must be >= 2")
     pts = window_grid(window, grid_per_axis)
-    ranks = np.array([rank_at(family, p, tol) for p in pts], dtype=int)
+    ranks = matrix_rank(family.evaluate_matrix(pts), tol)
     values, counts = np.unique(ranks, return_counts=True)
     modal = int(values[np.argmax(counts)])
     constant = len(values) == 1

@@ -24,7 +24,6 @@ from geoctrl.cli import main as cli_main
 from geoctrl.criterion import (
     STATUS_CONTROLLABLE,
     STATUS_UNCONTROLLABLE,
-    check_condition,
     global_verdict,
     interior_convex_test,
     switched_condition,
@@ -298,12 +297,17 @@ def test_switched_family_certifies_and_single_drift_reduces():
         assert verdict.status == STATUS_CONTROLLABLE
         assert all(p.condition_holds for p in verdict.points)
 
-        # a one-element family must reproduce the single-drift path exactly
+        # a one-element family takes the grid verdict's per-point path: at
+        # a grid point, from that point's seed, the one-point condition is
+        # the grid verdict's point exactly
         single = loads_spec(SHEAR, "shear")
-        for x in ((0.0, 0.0), (1.0, -1.0), (-2.0, 2.0)):
-            for seed in (0, 3):
-                a = check_condition(single, x, seed=seed)
-                b = switched_condition(single, x, seed=seed)
+        for seed in (0, 3):
+            grid = global_verdict(single, grid_per_axis=5, seed=seed)
+            point_seeds = flows._spawned_states(seed, len(grid.points))[:, 0].tolist()
+            for x in ((0.0, 0.0), (1.0, -1.0), (-2.0, 2.0)):
+                i = next(j for j, v in enumerate(grid.points) if v.base.tolist() == list(x))
+                a = grid.points[i]
+                b = switched_condition(single, x, seed=point_seeds[i])
                 assert a.condition_holds == b.condition_holds
                 assert a.samples_used == b.samples_used
                 assert a.witness == b.witness

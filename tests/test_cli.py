@@ -587,14 +587,15 @@ def _grow(children):
 
 _EXPRS = st.recursive(_ATOMS, _grow, max_leaves=6)
 
-# the shooting budgets are small: at the default 300, one stiff word can
-# step to max_steps and hold its round for half a minute
+# dist and loop shoot at their default budgets: a shooting word takes at
+# most metrics._MAX_STEPS steps over all its segments, so one stiff word
+# cannot hold its round of lanes for long
 _GENERATED_COMMANDS = (
     ["audit"],
     ["check"],
     ["reach"],
-    ["dist", "--from", "0.5,-0.25", "--to", "-0.25,0.5", "--budget", "40"],
-    ["loop", "--budget", "40"],
+    ["dist", "--from", "0.5,-0.25", "--to", "-0.25,0.5"],
+    ["loop"],
 )
 
 

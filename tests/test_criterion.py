@@ -16,7 +16,6 @@ from geoctrl.criterion import (
     STATUS_INCONCLUSIVE,
     STATUS_NOT_REGULAR,
     STATUS_UNCONTROLLABLE,
-    check_condition,
     criterion_value,
     global_verdict,
     interior_convex_test,
@@ -35,7 +34,7 @@ from geoctrl.flows import (
     sample_leaf,
     sample_leaves,
 )
-from geoctrl.lie import NotRegularError, generate_bracket_basis
+from geoctrl.lie import NotRegularError, generate_bracket_basis, matrix_rank
 from geoctrl.report import run_pipeline
 from geoctrl.system import SystemSpec, load_spec, loads_spec
 
@@ -244,6 +243,46 @@ def test_quotient_deterministic_frame():
     assert np.array_equal(a, b)
 
 
+def test_a_stack_of_frames_is_each_matrix_alone():
+    # one batched SVD gives each point the frame and the rank it gets alone
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((60, 3, 2))
+    M[::4, :, 1] = 2.0 * M[::4, :, 0]  # rank 1
+    M[::7] = 0.0  # rank 0
+    frames = quotient_projection(M)
+    assert len(frames) == 60
+    for A, Q in zip(M, frames):
+        alone = quotient_projection(A)
+        assert Q.shape == alone.shape and Q.tobytes() == alone.tobytes()
+    assert [len(Q) for Q in frames[:8]] == [3, 1, 1, 1, 2, 1, 1, 3]
+    assert matrix_rank(M).tolist() == [matrix_rank(A) for A in M]
+
+
+def test_a_stack_refuses_its_first_contradicting_rank():
+    M = np.array([[[0.0], [1.0]], [[0.0], [0.0]], [[1.0], [1.0]]])
+    with pytest.raises(NotRegularError, match="span rank 0 at this point contradicts the audited rank 1"):
+        quotient_projection(M, expected_rank=1)
+
+
+def test_grid_frames_errors_and_ranks_come_from_one_stack():
+    # the control (0, x1) has rank 0 on the x1 = 0 line: a point there is
+    # an errored verdict with the message the one-point projection raises
+    spec = loads_spec(
+        "vars = x1, x2\ndrift = 1, 0\ncontrol = 0, x1\nwindow = -1:1, -1:1\nleaf_budget = 4\n"
+    )
+    family = generate_bracket_basis(spec.controls)
+    pts = np.array([[0.5, 0.0], [0.0, 0.3], [-0.5, 0.2]])
+    verdicts = criterion._point_verdicts(
+        spec, family, 1, pts, [0, 1, 2], 4, criterion._step_control(spec)
+    )
+    with pytest.raises(NotRegularError) as alone:
+        quotient_projection(family.evaluate_matrix(pts[1]), expected_rank=1)
+    assert [v.error for v in verdicts] == [None, str(alone.value), None]
+    for v, x in zip(verdicts, pts):
+        want = quotient_projection(family.evaluate_matrix(x))
+        assert v.quotient_frame.tobytes() == (want.tobytes() if v.error is None else b"")
+
+
 # --- interior_convex_test --------------------------------------------------
 
 
@@ -378,18 +417,18 @@ def test_interior_k3_cross_polytope_and_halfspace():
     assert np.all(shifted @ np.array(wit["covector"]) >= -1e-7)
 
 
-# --- check_condition -------------------------------------------------------
+# --- the condition at one point ---------------------------------------------
 
 
 def test_condition_unicycle_origin_holds():
-    v = check_condition(unicycle(), [0.0, 0.0, 0.0], leaf_budget=24, seed=0)
+    v = switched_condition(unicycle(), [0.0, 0.0, 0.0], leaf_budget=24, seed=0)
     assert v.condition_holds
     assert v.witness["kind"] == "interior"
     assert v.witness["max_angular_gap"] < PI
 
 
 def test_condition_offset_unicycle_fails_with_forward_witness():
-    v = check_condition(unicycle(offset=2.0), [0.0, 0.0, 0.0], leaf_budget=24, seed=0)
+    v = switched_condition(unicycle(offset=2.0), [0.0, 0.0, 0.0], leaf_budget=24, seed=0)
     assert not v.condition_holds
     assert v.witness["kind"] == "separating"
     d = np.array(v.witness["covector"])
@@ -403,38 +442,15 @@ def test_condition_offset_unicycle_fails_with_forward_witness():
 
 
 def test_condition_shear_origin_holds_and_det_route_agrees():
-    v = check_condition(planar_shear(), [0.0, 0.0], leaf_budget=16, seed=0)
+    v = switched_condition(planar_shear(), [0.0, 0.0], leaf_budget=16, seed=0)
     assert v.condition_holds
     assert v.det_agrees is True
-
-
-def test_condition_rejects_switched_system():
-    f = VectorField.parse(["x2", "0"], N2)
-    sys_ = SystemSpec(
-        name="sw",
-        var_names=N2,
-        drifts=(f, f.negate()),
-        controls=(VectorField.parse(["0", "1"], N2),),
-        window=((-2.0, 2.0), (-2.0, 2.0)),
-    )
-    with pytest.raises(ValueError):
-        check_condition(sys_, [0.0, 0.0])
-
-
-def test_switched_matches_single_drift_bit_for_bit():
-    sys_ = planar_shear()
-    a = check_condition(sys_, [0.3, -0.4], leaf_budget=12, seed=5)
-    b = switched_condition(sys_, [0.3, -0.4], leaf_budget=12, seed=5)
-    assert a.condition_holds == b.condition_holds
-    assert a.samples_used == b.samples_used
-    assert a.witness == b.witness
-    assert np.array_equal(a.quotient_frame, b.quotient_frame)
 
 
 def test_switched_pair_certifies_where_single_drift_fails():
     f = VectorField.parse(["1 + x2^2", "0"], N2)
     base = planar_forward()
-    single = check_condition(base, [0.0, 0.0], leaf_budget=16, seed=2)
+    single = switched_condition(base, [0.0, 0.0], leaf_budget=16, seed=2)
     assert not single.condition_holds
     switched = SystemSpec(
         name="sw",
@@ -452,17 +468,17 @@ def test_rotational_equivariance_of_condition():
     # heading shift; booleans must match at mapped points under one seed
     p = np.array([0.5, 0.3, 0.2])
     R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    a = check_condition(unicycle(), p, leaf_budget=16, seed=7)
-    b = check_condition(unicycle(rotate=PI / 2), R @ p, leaf_budget=16, seed=7)
+    a = switched_condition(unicycle(), p, leaf_budget=16, seed=7)
+    b = switched_condition(unicycle(rotate=PI / 2), R @ p, leaf_budget=16, seed=7)
     assert a.condition_holds == b.condition_holds
-    ao = check_condition(unicycle(offset=2.0), p, leaf_budget=16, seed=7)
-    bo = check_condition(unicycle(offset=2.0, rotate=PI / 2), R @ p, leaf_budget=16, seed=7)
+    ao = switched_condition(unicycle(offset=2.0), p, leaf_budget=16, seed=7)
+    bo = switched_condition(unicycle(offset=2.0, rotate=PI / 2), R @ p, leaf_budget=16, seed=7)
     assert ao.condition_holds == bo.condition_holds is False
 
 
 def test_separating_witness_rotates_with_the_system():
     turn = 0.4
-    v = check_condition(unicycle(offset=2.0, rotate=turn), [0.0, 0.0, 0.0], leaf_budget=32, seed=0)
+    v = switched_condition(unicycle(offset=2.0, rotate=turn), [0.0, 0.0, 0.0], leaf_budget=32, seed=0)
     assert not v.condition_holds
     ambient = v.quotient_frame.T @ np.array(v.witness["covector"])
     expected = np.array([np.cos(turn), np.sin(turn), 0.0])
@@ -579,7 +595,7 @@ def _contracting(rate: int) -> SystemSpec:
 def test_an_ill_conditioned_frame_fails_its_walk():
     x = [1.0, 0.0]
     spec = _contracting(100)
-    v = check_condition(spec, x, seed=0)
+    v = switched_condition(spec, x, seed=0)
     assert v.error == NO_LEAF_EVIDENCE and v.samples_used == 1
     # the walks were made; each fails at a visit whose frame is past the bound
     family, _ = criterion._prepare(spec, None, None, None)
@@ -593,7 +609,7 @@ def test_an_ill_conditioned_frame_fails_its_walk():
         assert max(np.linalg.cond(F) for F in frames) > MAX_FRAME_COND
     assert list(leaf.shifted_drifts(spec.drifts)) == [None] * 6
     # a gentle contraction keeps its frames, and the point its evidence
-    gentle = check_condition(_contracting(1), x, seed=0)
+    gentle = switched_condition(_contracting(1), x, seed=0)
     assert gentle.error is None and gentle.samples_used > 1
 
 

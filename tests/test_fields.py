@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geoctrl.expr import _emit, evaluate, to_string
-from geoctrl.fields import VectorField, jacobian, lie_bracket
+from geoctrl.expr import EvalDomainError, _emit, evaluate, to_string
+from geoctrl.fields import VectorField, evaluate_fields, jacobian, lie_bracket
 from geoctrl.system import load_spec
 
 N2 = ("x1", "x2")
@@ -200,3 +201,67 @@ def test_kernel_rows_equal_pointwise_calls(field, window):
     batch = kernel(Y)
     for i in range(len(Y)):
         assert batch[i].tobytes() == kernel(Y[i]).tobytes()
+
+
+# every field value comes from the fused kernel: a point, a row of a stack
+# and the kernel's own row are one value, bit for bit
+@pytest.mark.parametrize(
+    "sources",
+    [["tanh(x1)", "tanh(x2*x1)"], ["exp(x1)", "exp(x2 - x1)"], ["x1^3", "x2^3 - x1"]],
+    ids=["tanh", "exp", "cube"],
+)
+def test_a_point_a_stack_row_and_the_kernel_row_are_one_value(sources):
+    V = VectorField.parse(sources, N2)
+    P = np.random.default_rng(21).uniform(-3.0, 3.0, size=(2000, 2))
+    stack = V(P)
+    kernel = V.compiled()(P)
+    assert stack.shape == kernel.shape == (2000, 2)
+    assert stack.tobytes() == kernel.tobytes()
+    for i in range(len(P)):
+        assert V(P[i]).tobytes() == stack[i].tobytes()
+
+
+def test_a_stack_of_fields_is_each_field_at_each_point():
+    fields = [VectorField.parse(["x1*x2", "tanh(x1)"], N2), VectorField.parse(["1", "x2^3"], N2)]
+    P = np.random.default_rng(22).uniform(-2.0, 2.0, size=(50, 2))
+    M = evaluate_fields(fields, P)
+    assert M.shape == (50, 2, 2)
+    for i, p in enumerate(P):
+        assert evaluate_fields(fields, p).tobytes() == M[i].tobytes()
+        for j, F in enumerate(fields):
+            assert F(p).tobytes() == M[i, :, j].tobytes()
+
+
+def test_a_finite_kernel_value_is_not_refused():
+    # 1/x1 is inf at x1 = 0 and exp(0 - inf) is 0: the kernel's value
+    # stands, though the tree refuses the point
+    V = VectorField.parse(["exp(0 - 1/x1)", "1"], N2)
+    p = np.array([0.0, 0.5])
+    with pytest.raises(EvalDomainError):
+        evaluate(V.components[0], p)
+    assert V(p).tolist() == [0.0, 1.0]
+    assert V(np.array([[1.0, 0.0], [0.0, 0.5]]))[1].tolist() == [0.0, 1.0]
+
+
+def test_non_finite_rows_are_evaluated_again_point_by_point():
+    # at (1, -1) sqrt(x2) is undefined, at (-1, 1) ln(x1 + 0.5): a loop
+    # over the points meets sqrt first, a loop over the fields ln
+    fields = [VectorField.parse(["ln(x1 + 0.5)", "0"], N2), VectorField.parse(["0", "sqrt(x2)"], N2)]
+    P = np.array([[0.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(EvalDomainError) as loop:
+        [[evaluate(c, p) for F in fields for c in F.components] for p in P]
+    with pytest.raises(EvalDomainError) as got:
+        evaluate_fields(fields, P)
+    assert str(got.value) == str(loop.value) == "sqrt of negative value -1.0"
+    with pytest.raises(EvalDomainError, match="ln of nonpositive value -0.5"):
+        fields[0](P)
+    # an overflow the tree does not refuse keeps the tree's value
+    big = VectorField.parse(["x1*1e300*1e300", "x2"], N2)
+    assert big(np.array([[2.0, 1.0]])).tolist() == [[math.inf, 1.0]]
+
+
+def test_points_of_the_wrong_dimension_are_refused():
+    V = VectorField.parse(["x1", "x2"], N2)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            V(bad)

@@ -12,7 +12,6 @@ from geoctrl.lie import (
     codimension,
     generate_bracket_basis,
     matrix_rank,
-    rank_at,
     window_grid,
 )
 
@@ -52,21 +51,27 @@ def test_single_generator():
     assert len(fam.fields) == 1
 
 
+def _rank_at(fam, p):
+    return matrix_rank(fam.evaluate_matrix(p))
+
+
 def test_rank_at_examples():
     fam = generate_bracket_basis(_heisenberg())
     rng = np.random.default_rng(0)
     for _ in range(5):
         p = rng.uniform(-2, 2, size=3)
-        assert rank_at(fam, p) == 3
+        assert _rank_at(fam, p) == 3
 
     g1 = VectorField.parse(["1", "0"], N2)
     g2 = VectorField.parse(["0", "x1"], N2)
     fam2 = generate_bracket_basis([g1, g2], depth_cap=1)
-    assert rank_at(fam2, np.array([0.0, 5.0])) == 1
-    assert rank_at(fam2, np.array([2.0, 5.0])) == 2
+    assert _rank_at(fam2, np.array([0.0, 5.0])) == 1
+    assert _rank_at(fam2, np.array([2.0, 5.0])) == 2
+    # a stack of points gives the rank at each point
+    assert _rank_at(fam2, np.array([[0.0, 5.0], [2.0, 5.0]])).tolist() == [1, 2]
 
     single = generate_bracket_basis([VectorField.constant([0, 1], N2)])
-    assert rank_at(single, np.array([0.7, 0.0])) == 1
+    assert _rank_at(single, np.array([0.7, 0.0])) == 1
 
 
 def test_rank_invariances():
@@ -87,7 +92,7 @@ def test_rank_monotone_in_depth_cap():
     prev = 0
     for cap in range(1, 5):
         fam = generate_bracket_basis(gens, depth_cap=cap, probe_points=probes)
-        r = rank_at(fam, probes[0])
+        r = _rank_at(fam, probes[0])
         assert r >= prev
         prev = r
 
@@ -143,3 +148,11 @@ def test_window_grid_shape():
 def test_empty_generators_rejected():
     with pytest.raises(ValueError):
         generate_bracket_basis([])
+
+
+def test_a_singularity_the_kernel_maps_to_a_finite_value_is_audited():
+    # exp(0 - 1/x1) is 0 in the kernel at x1 = 0, a grid point of the
+    # 3-per-axis grid; the audit reads that value and does not refuse
+    g = VectorField.parse(["1", "exp(0 - 1/x1)"], N2)
+    rep = audit_regularity(generate_bracket_basis([g]), [(-1.0, 1.0), (-1.0, 1.0)], 3)
+    assert rep.constant_rank and rep.rank == 1

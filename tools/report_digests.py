@@ -37,8 +37,12 @@ and 7: `wavy` (drift = 0, x1 and the non-constant control
 1, 0.1*sin(x1)) and `mixed3d` (a non-constant control ahead of a
 constant one), since every bundled system's controls are constant. An
 oracle line sees coverage fractions only; a `reach` line sees every bit
-of the cloud. They come last, so the lines before them are those of a
-run that lacks them.
+of the cloud. After them come `audit` and the verdicts at grid 3 of
+the same two specs, at seeds 0, 3 and 7: the lines that see the bracket
+family, the regularity audit and the per-point frames of a
+non-constant control family. Each group of lines was appended after
+all the lines before it, so the lines before a group are those of a
+run that lacks it.
 
 The first line is a header: numpy's version and the CPU features its
 dispatcher enabled. numpy's vectorized math may round the last bit of
@@ -145,6 +149,10 @@ def _runs(systems: list[str], workload):
         for seed in SEEDS:
             for name in INLINE_SPECS:
                 yield command, name, seed, None, None
+    for command, grid in (("audit", None), ("verdict", 3)):
+        for seed in SEEDS:
+            for name in INLINE_SPECS:
+                yield command, name, seed, grid, None
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
