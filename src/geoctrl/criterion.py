@@ -102,7 +102,6 @@ class GlobalVerdict:
     points: tuple[PointVerdict, ...]
     assumptions: dict
     regularity: RegularityReport | None
-    oracle: dict | None = None  # agreement summary filled by the reach module
 
 
 def criterion_value(

@@ -247,28 +247,37 @@ def _pcg_step(
     return hi + (lo < inc_lo), lo
 
 
-def _pcg64_first_raws(words: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) uint64: row i is the first k `random_raw` values of PCG64
-    seeded with the 4 uint64 words words[i] (a row of `_spawned_states`).
+class _PCG64Lanes:
+    """PCG64 streams stepped together: row i is PCG64 seeded with the 4
+    uint64 words words[i] (a row of `_spawned_states`).
 
     numpy's `pcg64_set_seed` takes state word w0 * 2**64 + w1 and
     increment word w2 * 2**64 + w3: inc = (word << 1) | 1, and from
     state 0 it steps, adds the state word and steps again. A raw value
     steps, then folds the 128-bit state to 64 bits by XSL-RR: the xor of
-    its halves, rotated right by its top 6 bits. Every lane steps at
-    once, on uint64 arrays.
+    its halves, rotated right by its top 6 bits. States and increments
+    are kept as uint64 halves, and the rows read together step at once.
     """
-    one = np.uint64(1)
-    w0, w1, w2, w3 = (np.ascontiguousarray(words[:, j]) for j in range(4))
-    inc_hi, inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
-    lo = inc_lo + w1  # state 0 stepped is inc, plus the state word
-    hi, lo = _pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
-    raw = np.empty((len(words), k), dtype=np.uint64)
-    for j in range(k):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        folded, rot = hi ^ lo, hi >> np.uint64(58)
-        raw[:, j] = (folded >> rot) | (folded << (-rot & np.uint64(63)))
-    return raw
+
+    def __init__(self, words: np.ndarray):
+        one = np.uint64(1)
+        w0, w1, w2, w3 = (np.ascontiguousarray(words[:, j]) for j in range(4))
+        self.inc_hi, self.inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
+        lo = self.inc_lo + w1  # state 0 stepped is inc, plus the state word
+        self.hi, self.lo = _pcg_step(self.inc_hi + w0 + (lo < w1), lo, self.inc_hi, self.inc_lo)
+
+    def raws(self, rows: np.ndarray | None, k: int) -> np.ndarray:
+        """(len(rows), k) uint64: the next k `random_raw` values of each
+        row, of every row where rows is None; those rows move k steps on."""
+        sel = slice(None) if rows is None else rows
+        hi, lo, inc_hi, inc_lo = (a[sel] for a in (self.hi, self.lo, self.inc_hi, self.inc_lo))
+        raw = np.empty((len(hi), k), dtype=np.uint64)
+        for j in range(k):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            folded, rot = hi ^ lo, hi >> np.uint64(58)
+            raw[:, j] = (folded >> rot) | (folded << (-rot & np.uint64(63)))
+        self.hi[sel], self.lo[sel] = hi, lo
+        return raw
 
 
 # Dormand-Prince 5(4) coefficients

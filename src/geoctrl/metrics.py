@@ -116,7 +116,6 @@ class CostEstimate:
     best_word: tuple[tuple[float, tuple[float, ...]], ...]
     endpoint_error: float
     budget_spent: int
-    time_cap: float = TIME_CAP
 
     @property
     def unreachable(self) -> bool:

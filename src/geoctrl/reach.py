@@ -23,14 +23,14 @@ occupancy estimate needs.
 Trajectory i draws its segments from PCG64 seeded with its own child
 of SeedSequence(seed), in raw 64-bit blocks of BLOCK_SEGMENTS segments
 (`_Draws`). The seed states of all children come from one vectorized
-pass of SeedSequence's hash (`flows._spawned_states`), and every
-trajectory's first block from one vectorized pass of PCG64 itself
-(`flows._pcg64_first_raws`); a generator object is built only for a
-trajectory that reads past its first block. The blocks are turned
-into exactly the numbers that Generator.uniform and Generator.integers
-give for the same stream, so a cloud does not depend on how its draws
-are batched, and the trajectories whose segments end at a step draw
-together.
+pass of SeedSequence's hash (`flows._spawned_states`), and every stream
+is stepped by one vectorized PCG64 (`flows._PCG64Lanes`): the first
+blocks in one pass, and later half blocks for every live trajectory
+running low in one pass more, so no generator object is built. The
+blocks are turned into exactly the numbers that Generator.uniform and
+Generator.integers give for the same stream, so a cloud does not depend
+on how its draws are batched, and the trajectories whose segments end
+at a step draw together.
 
 Every record (t = 0 and then every sample stride) hands the live
 trajectories inside the window to a fold, which may end the run.
@@ -43,7 +43,6 @@ record that crosses the covector, so those runs store no point.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -56,7 +55,7 @@ from .criterion import (
     GlobalVerdict,
 )
 from .expr import Const, _reads
-from .flows import _pcg64_first_raws, _spawned_states, fields_equal, inflate_window
+from .flows import _PCG64Lanes, _spawned_states, fields_equal, inflate_window
 from .system import SystemSpec
 
 __all__ = [
@@ -84,9 +83,10 @@ ORACLE_INFLATION = 0.5
 # a duration drawn uniformly from SEGMENT_DURATIONS.
 CONTROL_AMPLITUDE = 5.0
 SEGMENT_DURATIONS = (0.05, 0.5)
-# Segments' worth of raw draws a trajectory takes from its generator at
-# a time: larger blocks mean fewer calls but more memory per trajectory.
-# Most witness-run trajectories retire inside their first block.
+# Segments' worth of raw draws a trajectory's buffer holds: its first
+# block is a full one, and a refill adds half of one. Larger blocks mean
+# fewer refills but more memory per trajectory. Most witness-run
+# trajectories retire inside their first block.
 BLOCK_SEGMENTS = 16
 
 
@@ -160,35 +160,17 @@ def _covector_values(
     return ((pts - origin) @ quotient_frame.T) @ np.asarray(witness, dtype=float)
 
 
-@functools.cache
-def _known_seed_type():
-    """A seed class whose 4 uint64 state words are known, built once."""
-    # imported here, so that importing geoctrl does not import numpy.random
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KnownSeed(ISeedSequence):
-        """A seed whose state is known: PCG64 asks for 4 uint64 words."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("this seed holds 4 uint64 words")
-            return self.words
-
-    return KnownSeed
-
-
 class _Draws:
-    """The control segments of every trajectory, drawn from its own generator.
+    """The control segments of every trajectory, drawn from its own stream.
 
     Trajectory i owns child i of SeedSequence(seed) and reads raw 64-bit
-    values of PCG64 seeded from it, a block at a time. Every lane's
-    first block comes from one vectorized pass (`flows._pcg64_first_raws`);
-    a lane that reads past it gets its numpy PCG64 then, advanced past
-    the block, so only the lanes that outlive their first block ever
-    build one. The raw values become the numbers that
+    values of PCG64 seeded from it (row i of one `flows._PCG64Lanes`).
+    Every lane's first block comes from one vectorized pass; lane i's
+    unread values are raw[i, cur[i]:end[i]]. When a lane runs short,
+    one pass gives half a block more to every live lane with half a
+    block or less left, so the lanes refill as a cohort and the buffer
+    stays a block wide. A retired lane (`live` cleared) is refilled no
+    more. The raw values become the numbers that
     Generator.uniform(-A, A, m), .uniform(*SEGMENT_DURATIONS) and, for a
     switched drift, .integers(0, n_drifts) give in turn: a double is
     (r >> 11) * 2**-53, and an index is Lemire's bounded draw on 32-bit
@@ -197,37 +179,38 @@ class _Draws:
     """
 
     def __init__(self, seed: int, n_traj: int, m: int, n_drifts: int):
-        self.states = _spawned_states(seed, n_traj)
-        self.gens: dict = {}  # the generator of each lane past its first block
+        self.streams = _PCG64Lanes(_spawned_states(seed, n_traj))
         self.m = m
         self.n_drifts = n_drifts
         self.width = BLOCK_SEGMENTS * (m + 1 + (n_drifts > 1))
-        self.raw = _pcg64_first_raws(self.states, self.width)
+        self.raw = self.streams.raws(None, self.width)
         self.cur = np.zeros(n_traj, dtype=np.intp)  # next unread raw
+        self.end = np.full(n_traj, self.width, dtype=np.intp)  # past the last unread raw
+        self.live = np.ones(n_traj, dtype=bool)
         self.half = np.zeros(n_traj, dtype=np.uint64)  # the buffered high word
         self.has_half = np.zeros(n_traj, dtype=bool)
 
-    def _generator(self, i: int):
-        """Lane i's PCG64, built when it first reads past its first block."""
-        gen = self.gens.get(i)
-        if gen is None:
-            from numpy.random import PCG64  # see _known_seed_type
-
-            gen = self.gens[i] = PCG64(_known_seed_type()(self.states[i]))
-            gen.advance(self.width)
-        return gen
+    def _refill(self) -> None:
+        """Half a block more for every live lane with half a block or less left."""
+        k = self.width // 2
+        rows = np.flatnonzero(self.live & (self.end - self.cur <= k))
+        left = self.end[rows] - self.cur[rows]
+        cols = np.arange(k)
+        # keep the unread tail (at most k values) at the front, then append
+        tail = np.minimum(self.cur[rows, None] + cols, self.width - 1)
+        self.raw[rows, :k] = self.raw[rows[:, None], tail]
+        self.raw[rows[:, None], left[:, None] + cols] = self.streams.raws(rows, k)
+        self.cur[rows] = 0
+        self.end[rows] = left + k
 
     def _take(self, lanes: np.ndarray, k: int) -> np.ndarray:
         """The next k raw values of each lane, (len(lanes), k)."""
-        short = lanes[self.cur[lanes] > self.width - k]
-        for i in short.tolist():  # keep the unread tail, draw the rest afresh
-            c = int(self.cur[i])
-            self.raw[i, : self.width - c] = self.raw[i, c:]
-            self.raw[i, self.width - c :] = self._generator(i).random_raw(c)
-        self.cur[short] = 0
-        cols = self.cur[lanes, None] + np.arange(k)
-        self.cur[lanes] += k
-        return self.raw[lanes[:, None], cols]
+        cur = self.cur[lanes]
+        if (cur > self.end[lanes] - k).any():
+            self._refill()
+            cur = self.cur[lanes]
+        self.cur[lanes] = cur + k
+        return self.raw[lanes[:, None], cur[:, None] + np.arange(k)]
 
     def _words(self, lanes: np.ndarray) -> np.ndarray:
         """The next 32-bit word of each lane, as uint64."""
@@ -312,7 +295,8 @@ def _run(
     the points of the live trajectories inside the window and their
     ids, in ascending id; the run ends where it returns True. A
     trajectory that leaves the inflated roaming window, or turns nan,
-    retires at once and is stepped no more, and its generator goes.
+    retires at once and is stepped no more, and its draws are refilled
+    no more.
 
     A constant control's term U[:, i] * g_i is formed once per step,
     the same product its kernel's rows would give, and enters each RK4
@@ -381,9 +365,7 @@ def _run(
             t += h
             live = _inside(X, roam)
             if not live.all():
-                if draws.gens:  # a retired lane never draws again
-                    for i in ids[~live].tolist():
-                        draws.gens.pop(i, None)
+                draws.live[ids[~live]] = False  # a retired lane never draws again
                 ids, X, U, seg_end, didx = (a[live] for a in (ids, X, U, seg_end, didx))
                 if not len(ids):
                     break
@@ -420,7 +402,8 @@ def simulate_reach(
     the trajectory stays inside the window. A trajectory leaving the
     inflated roaming window freezes there; its earlier points are kept.
     Identical seeds give identical clouds, and trajectory i is driven by
-    its own child generator, so growing n_traj or T only appends data.
+    its own child stream of PCG64, read in the same order however the
+    draws are refilled, so growing n_traj or T only appends data.
     The cloud keeps its points and, per record, its time and a bitmap
     of the trajectories it stored; the chunk heap of the records is
     handed back to the OS once the cloud is assembled.

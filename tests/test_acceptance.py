@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -446,6 +447,10 @@ def test_check_reports_byte_identical(tmp_path):
         specfile.write_text(
             SHEAR + "grid = 5\nleaf_budget = 24\ntraj = 300\nhorizon = 15\n"
         )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SYS_DIR.parent / "src"), env.get("PYTHONPATH")])
+        )
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"report_{tag}.json"
@@ -461,6 +466,7 @@ def test_check_reports_byte_identical(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())

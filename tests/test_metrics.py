@@ -139,7 +139,7 @@ def test_word_durations_positive_and_capped():
     est = half_turn()
     durations = [tau for tau, _ in est.best_word]
     assert all(tau > 0 for tau in durations)
-    assert sum(durations) <= est.time_cap
+    assert sum(durations) <= metrics.TIME_CAP
 
 
 def test_rejects_nonpositive_tolerance():

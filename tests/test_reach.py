@@ -441,49 +441,32 @@ def test_a_witness_run_stops_at_its_first_crossing(monkeypatch):
     assert 0 < 20 * stopped < calls[system.drift] - stopped
 
 
-def test_a_retired_trajectory_drops_its_generator(monkeypatch):
-    kept = []
-    init = reach._Draws.__init__
+def test_the_oracle_builds_no_generator_object(monkeypatch):
+    built = []
 
-    def keep(self, *args):
-        init(self, *args)
-        kept.append(self)
+    class Counted(np.random.PCG64):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
 
-    class Kept(dict):
-        """gens that pop nothing, as before retired lanes dropped theirs."""
+    monkeypatch.setattr(np.random, "PCG64", Counted)
+    refills = []
+    refill = reach._Draws._refill
 
-        def pop(self, key, default=None):
-            return self.get(key, default)
+    def counted(self):
+        refills.append(1)
+        refill(self)
 
-    monkeypatch.setattr(reach._Draws, "__init__", keep)
+    monkeypatch.setattr(reach._Draws, "_refill", counted)
     system = FAMILIES["unicycle"]
-    x0 = _center(system)
-    # the roaming box is the window, so the last record holds every live lane
-    monkeypatch.setattr(reach, "ORACLE_INFLATION", 0.0)
-    last = []
-    run = reach._run
-
-    def spy(system, x0, T, n_traj, seed, fold, *args):
-        def at(t, pts, ids):
-            last[:] = [t, ids.copy()]
-            return fold(t, pts, ids)
-
-        run(system, x0, T, n_traj, seed, at, *args)
-
-    monkeypatch.setattr(reach, "_run", spy)
-    cloud = simulate_reach(system, x0, T=6.0, n_traj=1000, seed=1)
-    (draws,) = kept
-    assert last[0] == pytest.approx(6.0) and 0 < len(last[1])
-    assert set(draws.gens) <= set(last[1].tolist())
-    assert len(draws.gens) > 0
-
-    def keep_all(self, *args):
-        keep(self, *args)
-        self.gens = Kept()
-
-    monkeypatch.setattr(reach._Draws, "__init__", keep_all)
-    assert simulate_reach(system, x0, T=6.0, n_traj=1000, seed=1) == cloud
-    assert not set(kept[1].gens) <= set(last[1].tolist())
+    cloud = simulate_reach(system, _center(system), seed=1)
+    assert len(cloud.points) > 0
+    # lanes outlive their first block, and refill as a cohort a few times
+    assert 0 < len(refills) <= 20
+    stand_in = GlobalVerdict(status=STATUS_CONTROLLABLE, points=(), assumptions={}, regularity=None)
+    report = cross_validate(stand_in, FAMILIES["switched_shear"], seed=1)
+    assert report["mode"] == "coverage" and len(report["entries"]) == 10
+    assert not built
 
 
 @pytest.mark.parametrize("n_drifts", [1, 2, 3, 5])
@@ -509,41 +492,68 @@ def test_block_draws_match_the_generator_calls(n_drifts):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**33 + 5, 2**70 + 3])
 def test_lane_streams_are_the_spawned_generators(seed):
-    n, k = 300, 50
+    n, k = 300, 100  # k covers every piece below
     children = np.random.SeedSequence(seed).spawn(n)
     want = np.array([c.generate_state(4, np.uint64) for c in children])
     got = flows._spawned_states(seed, n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     want = np.array([np.random.PCG64(c).random_raw(k) for c in children])
-    assert flows._pcg64_first_raws(got, k).tobytes() == want.tobytes()
-    # the vectorized first block, then each lane's own generator
-    draws = reach._Draws(seed, n, 1, 1)
-    assert draws.width < k
-    lanes = np.arange(n)
-    raw = np.hstack([draws._take(lanes, 10) for _ in range(k // 10)])
-    assert raw.tobytes() == want.tobytes()
+    assert flows._PCG64Lanes(got).raws(None, k).tobytes() == want.tobytes()
+    # rows read in uneven pieces, each row at its own pace
+    streams = flows._PCG64Lanes(got)
+    pick = np.random.default_rng(seed % 2**32)
+    read = [[] for _ in range(n)]
+    for piece in (7, 13, 30, 7, 13, 30):
+        rows = np.flatnonzero(pick.random(n) < 0.5)
+        for i, raw in zip(rows.tolist(), streams.raws(rows, piece)):
+            read[i].append(raw)
+    for i in range(n):
+        row = np.concatenate(read[i]) if read[i] else np.zeros(0, dtype=np.uint64)
+        assert row.tobytes() == want[i, : len(row)].tobytes()
 
 
-def test_a_lane_builds_its_generator_only_past_its_first_block(monkeypatch):
-    built = []
+@pytest.mark.parametrize("n_drifts", [1, 3, 5])
+def test_cohort_refills_keep_every_lane_stream(n_drifts):
+    m, n = 3, 40
+    for seed in (0, 7):
+        draws = reach._Draws(seed, n, m, n_drifts)
+        assert (draws.width // 2) >= 30
+        read = [[] for _ in range(n)]
+        take, refill = draws._take, draws._refill
+        refills = []
 
-    class Counted(np.random.PCG64):
-        def __init__(self, seed):
-            built.append(seed)
-            super().__init__(seed)
+        def recorded(lanes, k):
+            raw = take(lanes, k)
+            for i, r in zip(lanes.tolist(), raw):
+                read[i].append(r)
+            return raw
 
-    monkeypatch.setattr(np.random, "PCG64", Counted)
-    m, n_traj = 2, 50
-    draws = reach._Draws(3, n_traj, m, 1)
-    assert not built
-    readers = np.arange(20)
-    for _ in range(reach.BLOCK_SEGMENTS):  # exactly the first block
-        draws.segments(readers)
-    assert not built
-    for _ in range(3 * reach.BLOCK_SEGMENTS):  # three blocks more, one generator each
-        draws.segments(readers)
-    assert len(built) == len(readers)
-    assert sorted(draws.gens) == readers.tolist()
+        def counted():
+            refills.append(int(np.count_nonzero(draws.live)))
+            refill()
+            # the cohort: every live lane, drawing now or not, has half a block or more
+            assert (draws.end - draws.cur)[draws.live].min() >= draws.width // 2
+
+        draws._take, draws._refill = recorded, counted
+        pick = np.random.default_rng(seed + 100)
+        for r in range(90):
+            lanes = np.flatnonzero(draws.live & (pick.random(n) < 0.6))
+            if r % 2:  # Generator calls: doubles, then Lemire words
+                draws.segments(lanes)
+            else:
+                draws._take(lanes, (7, 13, 30)[r // 2 % 3])
+            if r == 45:  # retire a lane in the middle of a block
+                retired = int(np.flatnonzero(draws.live & (draws.cur > 0))[0])
+                assert draws.cur[retired] < draws.end[retired]
+                draws.live[retired] = False
+                frozen = (int(draws.cur[retired]), int(draws.end[retired]))
+                seen = len(read[retired])
+        assert len(refills) >= 3 and refills[-1] == n - 1
+        assert (int(draws.cur[retired]), int(draws.end[retired])) == frozen
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            row = np.concatenate(read[i])
+            assert row.tobytes() == np.random.PCG64(child).random_raw(len(row)).tobytes()
+        assert len(read[retired]) == seen
 
 
 def test_a_negative_oracle_seed_is_refused():
