@@ -23,16 +23,18 @@ kernels enter none.
 vectorized DP54 with per-lane step sizes, each lane's arithmetic that of
 a scalar DP54 loop over its flow alone (the loop lives on in the tests
 as the lanes' reference, bit for bit); a refill hook admits new lanes as
-others leave. A flow that fails is a None endpoint, never an exception.
-`integrate_words` runs the piecewise-constant control words of the
-shooting estimators on it, every word as a lane, also in a call with one
-word (a constant channel's term is formed when the lanes' rhs is built,
-not at every stage), `sample_leaves` the leaf walks of non-constant
-families, one lane per walking point, and `metrics` the drift orbits of
-its steering searches. Frame columns are passengers: the step control
-reads the point columns alone, so a point steps exactly as a bare one
-does, and on those steps the frame is the exact derivative of the
-numerical flow.
+others leave and may retire lanes unfinished. A flow that fails is a
+None endpoint, never an exception. `_WordLanes` admits piecewise-
+constant control words as lanes (a constant channel's term is formed
+when the lanes' rhs is built, not at every stage): `integrate_words`
+runs a batch of them, every word as a lane, also in a call with one
+word, and the shooting streams of `metrics` keep one pool of them open
+for a whole search. `sample_leaves` runs the leaf walks of non-constant
+families on it, one lane per walking point, and `metrics` the drift
+orbits of its steering searches. Frame columns are passengers: the step
+control reads the point columns alone, so a point steps exactly as a
+bare one does, and on those steps the frame is the exact derivative of
+the numerical flow.
 
 A walk along constant generators (every component a `Const`, as in
 every bundled system) needs no integrator: a segment is y + tau * v,
@@ -312,46 +314,81 @@ def integrate_words(
     segment fails (escape, non-finite state, step underflow) or where the
     word's segments together take max_steps steps short of its end.
 
-    Every job is a lane of `_step_lanes`, one DP54 with per-lane step
-    sizes whose per-lane arithmetic is that of the job stepped alone: an
-    endpoint does not depend on which jobs share the call. The segments
-    of all jobs are read from one stacked array of their durations and
-    one of their coefficient rows; a lane's segment payload is its row's
-    index there. No jobs give no endpoints.
+    Every job is a lane of `_step_lanes`, admitted by `_WordLanes`, one
+    DP54 with per-lane step sizes whose per-lane arithmetic is that of the
+    job stepped alone: an endpoint does not depend on which jobs share
+    the call. No jobs give no endpoints.
     """
     results: list[np.ndarray | None] = [None] * len(jobs)
     if not jobs:
         return results
-    taus = np.array([t for _, d, _ in jobs for t in d], dtype=float)
-    R = np.array([row for _, _, w in jobs for row in w], dtype=float)
-    R = R.reshape(len(taus), len(fields))
-    moving = (np.any(R != 0.0, axis=1) & (taus != 0.0)).tolist()
-    taus = taus.tolist()
-    lanes: list[_Lane] = []
-    starts = []
-    s = 0
-    for j, (x0, durations, _) in enumerate(jobs):
-        e = s + len(durations)
-        segs = [(taus[k], k) for k in range(s, e) if moving[k]]
-        s = e
-        if segs:
-            lanes.append(_Lane(j, segs, ctrl))
-            starts.append(x0)
-        else:
-            results[j] = np.array(x0, dtype=float)
+    words = _WordLanes(fields, ctrl)
+    lanes, starts, still = words.admit(jobs)
+    for j, x0 in still:
+        results[j] = x0
     if lanes:
-        fns = [F.compiled() for F in fields]
-        values = [
-            fn(np.zeros(F.dim)) if F.is_constant else None for F, fn in zip(fields, fns)
-        ]
-
-        def field(lanes: list[_Lane]) -> _LaneField:
-            return _LaneField(fns, values, R[[lane.segs[lane.seg][1] for lane in lanes]])
-
-        ends = _step_lanes(lanes, np.array(starts, dtype=float), field, ctrl)
-        for j, end in ends.items():
+        for j, end in _step_lanes(lanes, np.array(starts, dtype=float), words, ctrl).items():
             results[j] = end
     return results
+
+
+class _WordLanes:
+    """The words of one system as lanes: `admit` turns jobs into lanes, and
+    the instance, called on lanes, builds the rhs of their segments.
+
+    Every admitted segment's coefficient row goes into one array that
+    grows by doubling, and a lane's segment payload is its row's index
+    there, so the lanes of words admitted at different times share one
+    `_LaneField`. A pool that admits words as others settle (the
+    shooting streams of `metrics`) keeps one instance for its whole run.
+    """
+
+    def __init__(self, fields: Sequence[VectorField], ctrl: StepControl):
+        self.ctrl = ctrl
+        self.fns = [F.compiled() for F in fields]
+        self.values = [
+            fn(np.zeros(F.dim)) if F.is_constant else None for F, fn in zip(fields, self.fns)
+        ]
+        self.rows = np.empty((16, len(fields)))
+        self.count = 0
+
+    def admit(
+        self, jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], first: int = 0
+    ) -> tuple[list[_Lane], list[np.ndarray], list[tuple[int, np.ndarray]]]:
+        """The lanes of jobs numbered first, first + 1, ... and their
+        starts, and (job, x0) for each job whose word never moves: every
+        row all zero or every duration zero."""
+        taus = np.array([t for _, d, _ in jobs for t in d], dtype=float)
+        R = np.array([row for _, _, w in jobs for row in w], dtype=float)
+        R = R.reshape(len(taus), self.rows.shape[1])
+        moving = (np.any(R != 0.0, axis=1) & (taus != 0.0)).tolist()
+        taus = taus.tolist()
+        end = self.count + len(taus)
+        if end > len(self.rows):
+            grown = np.empty((max(end, 2 * len(self.rows)), self.rows.shape[1]))
+            grown[: self.count] = self.rows[: self.count]
+            self.rows = grown
+        self.rows[self.count : end] = R
+        lanes: list[_Lane] = []
+        starts: list[np.ndarray] = []
+        still: list[tuple[int, np.ndarray]] = []
+        s = 0
+        for j, (x0, durations, _) in enumerate(jobs, first):
+            e = s + len(durations)
+            segs = [(taus[k], self.count + k) for k in range(s, e) if moving[k]]
+            s = e
+            if segs:
+                lanes.append(_Lane(j, segs, self.ctrl))
+                starts.append(x0)
+            else:
+                still.append((j, np.array(x0, dtype=float)))
+        self.count = end
+        return lanes, starts, still
+
+    def __call__(self, lanes: list[_Lane]) -> _LaneField:
+        return _LaneField(
+            self.fns, self.values, self.rows[[lane.segs[lane.seg][1] for lane in lanes]]
+        )
 
 
 class _LaneField:
@@ -469,6 +506,7 @@ def _step_lanes(
     ctrl: StepControl,
     dim: int | None = None,
     refill: Callable[[Settled], list[tuple[_Lane, np.ndarray]]] | None = None,
+    retired: set[int] | None = None,
 ) -> dict[int, np.ndarray]:
     """Step every lane through its segments: one DP54 step per lane per round.
 
@@ -502,9 +540,11 @@ def _step_lanes(
     After each round the jobs whose lanes left go to `refill` as (job,
     endpoint) pairs in lane order, the endpoint None where a segment
     failed. It returns (lane, start) pairs to admit; they step from the
-    next round on, each starting its first segment as above. Without
-    `refill`, returns the endpoint of every lane that finished, keyed by
-    its job.
+    next round on, each starting its first segment as above. The hook
+    may also put jobs into `retired`: their lanes, the ones it has just
+    returned too, leave the pool unreported, and the set is emptied.
+    Without `refill`, returns the endpoint of every lane that finished,
+    keyed by its job.
     """
     ends: dict[int, np.ndarray] = {}
     if refill is None:
@@ -515,6 +555,7 @@ def _step_lanes(
 
     dim = dim or Y.shape[1]
     box = None if ctrl.window is None else np.array(ctrl.window, dtype=float).T
+    h_min, max_steps = ctrl.h_min, ctrl.max_steps
     with np.errstate(all="ignore"):
         rhs = field(lanes)
         K0 = rhs(Y)
@@ -539,31 +580,33 @@ def _step_lanes(
             fresh: list[int] = []  # lanes in a new segment, by new index
             left: list[tuple[int, bool]] = []  # (old index, finished) of leaving lanes
             for k, lane in enumerate(lanes):
-                err = errs[k]
-                if not math.isfinite(err):
-                    err = math.inf
+                err = errs[k]  # a nan error is rejected as an infinite one
                 if err <= 1.0:
                     if not inside[k]:
                         left.append((k, False))  # window escape
                         continue
                     accepted[k] = True
                     lane.remaining -= lane.h
-                h = lane.h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
-                if h < ctrl.h_min and h < lane.remaining:
+                # min(5.0, max(0.2, f)) as comparisons: an infinite error's
+                # f is 0.0 and a nan error's nan, and both clamp to 0.2
+                f = 0.9 * (err + 1e-16) ** -0.2
+                h = lane.h * (5.0 if f > 5.0 else f if f > 0.2 else 0.2)
+                remaining = lane.remaining
+                if h < h_min and h < remaining:
                     left.append((k, False))  # step underflow
                     continue
                 lane.steps += 1
-                ended = lane.remaining <= 0.0
+                ended = remaining <= 0.0
                 if ended and not lane.next_segment(ctrl):
                     left.append((k, True))
                     continue
-                if lane.steps == ctrl.max_steps:
+                if lane.steps == max_steps:
                     left.append((k, False))  # out of steps, over the whole word
                     continue
                 if ended:
                     fresh.append(len(keep))
                 else:
-                    lane.h = min(h, lane.remaining)
+                    lane.h = remaining if remaining < h else h
                 keep.append(k)
             moved = np.array(accepted)[:, None]
             Y = np.where(moved, Y5, Y)
@@ -572,6 +615,13 @@ def _step_lanes(
                 admitted = refill(
                     [(lanes[k].job, Y[k].copy() if finished else None) for k, finished in left]
                 )
+                if retired:
+                    live = [i for i, k in enumerate(keep) if lanes[k].job not in retired]
+                    was_fresh = set(fresh)
+                    fresh = [j for j, i in enumerate(live) if i in was_fresh]
+                    keep = [keep[i] for i in live]
+                    admitted = [a for a in admitted if a[0].job not in retired]
+                    retired.clear()
                 lanes = [lanes[k] for k in keep]
                 Y, K0 = Y[keep], K0[keep]
                 if admitted:
@@ -583,10 +633,8 @@ def _step_lanes(
                     break
             if fresh or left:
                 rhs = field(lanes)
-            if fresh and len(fresh) == len(lanes):
-                K0 = rhs(Y)
-            elif fresh:
-                K0[fresh] = field([lanes[k] for k in fresh])(Y[fresh])
+            if fresh:
+                K0[fresh] = rhs(Y)[fresh]
     return ends
 
 

@@ -20,27 +20,31 @@ reproducible and can only improve as the budget grows.
 Searches that belong together run together: `steering_costs` runs the
 two estimate_cost directions and sr_distance of one pair of points, and
 `loop_lengths` runs loop_length at many points. estimate_cost,
-sr_distance and loop_length are their one-search cases. Every word that
-is integrated goes through `flows.integrate_words`, the drift orbits
+sr_distance and loop_length are their one-search cases. The opening
+words of a call and the concatenated loops of `loop_lengths` go through
+`flows.integrate_words` (`_evaluate`), the drift orbits
 that open the drifted searches of one call step as lanes of one
 `flows._step_lanes` pool (`_drift_orbit_words`), and every search is
 a stream of one stream driver (`_shoot`): the three streams of
 `steering_costs`, the out-and-back leg searches of every point of
-`loop_lengths` that its stationary word does not close. Each round,
-every live stream builds a small tree of its next candidates: the next
-word against the current incumbent, then, for each word built, the word
-after it if its fold keeps the incumbent and the one if its fold
-replaces it. The words of all streams integrate as lanes of one DP54,
-and each stream folds the one path through its tree that its incumbent
-actually takes, until the path leaves the tree. A candidate that costs
-at least a feasible incumbent cannot change the best or the incumbent,
-whatever its endpoint (the bound of branch and bound), so its tree
-decides it without integrating it; it still counts as an evaluation.
-A stream's candidates depend only on its own generator and incumbent,
-and a lane's arithmetic is that of its flow stepped alone (the scalar
-DP54 loop the tests keep as its bit-for-bit reference), so every
-incumbent and result is what one-at-a-time shooting of each search
-alone gives.
+`loop_lengths` that its stationary word does not close. Each stream
+speculates a small tree of its next candidates: the next word against
+the current incumbent, then, for each word built, the word after it if
+its fold keeps the incumbent and the one if its fold replaces it. The
+words of all streams step as lanes of one long-lived `_step_lanes` pool.
+Whenever lanes settle, each stream folds the one path through its tree
+that its incumbent actually takes, as far as its settled words reach;
+the lanes of a subtree the path has left are retired, and once the path
+leaves the tree the stream speculates its next tree into the same pool.
+No stream waits for another's words. A candidate that costs at least a
+feasible incumbent cannot change the best or the incumbent, whatever
+its endpoint (the bound of branch and bound), so its tree decides it
+without integrating it; it still counts as an evaluation. A stream's
+candidates depend only on its own generator and incumbent, and a lane's
+arithmetic is that of its flow stepped alone (the scalar DP54 loop the
+tests keep as its bit-for-bit reference), so every incumbent and result
+is what one-at-a-time shooting of each search alone gives: the pool
+changes when a word is integrated, never what is folded.
 
 A candidate costs Python float arithmetic, not numpy dispatch. A word
 is a pair of tuples of floats, (durations, coefficient rows), and every
@@ -64,7 +68,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .flows import StepControl, _Lane, _Source, _step_lanes, inflate_window, integrate_words
+from .flows import (
+    StepControl,
+    _Lane,
+    _Source,
+    _step_lanes,
+    _WordLanes,
+    inflate_window,
+    integrate_words,
+)
 from .system import SystemSpec
 
 __all__ = [
@@ -95,11 +107,11 @@ _LOG_AMP_RANGE = tuple(np.log(_AMP_RANGE).tolist())
 _DUR_SPAN = _DUR_RANGE[1] - _DUR_RANGE[0]
 _LOG_AMP_SPAN = _LOG_AMP_RANGE[1] - _LOG_AMP_RANGE[0]
 _FACTORS = (0.4, 0.6, 0.8, 1.25, 1.6, 2.5)  # refinement scale factors
-# speculative candidates per round: a lone stream builds up to
-# _ROUND_LANES, streams that shoot together share them, and every stream
-# builds at least _MIN_TREE
-_ROUND_LANES = 32
-_MIN_TREE = 6
+# candidates per speculated tree: a lone stream's tree holds up to
+# _TREE_LANES, streams that shoot together share them, and every tree
+# holds at least _MIN_TREE
+_TREE_LANES = 64
+_MIN_TREE = 2
 
 
 @dataclass(frozen=True)
@@ -376,7 +388,9 @@ def _draw(source: _Source, nchan: int) -> _Draws:
 
 class _Stream:
     """A shooter with its candidate generator, the draws it has not yet
-    folded, and its counts of folds and incumbent changes."""
+    folded, its counts of folds and incumbent changes, and the node of
+    its speculation tree that its fold path waits at (None before its
+    first tree and once it is done)."""
 
     def __init__(self, shooter: _Shooter, rng: np.random.Generator):
         self.shooter = shooter
@@ -384,11 +398,12 @@ class _Stream:
         self.draws: list[_Draws] = []
         self.folds = 0
         self.changes = 0
+        self.node: _Node | None = None
 
 
 class _Node:
     """A speculative candidate word, its cost (None until a bound needs
-    it), its lane in the round (None when its cost decides it), and the
+    it), its lane's job (None when its cost decides it), and the
     candidates that follow it if its fold keeps or replaces the
     incumbent."""
 
@@ -402,9 +417,10 @@ class _Node:
         self.replaced: _Node | None = None
 
 
-def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
+def _speculate(stream: _Stream, budget: int, limit: int, jobs: list, first: int = 0) -> _Node:
     """Build up to `budget` of the stream's next candidates as a tree and
-    append the words that need integrating to `jobs`; returns the root.
+    append the words that need integrating to `jobs`, each node's lane
+    `first` plus the index of its word there; returns the root.
 
     The root is the next candidate against the current incumbent. A
     node's `kept` child is the candidate after it against the same
@@ -440,7 +456,7 @@ def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
         # no bound, no decision: the cost waits for the fold, if any
         cost = None if bound == np.inf else sh._cost(word)
         decided = cost is not None and not cost < bound
-        node = _Node(word, cost, None if decided else len(jobs))
+        node = _Node(word, cost, None if decided else first + len(jobs))
         built += 1
         if parent is None:
             root = node
@@ -461,51 +477,134 @@ def _speculate(stream: _Stream, budget: int, limit: int, jobs: list) -> _Node:
     return root
 
 
-def _fold_path(stream: _Stream, node: _Node | None, ends: list) -> None:
-    """Fold the stream's tree along the path its folds take, up to a
-    missing node or a zero-cost best, and drop the draws it used. A
-    decided node folds as a word without an endpoint: it counts as an
-    evaluation and keeps the incumbent, as its integrated fold would."""
-    sh = stream.shooter
-    folded = 0
-    while node is not None and sh.best_cost > 0.0:
-        end = None if node.lane is None else ends[node.lane]
-        changed = sh.fold(node.word, end, node.cost)
-        folded += 1
-        stream.changes += changed
-        node = node.replaced if changed else node.kept
-    stream.folds += folded
-    del stream.draws[:folded]
+# a settled lane's endpoint may be None, so an unsettled one reads as this
+_UNSETTLED = object()
 
 
-def _shoot(streams: list[_Stream], limit: int) -> None:
+def _shoot(streams: list[_Stream], limit: int, checkpoint: int | None = None) -> list[list]:
     """Run every stream up to `limit` evaluations or a zero-cost best.
 
     A zero-cost incumbent is already optimal: the functional is
-    nonnegative, so further search cannot change the answer. Each round,
-    every live stream builds a tree of its next candidates, the words of
-    all trees that their cost does not decide integrate as lanes of one
-    `integrate_words` call (none when every candidate is decided), and
-    each stream folds the one path of its tree that its incumbent takes.
-    Every node is built against the incumbent it meets on its path, so a
-    stream sees exactly the candidates one-at-a-time shooting would; draws it
-    did not reach are built again in the next round. Streams never see
-    each other's words or results, so a stream's outcome does not depend
-    on which streams shoot beside it: searches of different points or
-    endpoints can share one pool. All streams must shoot on the same
-    system.
+    nonnegative, so further search cannot change the answer. Every
+    stream speculates a tree of its next candidates (`_speculate`), and
+    the words of all trees that their cost does not decide step as
+    lanes of one long-lived `_step_lanes` pool. Whenever lanes settle,
+    each stream they belong to folds the one path of its tree that its
+    incumbent takes, as far as its settled nodes reach; the lanes of a
+    subtree the path leaves are retired at once, and once the path
+    leaves the tree the stream speculates its next tree into the pool.
+    No stream waits for another's lanes, and none for a checkpoint.
+    Every node is built against the incumbent it meets on its path, so
+    a stream sees exactly the candidates one-at-a-time shooting would;
+    draws it did not reach are built again in its next tree. Streams
+    never see each other's words or results, and a lane steps as it
+    does alone, so a stream's outcome does not depend on which streams
+    shoot beside it or on when its words are integrated: searches of
+    different points or endpoints can share one pool. All streams must
+    shoot on the same system.
+
+    With `checkpoint`, returns for every multiple c of it up to `limit`
+    each stream's best word as it stood once the stream had made c
+    evaluations or stopped short of them; else returns no snapshots.
     """
-    while live := [
-        s for s in streams
-        if s.shooter.evals < limit and s.shooter.best_cost > 0.0
-    ]:
-        budget = max(_MIN_TREE, _ROUND_LANES // len(live))
-        jobs: list = []
-        roots = [_speculate(s, budget, limit, jobs) for s in live]
-        first = live[0].shooter
-        ends = integrate_words(first.fields, jobs, first.ctrl)
-        for s, root in zip(live, roots):
-            _fold_path(s, root, ends)
+    marks = list(range(checkpoint, limit + 1, checkpoint)) if checkpoint else []
+    snaps: list[list] = [[None] * len(streams) for _ in marks]
+    if not streams:
+        return snaps
+    first = streams[0].shooter
+    ctrl = first.ctrl
+    words = _WordLanes(first.fields, ctrl)
+    jobs: list = []  # the words speculated since the last admission
+    owner: list[int] = []  # the stream of each job, by job
+    ends: dict = {}  # settled lanes whose nodes no path has reached yet
+    retired: set[int] = set()
+    marked = [0] * len(streams)  # the snapshots taken of each stream
+    live = len(streams)  # the streams not yet done
+
+    def snap(i: int, evals: float) -> None:
+        """Snapshot stream i at the checkpoints up to `evals`."""
+        k = marked[i]
+        while k < len(marks) and marks[k] <= evals:
+            snaps[k][i] = streams[i].shooter.best_word
+            k += 1
+        marked[i] = k
+
+    def retire(node: _Node) -> None:
+        """Drop a subtree that no path takes: its settled ends and lanes."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                if node.lane is not None and ends.pop(node.lane, _UNSETTLED) is _UNSETTLED:
+                    retired.add(node.lane)
+                stack += (node.kept, node.replaced)
+
+    def advance(i: int) -> None:
+        """Fold stream i as far as its settled nodes reach, speculating a
+        new tree whenever its path leaves the last."""
+        nonlocal live
+        stream = streams[i]
+        sh = stream.shooter
+        node = stream.node
+        while True:
+            while node is not None and sh.best_cost > 0.0:
+                end = None if node.lane is None else ends.pop(node.lane, _UNSETTLED)
+                if end is _UNSETTLED:
+                    stream.node = node  # waits for its lane
+                    return
+                changed = sh.fold(node.word, end, node.cost)
+                stream.folds += 1
+                stream.changes += changed
+                del stream.draws[0]
+                if marks:
+                    snap(i, sh.evals)
+                node, off = (node.replaced, node.kept) if changed else (node.kept, node.replaced)
+                if off is not None:
+                    retire(off)
+            if sh.evals >= limit or not sh.best_cost > 0.0:
+                if node is not None:
+                    retire(node)
+                stream.node = None
+                snap(i, math.inf)
+                live -= 1
+                return
+            budget = max(_MIN_TREE, _TREE_LANES // live)
+            count = len(jobs)
+            node = _speculate(stream, budget, limit, jobs, len(owner) - count)
+            owner.extend([i] * (len(jobs) - count))
+
+    def admit(touched: list[int]) -> list:
+        """Advance the touched streams, then admit the words they
+        speculated as lanes, all in one step; a word that never moves
+        settles at once, and its stream advances again."""
+        new = []
+        while touched:
+            for i in touched:
+                advance(i)
+            if not jobs:
+                break
+            lanes, starts, still = words.admit(jobs, len(owner) - len(jobs))
+            jobs.clear()
+            new += zip(lanes, starts)
+            still = [(job, end) for job, end in still if job not in retired]
+            ends.update(still)
+            touched = [owner[job] for job, _ in still if streams[owner[job]].node.lane == job]
+        return new
+
+    def settle(settled: list) -> list:
+        for job, end in settled:
+            ends[job] = end
+        # only a stream whose path waits at a settled lane can fold
+        return admit([owner[job] for job, _ in settled if streams[owner[job]].node.lane == job])
+
+    for i, stream in enumerate(streams):
+        snap(i, stream.shooter.evals)
+    pool = [(lane, y) for lane, y in admit(list(range(len(streams)))) if lane.job not in retired]
+    retired.clear()
+    if pool:
+        Y = np.array([y for _, y in pool], dtype=float)
+        _step_lanes([lane for lane, _ in pool], Y, words, ctrl, refill=settle, retired=retired)
+    return snaps
 
 
 def _drift_row(nchan: int) -> tuple[float, ...]:
@@ -693,8 +792,10 @@ def loop_lengths(
 
     The points are searched together, and each estimate equals the one
     a call with that point alone gives: the stationary words share one
-    `_evaluate`, the legs of every point that did not close there share
-    one `_shoot` pool, and the concatenated loops share a last `_evaluate`.
+    `_evaluate`, the legs of every point that did not close there shoot
+    as streams of one `_shoot` call, which snapshots each leg's best word
+    as its evaluations reach each checkpoint, and the concatenated loops
+    share a last `_evaluate`.
     """
     if endpoint_tol <= 0:
         raise ValueError("endpoint_tol must be positive")
@@ -724,8 +825,8 @@ def loop_lengths(
     checkpoint = 10
     leg_budget = checkpoint * max(1, (budget - nprobes) // (2 * nprobes * checkpoint))
     # the legs of every point shoot together, each from its own stream and
-    # incumbent, and stop at every checkpoint so their bests can be snapshot;
-    # a point's legs are out and back through each probe, in probe order
+    # incumbent, and each leg's best is snapshot at every checkpoint; a
+    # point's legs are out and back through each probe, in probe order
     groups = [
         [
             _Stream(
@@ -745,18 +846,16 @@ def loop_lengths(
     _evaluate([
         (leg.shooter, word) for leg in legs for word in _lstsq_candidates(leg.shooter)
     ])
-    snapshots = []
-    for done in range(checkpoint, leg_budget + 1, checkpoint):
-        _shoot(legs, done)
-        snapshots.append([[leg.shooter.best_word for leg in group] for group in groups])
+    snapshots = _shoot(legs, leg_budget, checkpoint)
     # out + back of each probe at each checkpoint, in (probe, checkpoint)
     # order for each point
+    per = 2 * nprobes
     _evaluate([
-        (sh, tuple(zip(*(snap[i][2 * pi] + snap[i][2 * pi + 1]))))
+        (sh, tuple(zip(*(snap[out] + snap[out + 1]))))
         for i, sh in enumerate(shooting)
-        for pi in range(nprobes)
+        for out in range(per * i, per * (i + 1), 2)
         for snap in snapshots
-        if snap[i][2 * pi] is not None and snap[i][2 * pi + 1] is not None
+        if snap[out] is not None and snap[out + 1] is not None
     ])
     for sh, group in zip(shooting, groups):
         sh.evals += sum(leg.shooter.evals for leg in group)

@@ -412,30 +412,23 @@ window = -1:1, -1:1
 
 def test_a_stiff_loop_word_is_capped_over_all_its_segments(monkeypatch):
     # an out-and-back loop word has up to 12 segments; the step cap counts
-    # them together, so no round of lanes outlives the cap of one word
-    mixes = [0]
-    mix = flows._mix
+    # them together, so no word's lane outlives the cap of one word
+    lanes = []
 
-    def counted(*args):
-        mixes[0] += 1  # 8 calls a round: six stages and two solutions
-        return mix(*args)
+    class Recorded(flows._Lane):
+        __slots__ = ()
 
-    rounds = []
-    step_lanes = flows._step_lanes
+        def __init__(self, *args):
+            super().__init__(*args)
+            lanes.append(self)
 
-    def spy(*args, **kwargs):
-        before = mixes[0]
-        out = step_lanes(*args, **kwargs)
-        rounds.append((mixes[0] - before) // 8)
-        return out
-
-    monkeypatch.setattr(flows, "_mix", counted)
-    monkeypatch.setattr(flows, "_step_lanes", spy)
+    monkeypatch.setattr(flows, "_Lane", Recorded)
     spec = loads_spec(STIFF_LOOP, "stiff_loop")
     with wall_clock(10.0):
         report = run_pipeline(spec, "loop", {"budget": 40, "grid_per_axis": 2})
     assert report.exit_code == 0
-    assert max(rounds) == metrics._MAX_STEPS  # some word runs into the cap, none past it
+    # some word runs into the cap, none past it
+    assert max(lane.steps for lane in lanes) == metrics._MAX_STEPS
 
 
 # --- deterministic reports ---------------------------------------------------

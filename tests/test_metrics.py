@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from flow_reference import FlowError, _integrate, _integrate_word
-from geoctrl import metrics
+from geoctrl import flows, metrics
 from geoctrl.fields import VectorField
 from geoctrl.flows import StepControl, inflate_window, integrate_words
 from geoctrl.lie import window_grid
@@ -20,7 +20,9 @@ from geoctrl.metrics import (
     sr_distance,
     steering_costs,
 )
+from geoctrl.report import run_pipeline
 from geoctrl.system import SystemSpec, load_spec
+from shoot_reference import checkpointed, shoot_rounds
 
 N2 = ("x1", "x2")
 N3 = ("x1", "x2", "x3")
@@ -415,15 +417,16 @@ def _one_job_at_a_time(fields, jobs, ctrl):
 
 
 def _round_of_one(monkeypatch):
-    """Every stream builds one candidate per round; the streams of one
-    call still share the round's lanes."""
-    monkeypatch.setattr(metrics, "_ROUND_LANES", 1)
+    """Every tree of the pool is one candidate; the streams of one call
+    still share the pool's lanes."""
+    monkeypatch.setattr(metrics, "_TREE_LANES", 1)
     monkeypatch.setattr(metrics, "_MIN_TREE", 1)
 
 
 def _one_at_a_time(monkeypatch):
-    """Shoot one candidate per round, each word integrated alone."""
-    _round_of_one(monkeypatch)
+    """Shoot one candidate at a time, stream after stream, each word
+    integrated alone."""
+    monkeypatch.setattr(metrics, "_shoot", _scalar_shoot)
     monkeypatch.setattr(metrics, "integrate_words", _one_job_at_a_time)
 
 
@@ -444,6 +447,7 @@ def test_loop_length_does_not_depend_on_lanes(system, x, seed, monkeypatch):
     assert lanes == alone
 
 
+@checkpointed
 def _scalar_shoot(streams, limit):
     """The stream driver with no tree and no decision by cost: each stream
     draws, builds, prepares, integrates and folds one candidate at a time."""
@@ -461,8 +465,8 @@ def _decided_nodes(monkeypatch):
     decided = []
     speculate = metrics._speculate
 
-    def spy(stream, budget, limit, jobs):
-        root = speculate(stream, budget, limit, jobs)
+    def spy(*args):
+        root = speculate(*args)
         stack = [root]
         while stack:
             node = stack.pop()
@@ -527,14 +531,15 @@ def test_dist_streams_do_not_depend_on_speculation(system, x, y, seed, monkeypat
 def test_zero_cost_stop_mid_round_matches_one_at_a_time(seed, monkeypatch):
     # the target lies on the drift orbit between two samples of the orbit
     # scan, so a rescaled drift ride (cost 0) is found by the stream and
-    # stops it while later candidates of its round are still unfolded
+    # stops it while later candidates of its tree are still unfolded
     jobs = []
+    admit = flows._WordLanes.admit
 
-    def counting(fields, batch, ctrl):
+    def counting(self, batch, *args):
         jobs.append(len(batch))
-        return integrate_words(fields, batch, ctrl)
+        return admit(self, batch, *args)
 
-    monkeypatch.setattr(metrics, "integrate_words", counting)
+    monkeypatch.setattr(flows._WordLanes, "admit", counting)
     rounds = estimate_cost(fast_plane(), (0.0, 0.0), (0.1875, 0.0), endpoint_tol=0.02, seed=seed)
     assert rounds.value == 0.0
     assert rounds.budget_spent < metrics.DEFAULT_BUDGET
@@ -939,3 +944,94 @@ def test_steering_costs_equal_three_calls(system, x, y, budget, round_of_one, mo
     assert all(est.budget_spent <= max(budget, 4) for est in together)
     if x == y:
         assert together[2] == CostEstimate(0.0, (), 0.0, 0)
+
+
+# ------------------------------------------------------------ the lane pool
+
+POOL_SYSTEMS = ("planar_shear", "unicycle", "saddle3d")
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled(name):
+    return load_spec(SYS_DIR / f"{name}.sys")
+
+
+@pytest.mark.parametrize("budget", [40, None], ids=["budget-40", "default"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("name", POOL_SYSTEMS)
+def test_the_pool_equals_the_round_reference(name, seed, budget, monkeypatch):
+    spec = _bundled(name)
+    lo, hi = np.array(spec.window).T
+    x, y = lo + 0.3 * (hi - lo), lo + 0.65 * (hi - lo)
+    corners = window_grid(spec.window, 2)
+    kw = {"seed": seed} if budget is None else {"seed": seed, "budget": budget}
+    pool = [*steering_costs(spec, x, y, **kw), *loop_lengths(spec, corners, **kw)]
+    monkeypatch.setattr(metrics, "_shoot", shoot_rounds)
+    # equal value, best_word, endpoint_error and budget_spent
+    assert pool == [*steering_costs(spec, x, y, **kw), *loop_lengths(spec, corners, **kw)]
+
+
+def test_a_word_steps_alone_as_in_a_500_lane_pool():
+    spec = _bundled("unicycle")
+    fields = (spec.drift,) + tuple(spec.controls)
+    ctrl = StepControl(atol=1e-8, rtol=1e-8, max_steps=1000,
+                       window=inflate_window(spec.window, 0.5))
+    jobs = _random_jobs(spec, np.random.default_rng(500), 500)
+    pooled = integrate_words(fields, jobs, ctrl)
+    assert sum(end is not None for end in pooled) >= 250
+    for j in (0, 1, 137, 499):
+        alone = integrate_words(fields, [jobs[j]], ctrl)[0]
+        ref = _word_alone(fields, jobs[j], ctrl)
+        for end in (alone, pooled[j]):
+            assert (end is None) == (ref is None)
+            assert end is None or end.tobytes() == ref.tobytes()
+
+
+def _shooting_rounds(monkeypatch, shoot, name, command, seed=1):
+    """The DP54 rounds that the stream driver `shoot` takes in one `dist`
+    or `loop` run of a bundled system, and the run's report JSON. The
+    endpoints of `dist` are drawn as the benchmark's steer workload draws
+    them; the rounds of drift orbits and opening words are not counted."""
+    spec = _bundled(name)
+    overrides = {"seed": seed}
+    if command == "dist":
+        # planar_shear's pair is drawn first, then unicycle's
+        rng = np.random.default_rng(seed)
+        for system in ("planar_shear", "unicycle"):
+            win = np.array(_bundled(system).window, dtype=float)
+            pts = win[:, 0] + (0.25 + 0.5 * rng.random((2, len(win)))) * (win[:, 1] - win[:, 0])
+            if system == name:
+                overrides["from_point"], overrides["to_point"] = pts.tolist()
+    shooting = [False]
+    rounds = [0]
+    mix = flows._mix
+
+    def counted_shoot(*args):
+        shooting[0] = True
+        try:
+            return shoot(*args)
+        finally:
+            shooting[0] = False
+
+    def counted_mix(coef, K, dim):
+        rounds[0] += shooting[0] and coef is flows._DP_B5  # once per round
+        return mix(coef, K, dim)
+
+    monkeypatch.setattr(metrics, "_shoot", counted_shoot)
+    monkeypatch.setattr(flows, "_mix", counted_mix)
+    report = run_pipeline(spec, command, overrides).to_json()
+    monkeypatch.undo()
+    return rounds[0], report
+
+
+def test_the_pool_takes_fewer_rounds_than_the_round_reference(monkeypatch):
+    counts = {}
+    for name, command in (("planar_shear", "loop"), ("unicycle", "dist")):
+        pool, pool_report = _shooting_rounds(monkeypatch, metrics._shoot, name, command)
+        rounds, rounds_report = _shooting_rounds(monkeypatch, shoot_rounds, name, command)
+        assert pool_report == rounds_report
+        counts[command] = (pool, rounds)
+    pool, rounds = counts["loop"]
+    assert pool <= 0.7 * rounds
+    pool, rounds = counts["dist"]
+    assert pool < rounds

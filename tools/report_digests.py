@@ -40,7 +40,11 @@ oracle line sees coverage fractions only; a `reach` line sees every bit
 of the cloud. After them come `audit` and the verdicts at grid 3 of
 the same two specs, at seeds 0, 3 and 7: the lines that see the bracket
 family, the regularity audit and the per-point frames of a
-non-constant control family. Each group of lines was appended after
+non-constant control family. After those come the ops of the benchmark's
+`certify` workload (`check planar_shear --grid 3`, `check saddle3d --grid
+2` and `reach unicycle`), each at seeds 1 to 12: the one workload whose
+failed ops turn with the seed (saddle3d's oracle reads AGREE at seed 8
+alone). Each group of lines was appended after
 all the lines before it, so the lines before a group are those of a
 run that lacks it.
 
@@ -153,6 +157,9 @@ def _runs(systems: list[str], workload):
         for seed in SEEDS:
             for name in INLINE_SPECS:
                 yield command, name, seed, grid, None
+    for seed in BENCH_SEEDS:
+        for op in workload("certify", seed):
+            yield op.kind, op.system, seed, op.grid, op.points
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
