@@ -12,10 +12,11 @@ The decision pipeline at a base point x:
    hull as a full subspace, interiority in the quotient is equivalent
    to the full-space condition.
 
-For codimension 1 with a global frame of the control span, the same
-question reads off the sign of the determinant of the drift against the
-frame at the visited points directly; both routes are computed when the
-frame exists, and their agreement is recorded.
+For codimension 1 with a global frame of the control span, the paper
+reads the same question off the sign of the determinant of the drift
+against the frame on the leaf (`criterion_value`, `sign_change_on_leaf`).
+That route is public, and the tests hold it to the hull's verdict; the
+verdict itself is decided by the hull alone.
 
 Verdicts are graded honestly: exhausting a sampling budget without the
 condition is evidence of non-controllability, never a proof; the
@@ -24,7 +25,6 @@ Monte-Carlo reachability oracle corroborates separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -92,7 +92,6 @@ class PointVerdict:
     witness: dict | None
     samples_used: int
     quotient_frame: np.ndarray  # (k, n) orthonormal rows spanning the quotient
-    det_agrees: bool | None = None  # determinant-route cross-check, when available
     error: str | None = None
 
 
@@ -270,22 +269,14 @@ def _separating(covector: list[float]) -> dict:
     return {"kind": "separating", "covector": covector}
 
 
-_design_cache: dict[int, np.ndarray] = {}
-
-
 def _direction_design(k: int) -> np.ndarray:
     """Deterministic unit directions: +-axes plus a fixed seeded scatter."""
-    cached = _design_cache.get(k)
-    if cached is not None:
-        return cached
     count = max(2 * k * k, 64)
     axes = np.vstack([np.eye(k), -np.eye(k)])
     rng = np.random.default_rng(12345)
     raw = rng.standard_normal((count - 2 * k, k))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    design = np.vstack([axes, raw])
-    _design_cache[k] = design
-    return design
+    return np.vstack([axes, raw])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +290,6 @@ def _leaf_verdict(
     leaf: LeafSample,
     drifts: Sequence[VectorField],
     margin: float,
-    eps_sign: float,
-    det_frame: Sequence[VectorField] | None,
 ) -> PointVerdict:
     """One base point's hull test: its first prefix of walks whose hull is inside.
 
@@ -357,41 +346,13 @@ def _leaf_verdict(
             quotient_frame=Q,
             error=NO_LEAF_EVIDENCE,
         )
-    det_agrees = None
-    if det_frame is not None and len(drifts) == 1:
-        det_v = sign_change_on_leaf(leaf, _leaf_criterion(leaf, drifts[0], det_frame), eps_sign)
-        det_agrees = det_v.condition_holds == inside
     return PointVerdict(
         base=x,
         condition_holds=inside,
         witness=witness,
         samples_used=len(collected),
         quotient_frame=Q,
-        det_agrees=det_agrees,
     )
-
-
-def _leaf_criterion(
-    leaf: LeafSample, f: VectorField, gtilde: Sequence[VectorField]
-) -> Callable[[np.ndarray], float]:
-    """`criterion_value` for `sign_change_on_leaf` to read at the base and
-    then at the visits in order, from one batched determinant.
-
-    The frame matrices of all those points come from one kernel call
-    per field and go through one `np.linalg.det`. A point whose value
-    is not finite is evaluated again by `criterion_value`, which raises
-    where a field is undefined there.
-    """
-    points = np.array([leaf.base] + [y for y, _ in leaf.visits])
-    with np.errstate(all="ignore"):
-        M = np.stack([F.compiled()(points) for F in (f, *gtilde)], axis=-1)
-        values = iter(np.linalg.det(M).tolist())
-
-    def C(p: np.ndarray) -> float:
-        v = next(values)
-        return v if math.isfinite(v) else criterion_value(f, gtilde, p)
-
-    return C
 
 
 def _point_verdicts(
@@ -403,8 +364,6 @@ def _point_verdicts(
     leaf_budget: int,
     step: StepControl,
     margin: float = DEFAULT_MARGIN,
-    eps_sign: float = DEFAULT_EPS_SIGN,
-    det_frame: Sequence[VectorField] | None = None,
 ) -> list[PointVerdict]:
     """The interior condition at each base point, early-stopping per point.
 
@@ -459,7 +418,7 @@ def _point_verdicts(
         step=step,
     )
     for (i, x, Q, _), leaf in zip(walked, leaves):
-        verdicts[i] = _leaf_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame)
+        verdicts[i] = _leaf_verdict(x, Q, leaf, drifts, margin)
     return verdicts
 
 
@@ -496,7 +455,6 @@ def switched_condition(
     family: BracketFamily | None = None,
     regularity: RegularityReport | None = None,
     margin: float = DEFAULT_MARGIN,
-    eps_sign: float = DEFAULT_EPS_SIGN,
 ) -> PointVerdict:
     """Interior condition with shifted vectors drawn from every drift."""
     family, regularity = _prepare(system, family, regularity, None)
@@ -511,20 +469,8 @@ def switched_condition(
         leaf_budget or system.leaf_budget,
         _step_control(system),
         margin=margin,
-        eps_sign=eps_sign,
-        det_frame=_global_frame(system, family, regularity),
     )
     return verdict
-
-
-def _global_frame(
-    system: SystemSpec, family: BracketFamily, regularity: RegularityReport
-) -> tuple[VectorField, ...] | None:
-    """The family itself, when it is n-1 fields spanning rank n-1."""
-    n = system.dim
-    if regularity.rank == n - 1 and len(family.fields) == n - 1:
-        return family.fields
-    return None
 
 
 def global_verdict(
@@ -569,7 +515,6 @@ def global_verdict(
         _spawned_states(seed, len(pts))[:, 0].tolist(),
         leaf_budget or system.leaf_budget,
         _step_control(system),
-        det_frame=_global_frame(system, family, regularity),
     )
     errored = [v for v in verdicts if v.error is not None]
     failed = [v for v in verdicts if v.error is None and not v.condition_holds]

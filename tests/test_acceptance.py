@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from det_route import assert_routes_agree, det_route
 from flow_reference import flow, pushforward_along
 from geoctrl import flows, metrics
 from geoctrl.cli import main as cli_main
@@ -220,10 +221,10 @@ def test_saddle_certified_and_routes_agree():
         verdict = global_verdict(spec)
         assert verdict.status == STATUS_CONTROLLABLE
         assert len(verdict.points) == 5**3
-        for pv in verdict.points:
-            assert pv.condition_holds
-            # hull route and determinant sign-change route, independently
-            assert pv.det_agrees is True
+        assert all(pv.condition_holds for pv in verdict.points)
+        # hull route and determinant sign-change route, independently, on
+        # the same leaves
+        assert_routes_agree(spec, verdict)
 
 
 # --- unicycles: codimension-two certificates -------------------------------
@@ -314,7 +315,9 @@ def test_switched_family_certifies_and_single_drift_reduces():
                 assert a.witness == b.witness
                 assert np.array_equal(a.quotient_frame, b.quotient_frame)
                 assert np.array_equal(a.base, b.base)
-                assert a.det_agrees == b.det_agrees
+                assert a.error is None
+                (d,) = det_route(single, [x], [point_seeds[i]])
+                assert d.condition_holds == a.condition_holds
 
 
 # --- exactness of the planar hull test --------------------------------------

@@ -38,6 +38,8 @@ from geoctrl.lie import NotRegularError, generate_bracket_basis, matrix_rank
 from geoctrl.report import run_pipeline
 from geoctrl.system import SystemSpec, load_spec, loads_spec
 
+from det_route import assert_routes_agree, det_route
+
 SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
 
 N2 = ("x1", "x2")
@@ -443,8 +445,9 @@ def test_condition_offset_unicycle_fails_with_forward_witness():
 
 def test_condition_shear_origin_holds_and_det_route_agrees():
     v = switched_condition(planar_shear(), [0.0, 0.0], leaf_budget=16, seed=0)
-    assert v.condition_holds
-    assert v.det_agrees is True
+    assert v.condition_holds and v.error is None
+    (d,) = det_route(planar_shear(), [[0.0, 0.0]], [0], leaf_budget=16)
+    assert d.condition_holds
 
 
 def test_switched_pair_certifies_where_single_drift_fails():
@@ -494,7 +497,7 @@ def test_global_verdict_shear_controllable():
     out = global_verdict(planar_shear(), grid_per_axis=5, leaf_budget=24)
     assert out.status == STATUS_CONTROLLABLE
     assert all(p.condition_holds for p in out.points)
-    assert all(p.det_agrees for p in out.points)
+    assert_routes_agree(planar_shear(), out, leaf_budget=24)
     assert out.assumptions["leaves_not_dense_asserted"] is True
 
 
@@ -504,6 +507,18 @@ def test_global_verdict_forward_uncontrollable():
     assert all(not p.condition_holds for p in out.points)
     failing = out.points[0]
     assert failing.witness["kind"] == "separating"
+
+
+@pytest.mark.parametrize(("name", "grid"), [("planar_shear", 3), ("saddle3d", 2)])
+def test_the_verdict_does_not_run_the_determinant_route(name, grid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the determinant route ran")
+
+    monkeypatch.setattr(criterion, "sign_change_on_leaf", refuse)
+    monkeypatch.setattr(criterion, "criterion_value", refuse)
+    out = global_verdict(load_spec(SYS_DIR / f"{name}.sys"), grid_per_axis=grid)
+    assert out.status == STATUS_CONTROLLABLE
+    assert all(p.condition_holds and p.error is None for p in out.points)
 
 
 def test_global_verdict_not_regular_short_circuits():
@@ -696,7 +711,6 @@ def _point_fields(gv):
             p.witness,
             p.samples_used,
             p.quotient_frame.tobytes(),
-            p.det_agrees,
             p.error,
         )
         for p in gv.points
@@ -711,6 +725,8 @@ def test_global_verdict_does_not_depend_on_the_walk_pool(name, monkeypatch):
     alone = global_verdict(spec, grid_per_axis=2)
     assert pooled.status == alone.status
     assert _point_fields(pooled) == _point_fields(alone)
+    if name != "unicycle_offset":  # codimension 1, with a global frame
+        assert_routes_agree(spec, pooled)
 
 
 def test_verifier_does_not_depend_on_the_walk_pool(monkeypatch):
@@ -723,15 +739,13 @@ def test_verifier_does_not_depend_on_the_walk_pool(monkeypatch):
     assert pooled == alone
 
 
-# --- the bisected fold and the batched determinant route ----------------------
+# --- the bisected fold ---------------------------------------------------------
 
 
-def _sequential_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame):
+def _sequential_verdict(x, Q, leaf, drifts, margin):
     """The fold that `_leaf_verdict` bisects, kept here as its reference:
     walks fold in walk order, one hull test each, until the hull is
-    inside, the witness is the certificate of the last hull test, and
-    the determinant route runs `criterion_value` at each point it
-    reads."""
+    inside, and the witness is the certificate of the last hull test."""
     collected = np.array([Q @ f(x) for f in drifts])
     inside, witness = interior_convex_test(collected, margin)
     folded = 0
@@ -752,19 +766,12 @@ def _sequential_verdict(x, Q, leaf, drifts, margin, eps_sign, det_frame):
             quotient_frame=Q,
             error=NO_LEAF_EVIDENCE,
         )
-    det_agrees = None
-    if det_frame is not None and len(drifts) == 1:
-        det_v = sign_change_on_leaf(
-            leaf, lambda p: criterion_value(drifts[0], det_frame, p), eps_sign
-        )
-        det_agrees = det_v.condition_holds == inside
     return criterion.PointVerdict(
         base=x,
         condition_holds=inside,
         witness=witness,
         samples_used=len(collected),
         quotient_frame=Q,
-        det_agrees=det_agrees,
     )
 
 
@@ -796,7 +803,7 @@ def test_bisected_fold_equals_the_sequential_fold_on_random_sets(k):
         ]
         drift = VectorField.constant(bias + 0.3 * rng.standard_normal(k), names)
         leaf = _Stacks(stacks)
-        args = (x, Q, leaf, [drift], criterion.DEFAULT_MARGIN, criterion.DEFAULT_EPS_SIGN, None)
+        args = (x, Q, leaf, [drift], criterion.DEFAULT_MARGIN)
         got = criterion._leaf_verdict(*args)
         want = _sequential_verdict(*args)
         assert fields_equal(got, want), seed
@@ -821,19 +828,6 @@ def test_bisected_fold_equals_the_sequential_fold_on_bundled_systems(name, monke
             assert fields_equal(p, q)
 
 
-def test_batched_determinants_equal_criterion_value():
-    for name in ("planar_shear", "saddle3d"):
-        spec = load_spec(SYS_DIR / f"{name}.sys")
-        family, regularity = criterion._prepare(spec, None, None, 2)
-        frame = criterion._global_frame(spec, family, regularity)
-        assert frame is not None
-        x = [0.5, -0.5] + [0.0] * (spec.dim - 2)
-        leaf = sample_leaf(family, x, 12, spec.walk_duration(), 3)
-        C = criterion._leaf_criterion(leaf, spec.drifts[0], frame)
-        points = [leaf.base] + [y for y, _ in leaf.visits]
-        assert [C(p) for p in points] == [criterion_value(spec.drifts[0], frame, p) for p in points]
-
-
 # the quotient of control (0, 1) reads the drift's first component, x2;
 # its second component ln(1 - x1) is undefined at x1 >= 1
 _LN_DRIFT = VectorField.parse(["x2", "ln(1 - x1)"], N2)
@@ -851,7 +845,7 @@ def test_a_drift_undefined_past_the_closing_walk_does_not_raise():
     leaf = _one_visit_walks([0.5, 1.0], [0.5, -1.0], [2.0, 0.5])
     with pytest.raises(EvalDomainError):
         list(leaf.shifted_drifts([_LN_DRIFT]))
-    args = (leaf.base, np.array([[1.0, 0.0]]), leaf, [_LN_DRIFT], 1e-7, 1e-9, None)
+    args = (leaf.base, np.array([[1.0, 0.0]]), leaf, [_LN_DRIFT], 1e-7)
     got = criterion._leaf_verdict(*args)
     assert got.condition_holds and got.samples_used == 3
     assert fields_equal(got, _sequential_verdict(*args))
@@ -859,7 +853,7 @@ def test_a_drift_undefined_past_the_closing_walk_does_not_raise():
 
 def test_a_drift_undefined_before_the_closing_walk_raises_as_the_fold_did():
     leaf = _one_visit_walks([0.5, 1.0], [2.0, -1.0], [0.5, -1.0])
-    args = (leaf.base, np.array([[1.0, 0.0]]), leaf, [_LN_DRIFT], 1e-7, 1e-9, None)
+    args = (leaf.base, np.array([[1.0, 0.0]]), leaf, [_LN_DRIFT], 1e-7)
     with pytest.raises(EvalDomainError) as want:
         _sequential_verdict(*args)
     with pytest.raises(EvalDomainError) as got:

@@ -18,9 +18,9 @@ point and word and every leaf's discard count, on every system at seeds
 0, 3 and 7: a `check` report shows only the walks up to the one that
 closes a hull, these lines show them all. Last of all come the verdicts
 (`global_verdict` at grid 2 and at the spec's own grid), digested over
-every point's `condition_holds`, `det_agrees`, `samples_used` and
-`error`, on every system at seeds 0, 3 and 7: a change that moves report
-bytes but keeps these lines keeps every verdict. After them come the
+every point's `condition_holds`, `samples_used` and `error`, on every
+system at seeds 0, 3 and 7: a change that moves report bytes but keeps
+these lines keeps every verdict. After them come the
 oracle runs (`cross_validate` under a stand-in CONTROLLABLE verdict, so
 all 10 coverage runs at the spec's own trajectory count and horizon),
 digested over the whole oracle report, on every system at seeds 0, 3
@@ -190,9 +190,7 @@ def _walk_digest(spec, seed: int, grid: int) -> str:
 def _verdict_digest(g, spec, seed: int, grid: int | None) -> str:
     """sha256 of what every point of `global_verdict` decided."""
     verdict = g.global_verdict(spec, grid_per_axis=grid, seed=seed)
-    points = [
-        (p.condition_holds, p.det_agrees, p.samples_used, p.error) for p in verdict.points
-    ]
+    points = [(p.condition_holds, p.samples_used, p.error) for p in verdict.points]
     return _sha(repr((verdict.status, points)).encode())
 
 
