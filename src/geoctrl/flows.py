@@ -31,10 +31,12 @@ runs a batch of them, every word as a lane, also in a call with one
 word, and the shooting streams of `metrics` keep one pool of them open
 for a whole search. `sample_leaves` runs the leaf walks of non-constant
 families on it, one lane per walking point, and `metrics` the drift
-orbits of its steering searches. Frame columns are passengers: the step
-control reads the point columns alone, so a point steps exactly as a
-bare one does, and on those steps the frame is the exact derivative of
-the numerical flow.
+orbits of its steering searches, one lane per orbit, each step read
+through the stepper's `observe` hook and the pair's continuous
+extension (`_DP_DENSE`). Frame columns are passengers: the step control
+reads the point columns alone, so a point steps exactly as a bare one
+does, and on those steps the frame is the exact derivative of the
+numerical flow.
 
 A walk along constant generators (every component a `Const`, as in
 every bundled system) needs no integrator: a segment is y + tau * v,
@@ -45,11 +47,10 @@ of Python floats, whose + and * round as numpy's elementwise ones do;
 its visits become arrays when its `LeafSample` is built.
 
 Walks draw their word lengths, generators, signs and durations from
-raw 64-bit values of their generator (`_Source`, which the shooting
-streams of `metrics` read too), exactly as the `Generator` calls
-`integers` and `uniform` read them. A leaf's shifted drifts cost numpy
-calls per leaf, not Python calls per visit: one kernel call per drift
-over every visit and one stacked solve per walk.
+raw 64-bit values of their generator (`_Source`), exactly as the
+`Generator` calls `integers` and `uniform` read them. A leaf's shifted
+drifts cost numpy calls per leaf, not Python calls per visit: one
+kernel call per drift over every visit and one stacked solve per walk.
 """
 
 from __future__ import annotations
@@ -123,25 +124,18 @@ class _Source:
     They read raw 64-bit values of the bit generator: a double is
     (r >> 11) * 2**-53, and `integers(0, n)` is Lemire's bounded draw on
     32-bit words, which PCG64 serves as the low and then the high half
-    of one raw value (the high half waits in `half`). Normals come from
-    `Generator.standard_normal`, which reads whole raw values and leaves
-    the half buffered.
+    of one raw value (the high half waits in `half`).
     """
 
-    __slots__ = ("raw", "normal", "half")
+    __slots__ = ("raw", "half")
 
     def __init__(self, rng: np.random.Generator):
         self.raw = rng.bit_generator.random_raw
-        self.normal = rng.standard_normal
         self.half: int | None = None
 
     def uniform(self, lo: float, span: float) -> float:
         """`uniform(lo, lo + span)`; `random()` is `uniform(0.0, 1.0)`."""
         return lo + span * ((self.raw() >> 11) * 2.0**-53)
-
-    def uniforms(self, lo: float, span: float, k: int) -> list[float]:
-        """`uniform(lo, lo + span, k)`, as a list."""
-        return [lo + span * ((r >> 11) * 2.0**-53) for r in self.raw(k).tolist()]
 
     def index(self, n: int) -> int:
         """`integers(0, n)` for 0 < n < 2**32; n == 1 draws nothing, as numpy's."""
@@ -296,6 +290,18 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# the pair's continuous extension (Shampine, Math. Comp. 46, 1986): a step
+# of size h from y with stages K passes y + h * K.T @ _DP_DENSE @ (s, s^2,
+# s^3, s^4) at the fraction s of the step
+_DP_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 Kernel = Callable[[np.ndarray], np.ndarray]
@@ -507,6 +513,7 @@ def _step_lanes(
     dim: int | None = None,
     refill: Callable[[Settled], list[tuple[_Lane, np.ndarray]]] | None = None,
     retired: set[int] | None = None,
+    observe: Callable[[list[int], np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> dict[int, np.ndarray]:
     """Step every lane through its segments: one DP54 step per lane per round.
 
@@ -545,6 +552,12 @@ def _step_lanes(
     returned too, leave the pool unreported, and the set is emptied.
     Without `refill`, returns the endpoint of every lane that finished,
     keyed by its job.
+
+    Each round, before any lane leaves, `observe` (when given) gets the
+    steps that passed the error test, escapes from the window included,
+    as their jobs, start rows, (m, 7, width) stages and signed step
+    sizes: enough for the caller to evaluate each step's continuous
+    extension (`_DP_DENSE`), as `metrics` does to scan drift orbits.
     """
     ends: dict[int, np.ndarray] = {}
     if refill is None:
@@ -608,6 +621,10 @@ def _step_lanes(
                 else:
                     lane.h = remaining if remaining < h else h
                 keep.append(k)
+            if observe is not None:
+                passed = [k for k, err in enumerate(errs) if err <= 1.0]
+                if passed:
+                    observe([lanes[k].job for k in passed], Y[passed], K[passed], hs[passed, 0])
             moved = np.array(accepted)[:, None]
             Y = np.where(moved, Y5, Y)
             K0 = np.where(moved, K[:, 6], K0)

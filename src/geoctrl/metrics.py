@@ -12,10 +12,13 @@ Three estimators share one shooting engine:
                   fixed coefficient of one)
 
 All three return upper bounds: random shooting plus local refinement
-over piecewise-constant words. The candidate stream is a deterministic
-function of the seed alone (every iteration consumes the same random
-draws whether or not an incumbent exists), so the running best is
-reproducible and can only improve as the budget grows.
+over piecewise-constant words. A search's candidate stream is a
+deterministic function of its key alone: the seed, the kind of search
+(drifted, extended or loop leg) and the float64 bits of its start and
+target (`_Stream`). Every candidate consumes the same random draws
+whether or not an incumbent exists, so the running best is reproducible
+and can only improve as the budget grows, and searches of different
+kinds, endpoints or loop points draw different candidates.
 
 Searches that belong together run together: `steering_costs` runs the
 two estimate_cost directions and sr_distance of one pair of points, and
@@ -46,16 +49,20 @@ tests keep as its bit-for-bit reference), so every incumbent and result
 is what one-at-a-time shooting of each search alone gives: the pool
 changes when a word is integrated, never what is folded.
 
-A candidate costs Python float arithmetic, not numpy dispatch. A word
-is a pair of tuples of floats, (durations, coefficient rows), and every
-product, clamp and sum on it repeats numpy's arithmetic on the arrays
-it was built from bit for bit: a sum of fewer than 8 terms is a left
-fold from 0.0, as numpy's reduction is, and a longer one goes to numpy
-(`_fold_sum`). A stream's integers and uniforms come off raw 64-bit
-values of its generator (`_Source`), read the way `Generator.integers`
-and `Generator.uniform` read them, and its normals from
-`Generator.standard_normal` itself, so a stream draws exactly what the
-`Generator` calls drew.
+A stream draws its candidates in blocks of _BLOCK rows from a Philox
+generator keyed as above, each block from one fixed sequence of
+vectorized `Generator` calls (`_draw_block`); candidate e reads row
+e % _BLOCK of block e // _BLOCK, so a larger budget replays a smaller
+one. Blocks stay numpy arrays, and a row becomes Python floats when its
+candidate is built: a candidate costs Python float arithmetic, not
+numpy dispatch. A word is a pair of tuples of floats, (durations,
+coefficient rows); its sums are left folds or `math.fsum`, never the
+built-in `sum`, whose rounding of floats changed in Python 3.12.
+
+The drift orbit of a drifted search is one lane flowing the drift up to
+TIME_CAP; the Dormand-Prince continuous extension of each of its steps
+gives the orbit at the multiples of _ORBIT_LEG the step covers, and the
+closest of those to the target opens the search (`_drift_orbit_words`).
 """
 
 from __future__ import annotations
@@ -64,14 +71,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .flows import (
+    _DP_DENSE,
     StepControl,
     _Lane,
-    _Source,
     _step_lanes,
     _WordLanes,
     inflate_window,
@@ -89,7 +95,7 @@ __all__ = [
 ]
 
 TIME_CAP = 50.0
-# the drift orbit of a drifted search is scanned at the ends of legs this long
+# the drift orbit of a drifted search is scanned at the multiples of this
 _ORBIT_LEG = 0.05
 # DP54 steps a shooting word may take over all its segments: a stiff word
 # fails here instead of holding its round of lanes for StepControl's 100,000
@@ -103,10 +109,12 @@ _MAX_SEGMENTS = 6
 _DUR_RANGE = (0.02, 3.0)
 _AMP_RANGE = (0.1, 60.0)  # log-uniform envelope for control amplitudes
 _LOG_AMP_RANGE = tuple(np.log(_AMP_RANGE).tolist())
-# the widths Generator.uniform scales its doubles by
-_DUR_SPAN = _DUR_RANGE[1] - _DUR_RANGE[0]
-_LOG_AMP_SPAN = _LOG_AMP_RANGE[1] - _LOG_AMP_RANGE[0]
 _FACTORS = (0.4, 0.6, 0.8, 1.25, 1.6, 2.5)  # refinement scale factors
+# candidates drawn at once by a stream: fixed, so that a larger budget
+# replays the draws of a smaller one
+_BLOCK = 16
+# the kinds of search, the second word of a stream's key
+_DRIFTED, _EXTENDED, _LOOP_LEG = 0, 1, 2
 # candidates per speculated tree: a lone stream's tree holds up to
 # _TREE_LANES, streams that shoot together share them, and every tree
 # holds at least _MIN_TREE
@@ -136,19 +144,11 @@ class CostEstimate:
 
 # a word: segment durations and, per segment, one coefficient per channel
 Word = tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]
-
-# numpy sums this many terms or more pairwise; fewer in order from 0.0
-_PAIRWISE = 8
-
-
-def _fold_sum(xs: Sequence[float]) -> float:
-    """np.add.reduce of a sequence of floats, bit for bit."""
-    if len(xs) >= _PAIRWISE:
-        return float(np.add.reduce(np.array(xs, dtype=float)))
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
+# the draws behind one candidate: its segment count, _MAX_SEGMENTS
+# durations, as many rows of one normal per channel (both rows of its
+# block's arrays), the amplitude scale, the picked segment and the
+# refinement factor
+Draws = tuple[int, np.ndarray, np.ndarray, float, int, float]
 
 
 def _replace(seq: tuple, j: int, value) -> tuple:
@@ -197,14 +197,9 @@ class _Shooter:
         self.inc_key = (False, np.inf)
 
     def _cost(self, word: Word) -> float:
-        """sum(|w_s|_2 * t_s) over the charged channels: the reductions of
-        np.linalg.norm and np.sum on the word's arrays, bit for bit."""
+        """sum(|w_s|_2 * t_s) over the charged channels, as left folds."""
         durations, rows = word
         skip = 0 if self.drift_in_cost else 1
-        if len(durations) >= _PAIRWISE or self.nchan - skip >= _PAIRWISE:
-            w = np.array(rows, dtype=float)[:, skip:]
-            norms = np.sqrt(np.add.reduce(w * w, axis=1))
-            return float(np.add.reduce(norms * np.array(durations, dtype=float)))
         total = 0.0
         for t, row in zip(durations, rows):
             squares = 0.0
@@ -220,7 +215,7 @@ class _Shooter:
         durations, rows = word
         # np.maximum(t, 1e-4), which keeps a nan as this does
         durations = [1e-4 if t < 1e-4 else t for t in durations]
-        total = _fold_sum(durations)
+        total = math.fsum(durations)
         if total > TIME_CAP:
             scale = TIME_CAP / total
             durations = [t * scale for t in durations]
@@ -262,7 +257,7 @@ class _Shooter:
             self.inc = word
         return better
 
-    def build(self, draws: _Draws, eval_index: int, incumbent: Word | None) -> Word:
+    def build(self, draws: Draws, eval_index: int, incumbent: Word | None) -> Word:
         """The shoot-or-refine candidate word that draws give as
         evaluation number eval_index against incumbent (a prepared word).
 
@@ -274,19 +269,18 @@ class _Shooter:
         # each row is computed over every channel; a fixed drift's entry
         # is then put back, so it is neither drawn nor changed
         fixed = self.fixed_drift
+        nseg, raw_dur, raw_amp, scale, pick, factor = draws
         mode = eval_index % 5
         if mode == 0 or incumbent is None:
-            scale = draws.amp_scale
             rows = []
-            for amp in draws.raw_amp[: draws.nseg]:
+            for amp in raw_amp[:nseg].tolist():
                 row = [a * scale for a in amp]
                 if fixed:
                     row[0] = 1.0
                 rows.append(tuple(row))
-            return tuple(draws.raw_dur[: draws.nseg]), tuple(rows)
+            return tuple(raw_dur[:nseg].tolist()), tuple(rows)
         durations, rows = incumbent
-        j = draws.pick_seg % len(durations)
-        factor = draws.factor
+        j = pick % len(durations)
         if mode == 1:
             row = [c * factor for c in rows[j]]
             if fixed:
@@ -301,7 +295,7 @@ class _Shooter:
             peak = max([abs(c) for row in rows for c in row[free:]])
             step = 0.1 * max(peak, 1.0)
             new = []
-            for old, amp in zip(rows, draws.raw_amp):
+            for old, amp in zip(rows, raw_amp[: len(rows)].tolist()):
                 row = [c + step * a for c, a in zip(old, amp)]
                 if fixed:
                     row[0] = old[0]
@@ -344,61 +338,61 @@ def _evaluate(candidates) -> None:
         sh.fold(word, end)
 
 
-class _Draws:
-    """The random draws behind one shoot-or-refine candidate: raw_dur
-    holds _MAX_SEGMENTS durations, raw_amp as many rows of one normal
-    per channel."""
-
-    __slots__ = ("nseg", "raw_dur", "raw_amp", "amp_scale", "pick_seg", "factor")
-
-    def __init__(
-        self,
-        nseg: int,
-        raw_dur: list[float],
-        raw_amp: list[list[float]],
-        amp_scale: float,
-        pick_seg: int,
-        factor: float,
-    ):
-        self.nseg = nseg
-        self.raw_dur = raw_dur
-        self.raw_amp = raw_amp
-        self.amp_scale = amp_scale
-        self.pick_seg = pick_seg
-        self.factor = factor
-
-
-def _draw(source: _Source, nchan: int) -> _Draws:
-    """The next candidate's draws: what `integers(1, smax + 1)`,
-    `uniform(*_DUR_RANGE, smax)`, `standard_normal((smax, nchan))`,
-    `exp(uniform(*_LOG_AMP_RANGE))`, `integers(0, smax)` and
-    `integers(0, len(_FACTORS))` give in turn. They come from the seed
-    alone, in the same order whether an incumbent exists or not, so the
-    candidate sequence is reproducible and a larger budget replays a
-    smaller one."""
+def _draw_block(rng: np.random.Generator, nchan: int) -> tuple:
+    """The draws of _BLOCK candidates: the `Generator` calls `integers(1,
+    smax + 1)`, `uniform(*_DUR_RANGE)`, `standard_normal`,
+    `uniform(*_LOG_AMP_RANGE)` (the log of the amplitude scale),
+    `integers(0, smax)` and `integers(0, len(_FACTORS))` in turn, each
+    for the whole block. Row r of every part is candidate r's; the
+    durations and normals stay arrays until a candidate built from them
+    needs their floats."""
     smax = _MAX_SEGMENTS
-    nseg = 1 + source.index(smax)
-    raw_dur = source.uniforms(_DUR_RANGE[0], _DUR_SPAN, smax)
-    raw_amp = source.normal((smax, nchan)).tolist()
-    amp_scale = float(np.exp(source.uniform(_LOG_AMP_RANGE[0], _LOG_AMP_SPAN)))
-    pick_seg = source.index(smax)
-    factor = _FACTORS[source.index(len(_FACTORS))]
-    return _Draws(nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor)
+    nseg = rng.integers(1, smax + 1, _BLOCK).tolist()
+    dur = rng.uniform(*_DUR_RANGE, (_BLOCK, smax))
+    amp = rng.standard_normal((_BLOCK, smax, nchan))
+    scale = np.exp(rng.uniform(*_LOG_AMP_RANGE, _BLOCK)).tolist()
+    pick = rng.integers(0, smax, _BLOCK).tolist()
+    factor = [_FACTORS[i] for i in rng.integers(0, len(_FACTORS), _BLOCK).tolist()]
+    return nseg, dur, amp, scale, pick, factor
 
 
 class _Stream:
-    """A shooter with its candidate generator, the draws it has not yet
-    folded, its counts of folds and incumbent changes, and the node of
-    its speculation tree that its fold path waits at (None before its
-    first tree and once it is done)."""
+    """A shooter with its candidate generator, the draws it has taken but
+    not yet folded, its counts of folds and incumbent changes, and the
+    node of its speculation tree that its fold path waits at (None before
+    its first tree and once it is done).
 
-    def __init__(self, shooter: _Shooter, rng: np.random.Generator):
+    The generator is Philox seeded by the SeedSequence of the key (seed,
+    kind, *start, *target): kind is _DRIFTED, _EXTENDED or _LOOP_LEG, and
+    start and target are the float64 bits of the shooter's endpoints,
+    with -0.0 read as 0.0. So
+    the searches of one call draw apart, a loop leg's candidates belong
+    to its point, and a search draws the same alone or beside others.
+    """
+
+    def __init__(self, shooter: _Shooter, seed: int, kind: int):
         self.shooter = shooter
-        self.source = _Source(rng)
-        self.draws: list[_Draws] = []
+        # + 0.0 turns -0.0 into 0.0, so a point keys one stream however
+        # its zero coordinates are signed
+        bits = (np.concatenate([shooter.x, shooter.y]) + 0.0).view(np.uint64).tolist()
+        key = np.random.SeedSequence([seed, kind, *bits])
+        self.rng = np.random.Generator(np.random.Philox(key))
+        self.block: tuple | None = None  # the block of the last draws taken
+        self.draws: list[Draws] = []
         self.folds = 0
         self.changes = 0
         self.node: _Node | None = None
+
+    def draw(self, level: int) -> Draws:
+        """The draws of candidate folds + level, taking every candidate up
+        to it: candidate e is row e % _BLOCK of block e // _BLOCK."""
+        while len(self.draws) <= level:
+            r = (self.folds + len(self.draws)) % _BLOCK
+            if r == 0:
+                self.block = _draw_block(self.rng, self.shooter.nchan)
+            nseg, dur, amp, scale, pick, factor = self.block
+            self.draws.append((nseg[r], dur[r], amp[r], scale[r], pick[r], factor[r]))
+        return self.draws[level]
 
 
 class _Node:
@@ -450,9 +444,7 @@ def _speculate(stream: _Stream, budget: int, limit: int, jobs: list, first: int 
         neg_prob, _, level, inc, bound, parent, branch = heapq.heappop(frontier)
         if sh.evals + level >= limit:
             continue
-        while len(stream.draws) <= level:
-            stream.draws.append(_draw(stream.source, sh.nchan))
-        word = sh.prepare(sh.build(stream.draws[level], sh.evals + level, inc))
+        word = sh.prepare(sh.build(stream.draw(level), sh.evals + level, inc))
         # no bound, no decision: the cost waits for the fold, if any
         cost = None if bound == np.inf else sh._cost(word)
         decided = cost is not None and not cost < bound
@@ -617,46 +609,60 @@ def _drift_orbit_words(shooters: list[_Shooter], system: SystemSpec) -> list[lis
     target, as a list of one word. An orbit that never comes closer than
     its start gives no word and counts as one evaluation.
 
-    Every orbit is a lane of one `_step_lanes` pool that flows the drift
-    in legs of _ORBIT_LEG up to TIME_CAP, each leg a lane of its own that
-    starts where the last one ended, so the leg ends are those of the
-    legs flowed one at a time. After each leg its end's distance to the
-    target is recorded; an orbit stops at TIME_CAP or at its first leg
-    that fails (it leaves the window, or its step control gives up).
+    Every orbit is one lane of one `_step_lanes` pool that flows the
+    drift up to TIME_CAP. The orbit is scanned at the multiples of
+    _ORBIT_LEG: each step that passes the error test gives the points of
+    the grid it covers by the Dormand-Prince continuous extension
+    (`_DP_DENSE`). The scan ends at the first grid point outside the
+    shooting window, or where the lane fails: its step control gives up,
+    or its steps reach the cap before TIME_CAP. The word rides the drift
+    to the grid point closest to the target, the earliest on a tie.
     """
     if not shooters:
         return []
     ctrl = shooters[0].ctrl
+    box = np.array(ctrl.window, dtype=float).T
+    last = round(TIME_CAP / _ORBIT_LEG)
     clock = [0.0] * len(shooters)
-    # (time, distance) of each orbit's closest approach so far
-    best = [(0.0, float(np.linalg.norm(sh.x - sh.y))) for sh in shooters]
+    scanning = [True] * len(shooters)
+    # (grid index, distance) of each orbit's closest approach so far
+    best = [(0, float(np.linalg.norm(sh.x - sh.y))) for sh in shooters]
 
-    def leg(j: int) -> _Lane:
-        return _Lane(j, [(_ORBIT_LEG, None)], ctrl)
-
-    def advance(settled) -> list:
-        legs = []
-        for j, end in settled:
-            if end is None:
+    def scan(jobs: list[int], Y: np.ndarray, K: np.ndarray, hs: np.ndarray) -> None:
+        for j, y, k, h in zip(jobs, Y, K, hs.tolist()):
+            t = clock[j]
+            clock[j] += h
+            # the grid points in (t, t + h], a point within rounding of
+            # the step's end falling to this step
+            first = math.floor(t / _ORBIT_LEG + 1e-9) + 1
+            grid = np.arange(first, min(math.floor(clock[j] / _ORBIT_LEG + 1e-9), last) + 1)
+            if not (scanning[j] and len(grid)):
                 continue
-            clock[j] += _ORBIT_LEG
-            d = float(np.linalg.norm(end - shooters[j].y))
-            if d < best[j][1]:
-                best[j] = (clock[j], d)
-            if clock[j] < TIME_CAP:
-                legs.append((leg(j), end))
-        return legs
+            s = np.minimum((grid * _ORBIT_LEG - t) / h, 1.0)[:, None]
+            P = y + h * ((np.hstack([s, s * s, s**3, s**4]) @ _DP_DENSE.T) @ k)
+            inside = np.isfinite(P).all(axis=1) & ((box[0] <= P) & (P <= box[1])).all(axis=1)
+            if not inside.all():
+                scanning[j] = False
+                out = int(np.argmin(inside))
+                grid, P = grid[:out], P[:out]
+                if not len(grid):
+                    continue
+            d = np.sqrt(np.add.reduce((P - shooters[j].y) ** 2, axis=1))
+            i = int(np.argmin(d))
+            if d[i] < best[j][1]:
+                best[j] = (int(grid[i]), float(d[i]))
 
     fn = system.drift.compiled()
+    lanes = [_Lane(j, [(TIME_CAP, None)], ctrl) for j in range(len(shooters))]
     starts = np.array([sh.x for sh in shooters], dtype=float)
-    _step_lanes([leg(j) for j in range(len(shooters))], starts, lambda _: fn, ctrl, refill=advance)
+    _step_lanes(lanes, starts, lambda _: fn, ctrl, observe=scan)
     words = []
-    for sh, (t, _) in zip(shooters, best):
-        if t == 0.0:
+    for sh, (k, _) in zip(shooters, best):
+        if k == 0:
             sh.evals += 1
             words.append([])
         else:
-            words.append([((t,), (_drift_row(sh.nchan),))])
+            words.append([((k * _ORBIT_LEG,), (_drift_row(sh.nchan),))])
     return words
 
 
@@ -693,7 +699,7 @@ def _steer(
     drift-orbit word, which costs nothing; both open with the
     least-squares words. The opening words of all searches go through one
     `_evaluate`, then every search is one stream of one `_shoot`, each
-    from its own generator seeded with `seed`.
+    from its own generator keyed by `seed`, its kind and its endpoints.
     """
     if endpoint_tol <= 0:
         raise ValueError("endpoint_tol must be positive")
@@ -714,7 +720,7 @@ def _steer(
         words = next(orbits) if sh.fixed_drift else []
         opening += [(sh, word) for word in words + _lstsq_candidates(sh)]
     _evaluate(opening)
-    _shoot([_Stream(sh, np.random.default_rng(seed)) for sh in live], budget)
+    _shoot([_Stream(sh, seed, _EXTENDED if sh.drift_in_cost else _DRIFTED) for sh in live], budget)
     return [
         CostEstimate(value=0.0, best_word=(), endpoint_error=0.0, budget_spent=0)
         if sh is None
@@ -833,12 +839,11 @@ def loop_lengths(
                 _Shooter(
                     system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True
                 ),
-                np.random.default_rng([seed, pi, k]),
+                seed,
+                _LOOP_LEG,
             )
-            for pi, yp in enumerate(
-                sh.x + s * r * np.eye(n)[j] for j in range(n) for s in (1.0, -1.0)
-            )
-            for k, (a, b) in enumerate(((sh.x, yp), (yp, sh.x)))
+            for yp in (sh.x + s * r * np.eye(n)[j] for j in range(n) for s in (1.0, -1.0))
+            for a, b in ((sh.x, yp), (yp, sh.x))
         ]
         for sh in shooting
     ]

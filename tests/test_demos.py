@@ -47,6 +47,6 @@ def test_leaf_demo_runs():
 
 def test_steering_demo_runs_every_estimator():
     out = _run_demo("07_steering_costs.py")
-    assert "best found cost 1.542" in out
-    assert "l(0.0, 0.5) = 1.582" in out
-    assert "l(0.0, 1.0) = 1.601" in out
+    assert "best found cost 1.534" in out
+    assert "l(0.0, 0.5) = 1.590" in out
+    assert "l(0.0, 1.0) = 1.586" in out

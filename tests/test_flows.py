@@ -771,6 +771,50 @@ def _generator_walks(m, budget, max_duration, rng, refused):
     return attempts, words, discarded
 
 
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_about_to_give(raw: int, seed: int) -> dict:
+    """A PCG64 state whose next raw value is `raw`: PCG64 steps its
+    128-bit state s to s * MULTIPLIER + inc and outputs the rotated xor
+    of its halves, which is the low half where the high half is 0."""
+    state = np.random.PCG64(seed).state
+    inc = state["state"]["inc"]
+    before = (raw - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    return {**state, "state": {"state": before, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_a_rejected_bounded_draw_reads_on(seed):
+    # raw value 5: its low half draws the word length 1 (5 * 8 >> 32),
+    # and its high half 0 draws a generator out of 3, which Lemire
+    # rejects (0 * 3 leaves 0 < 2**32 mod 3) and draws again from the
+    # low half of the next raw value, whose high half then waits
+    state = _pcg64_about_to_give(5, seed=seed)
+    probe, ref_bits, bits = np.random.PCG64(), np.random.PCG64(), np.random.PCG64()
+    probe.state = ref_bits.state = bits.state = state
+    check = np.random.Generator(probe)
+    assert check.integers(1, 9) == 1
+    check.integers(0, 3)
+    assert probe.state["has_uint32"] == 1  # the rejection read a second raw value
+    refused = np.random.default_rng(seed + 1000).random(4000) < 0.4
+    ref_rng, rng = np.random.Generator(ref_bits), np.random.Generator(bits)
+    want = _generator_walks(3, 6, 0.7, ref_rng, refused)
+    source = flows._Source(rng)
+    walk = flows._walks(0, 3, 6, 0.7, source)
+    attempts = []
+    end = None
+    try:
+        while True:
+            y, key, tau = walk.send(end)
+            attempts.append((key, tau))
+            end = None if refused[len(attempts) - 1] else y + 1
+    except StopIteration as stop:
+        visits, discarded = stop.value
+    assert (attempts, [w for _, w in visits], discarded) == want
+    assert ref_rng.bit_generator.random_raw() == rng.bit_generator.random_raw()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_walk_draws_read_what_the_generator_calls_draw(m):
     # m == 1 draws no index, as integers(0, 1) draws nothing; refusals

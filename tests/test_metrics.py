@@ -1,6 +1,7 @@
 """Shooting estimators for steering cost, driftless distance, loops."""
 
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -454,9 +455,10 @@ def _scalar_shoot(streams, limit):
     for stream in streams:
         sh = stream.shooter
         while sh.evals < limit and sh.best_cost > 0.0:
-            draws = metrics._draw(stream.source, sh.nchan)
-            word = sh.prepare(sh.build(draws, sh.evals, sh.inc))
+            word = sh.prepare(sh.build(stream.draw(0), sh.evals, sh.inc))
             sh.fold(word, _word_alone(sh.fields, (sh.x, *word), sh.ctrl))
+            stream.folds += 1
+            del stream.draws[0]
 
 
 def _decided_nodes(monkeypatch):
@@ -550,26 +552,43 @@ def test_zero_cost_stop_mid_round_matches_one_at_a_time(seed, monkeypatch):
     )
 
 
+def _keyed_generator(seed, kind, start, target):
+    """A stream's generator, keyed as documented: Philox seeded by the
+    SeedSequence of seed, kind and the float64 words of both endpoints."""
+    words = np.concatenate([start, target]).astype(float).view(np.uint64).tolist()
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, kind, *words])))
+
+
 def _generator_draws(rng, nchan):
-    """The draws of one candidate as `Generator` calls."""
-    smax = metrics._MAX_SEGMENTS
+    """The draws of one block of candidates as `Generator` calls, a list
+    of (nseg, durations, normals, amplitude scale, pick, factor) rows."""
+    smax, size = metrics._MAX_SEGMENTS, metrics._BLOCK
     lo_a, hi_a = np.log(metrics._AMP_RANGE)
-    return (
-        int(rng.integers(1, smax + 1)),
-        rng.uniform(metrics._DUR_RANGE[0], metrics._DUR_RANGE[1], size=smax),
-        rng.standard_normal((smax, nchan)),
-        float(np.exp(rng.uniform(lo_a, hi_a))),
-        int(rng.integers(0, smax)),
-        metrics._FACTORS[int(rng.integers(0, len(metrics._FACTORS)))],
-    )
+    nseg = rng.integers(1, smax + 1, size=size)
+    raw_dur = rng.uniform(metrics._DUR_RANGE[0], metrics._DUR_RANGE[1], size=(size, smax))
+    raw_amp = rng.standard_normal((size, smax, nchan))
+    amp_scale = np.exp(rng.uniform(lo_a, hi_a, size=size))
+    pick_seg = rng.integers(0, smax, size=size)
+    factor = rng.integers(0, len(metrics._FACTORS), size=size)
+    return [
+        (int(nseg[r]), raw_dur[r], raw_amp[r], float(amp_scale[r]), int(pick_seg[r]),
+         metrics._FACTORS[int(factor[r])])
+        for r in range(size)
+    ]
 
 
-def _propose_one_at_a_time(shooter, rng, incumbent):
+def _generator_stream(rng, nchan):
+    """Every candidate's draws, block after block."""
+    while True:
+        yield from _generator_draws(rng, nchan)
+
+
+def _propose_one_at_a_time(shooter, draws, incumbent):
     """The proposal rule as a single function of the shooter's state, on
     arrays; incumbent is a pair of arrays (durations, weights)."""
     nchan = shooter.nchan
     free = slice(1, None) if shooter.fixed_drift else slice(0, None)
-    nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor = _generator_draws(rng, nchan)
+    nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor = draws
     mode = shooter.evals % 5
     if mode == 0 or incumbent is None:
         durations = raw_dur[:nseg].copy()
@@ -625,7 +644,7 @@ INCUMBENTS = {
 def _replay_the_proposal_sequence(fixed_drift, incumbent):
     """Draw, build, prepare and cost 60 candidates of a shooter whose
     incumbent is INCUMBENTS[incumbent] (or none), against the reference
-    on arrays."""
+    on arrays. Words of up to 6 segments sum as numpy does, in order."""
     sh = metrics._Shooter(
         unicycle(), np.zeros(3), np.ones(3), 0.05,
         fixed_drift=fixed_drift, drift_in_cost=not fixed_drift,
@@ -637,13 +656,14 @@ def _replay_the_proposal_sequence(fixed_drift, incumbent):
         d, w, _ = _prepare_on_arrays(sh, *inc_arrays)
         inc_arrays = (d, w)
         sh.inc = (tuple(d.tolist()), tuple(map(tuple, w.tolist())))
-    ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
-    source = metrics._Source(rng)
+    kind = metrics._DRIFTED if fixed_drift else metrics._EXTENDED
+    ref = _generator_stream(_keyed_generator(11, kind, sh.x, sh.y), sh.nchan)
+    stream = metrics._Stream(sh, 11, kind)
     clamped = capped = 0
     for i in range(60):
         sh.evals = i
-        want = _propose_one_at_a_time(sh, ref_rng, inc_arrays)
-        built = sh.build(metrics._draw(source, sh.nchan), i, sh.inc)
+        want = _propose_one_at_a_time(sh, next(ref), inc_arrays)
+        built = sh.build(stream.draw(i), i, sh.inc)
         if not fixed_drift:  # the reference leaves a fixed drift's column to prepare
             _assert_same_word(built, *want)
         d, w, cost = _prepare_on_arrays(sh, *want)
@@ -654,11 +674,6 @@ def _replay_the_proposal_sequence(fixed_drift, incumbent):
         capped += float(np.maximum(want[0], 1e-4).sum()) > metrics.TIME_CAP
     assert clamped > 0 if incumbent == "clamped" else clamped == 0
     assert capped > 0 if incumbent == "capped" else capped == 0
-    # both consumed the same draws and hold the same buffered half word
-    state = ref_rng.bit_generator.state
-    assert (source.half is not None) == bool(state["has_uint32"])
-    assert source.half in (None, state["uinteger"])
-    assert ref_rng.random() == rng.random()
 
 
 @pytest.mark.parametrize("fixed_drift", [True, False])
@@ -675,58 +690,92 @@ def test_refinements_clamp_and_cap_as_arrays_do(fixed_drift, incumbent):
 
 @pytest.mark.parametrize("nchan", [2, 3, 4, 5])
 def test_draws_read_what_the_generator_calls_draw(nchan):
-    for seed in range(120):
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        source = metrics._Source(rng)
-        for _ in range(15):
-            nseg, raw_dur, raw_amp, amp_scale, pick_seg, factor = _generator_draws(ref_rng, nchan)
-            got = metrics._draw(source, nchan)
-            assert (got.nseg, got.amp_scale, got.pick_seg, got.factor) == (
-                nseg, amp_scale, pick_seg, factor
-            )
-            assert got.raw_dur == raw_dur.tolist()
-            assert got.raw_amp == raw_amp.tolist()
-        assert ref_rng.bit_generator.random_raw() == rng.bit_generator.random_raw()
+    # candidate e is row e % _BLOCK of block e // _BLOCK, however far a
+    # tree reads ahead of the folds
+    spec = SystemSpec(
+        name="channels",
+        var_names=N2,
+        drifts=(VectorField.parse(["1", "0"], N2),),
+        controls=tuple(VectorField.parse(["0", "1"], N2) for _ in range(nchan - 1)),
+        window=W2,
+        assume_not_dense=True,
+    )
+    rng = np.random.default_rng(nchan)
+    for seed in range(40):
+        x, y = rng.uniform(-1.0, 1.0, size=(2, 2))
+        kind = seed % 3
+        sh = metrics._Shooter(spec, x, y, 0.05, fixed_drift=kind != 1, drift_in_cost=kind != 0)
+        stream = metrics._Stream(sh, seed, kind)
+        ref = _generator_stream(_keyed_generator(seed, kind, x, y), nchan)
+        for e in range(3 * metrics._BLOCK + 5):
+            level = e - stream.folds
+            got = stream.draw(level)
+            if seed % 2 and e % 7 == 0:
+                stream.draw(level + 9)  # a tree that reads ahead
+            want = next(ref)
+            assert got[0] == want[0] and got[3:] == want[3:]
+            assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+            if e % 3 == 0:  # fold what was drawn so far
+                stream.folds += len(stream.draws[: level + 1])
+                del stream.draws[: level + 1]
 
 
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+def test_the_searches_of_a_call_draw_apart():
+    # the kinds and the endpoints key the streams: dist's three searches
+    # and the two legs of a probe draw different first candidates, and a
+    # search draws the same whatever the searches beside it
+    x, y = np.array([0.3, -0.2]), np.array([-0.5, 0.4])
+    firsts = []
+    for kind, a, b in ((metrics._DRIFTED, x, y), (metrics._DRIFTED, y, x),
+                       (metrics._EXTENDED, x, y), (metrics._LOOP_LEG, x, y)):
+        sh = metrics._Shooter(plane(), a, b, 0.05, fixed_drift=True, drift_in_cost=False)
+        firsts.append(metrics._Stream(sh, 0, kind).draw(0))
+    durations = [first[1].tolist() for first in firsts]
+    assert all(durations[i] != durations[j] for i in range(4) for j in range(i + 1, 4))
+    sh = metrics._Shooter(plane(), x, y, 0.05, fixed_drift=True, drift_in_cost=False)
+    assert metrics._Stream(sh, 0, metrics._DRIFTED).draw(0)[1].tolist() == durations[0]
+    assert metrics._Stream(sh, 1, metrics._DRIFTED).draw(0)[1].tolist() != durations[0]
 
 
-def _pcg64_about_to_give(raw: int, seed: int) -> dict:
-    """A PCG64 state whose next raw value is `raw`: PCG64 steps its
-    128-bit state s to s * MULTIPLIER + inc and outputs the rotated xor
-    of its halves, which is the low half where the high half is 0."""
-    state = np.random.PCG64(seed).state
-    inc = state["state"]["inc"]
-    before = (raw - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
-    return {**state, "state": {"state": before, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+def test_a_signed_zero_keys_the_stream_of_zero():
+    # -0.0 and 0.0 are one coordinate: `dist --from -0,0.5` and `--from
+    # 0,0.5` ask about the same point, and a probe x + s * r * e_j may
+    # carry a -0.0 where x has 0.0
+    firsts = []
+    for x0, y1 in ((0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0)):
+        x, y = np.array([x0, 0.5]), np.array([0.4, y1])
+        sh = metrics._Shooter(plane(), x, y, 0.05, fixed_drift=True, drift_in_cost=False)
+        nseg, dur, amp, *rest = metrics._Stream(sh, 0, metrics._DRIFTED).draw(0)
+        firsts.append((nseg, dur.tolist(), amp.tolist(), *rest))
+    assert firsts[0] == firsts[1] == firsts[2]
 
 
-@pytest.mark.parametrize("nchan", [2, 4])
-def test_a_rejected_bounded_draw_reads_on(nchan):
-    # low word 0: 0 * 6 leaves 0 < 2**32 mod 6, so Lemire draws again,
-    # from the high half 5: 5 * 6 >> 32 gives 0, one segment
-    state = _pcg64_about_to_give(5 << 32, seed=nchan)
-    probe, ref_bits, bits = np.random.PCG64(), np.random.PCG64(), np.random.PCG64()
-    probe.state = ref_bits.state = bits.state = state
-    assert probe.random_raw() == 5 << 32
-    ref_rng, rng = np.random.Generator(ref_bits), np.random.Generator(bits)
-    source = metrics._Source(rng)
-    for k in range(20):
-        want = _generator_draws(ref_rng, nchan)
-        got = metrics._draw(source, nchan)
-        if k == 0:
-            assert want[0] == got.nseg == 1
-        assert (got.nseg, got.raw_dur, got.raw_amp, got.amp_scale, got.pick_seg, got.factor) == (
-            want[0], want[1].tolist(), want[2].tolist(), *want[3:]
-        )
-    assert ref_rng.random() == rng.random()
+def test_loop_legs_of_two_points_draw_apart(monkeypatch):
+    # the legs of a point are keyed by the point: the legs of two points
+    # through the same probe index draw different first blocks
+    firsts = []
+    shoot = metrics._shoot
+
+    def spy(streams, *args):
+        firsts.extend(s.draw(0) for s in streams)
+        return shoot(streams, *args)
+
+    monkeypatch.setattr(metrics, "_shoot", spy)
+    points = [(0.0, 1.0), (1.0, -1.0)]
+    loop_lengths(shear(), points, budget=100)
+    per = 2 * 2 * shear().dim  # out and back through each of 2n probes
+    assert len(firsts) == 2 * per
+    for i in range(per):
+        assert firsts[i][1].tolist() != firsts[per + i][1].tolist()
+        assert firsts[i][2].tolist() != firsts[per + i][2].tolist()
 
 
 @pytest.mark.parametrize("drift_in_cost", [True, False])
-def test_concatenated_loops_prepare_and_cost_as_arrays(drift_in_cost):
-    """Out-and-back words of 7 to 12 segments: 8 or more durations sum
-    pairwise, as numpy does, and the longest ones are scaled to TIME_CAP."""
+def test_concatenated_loops_prepare_and_cost_as_left_folds(drift_in_cost):
+    """Out-and-back words of 7 to 12 segments: prepare clamps, sums the
+    durations exactly (`math.fsum`) and scales the longest ones to
+    TIME_CAP, and the cost is a left fold of the segments' costs, within
+    rounding of numpy's pairwise sums on the arrays."""
     rng = np.random.default_rng(3)
     sh = metrics._Shooter(
         unicycle(), np.zeros(3), np.zeros(3), 0.05,
@@ -749,10 +798,21 @@ def test_concatenated_loops_prepare_and_cost_as_arrays(drift_in_cost):
         word = tuple(zip(*(legs[0] + legs[1])))
         d, w, cost = _prepare_on_arrays(sh, *map(np.array, word))
         got = sh.prepare(word)
-        _assert_same_word(got, d, w)
-        assert sh._cost(got) == cost
+        clamped = [max(t, 1e-4) for t in word[0]]
+        total = math.fsum(clamped)
+        if total > metrics.TIME_CAP:
+            clamped = [t * (metrics.TIME_CAP / total) for t in clamped]
+        assert got[0] == tuple(clamped)
+        assert np.asarray(got[1]).tobytes() == w.tobytes()
+        np.testing.assert_allclose(got[0], d, rtol=1e-15, atol=0)
+        skip = 0 if drift_in_cost else 1
+        folded = 0.0
+        for t, row in zip(*got):
+            folded += math.sqrt(math.fsum(c * c for c in row[skip:])) * t
+        assert sh._cost(got) == pytest.approx(folded, rel=1e-15)
+        assert sh._cost(got) == pytest.approx(cost, rel=1e-14)
         sizes.append(len(d))
-        capped += float(np.maximum(np.array(word[0]), 1e-4).sum()) > metrics.TIME_CAP
+        capped += total > metrics.TIME_CAP
     assert set(sizes) == set(range(7, 13)) and capped > 10
 
 
@@ -763,36 +823,46 @@ SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
 BUNDLED = sorted(p.stem for p in SYS_DIR.glob("*.sys"))
 
 
-def _scalar_orbit_words(shooter, system):
-    """The scalar drift-orbit scan that the lane pool replaced, kept here
-    as its reference: one `_integrate` call per 0.05 leg up to TIME_CAP.
-    Returns the words, the evaluations it counts and how the orbit ended
-    ("cap" or "failed")."""
+def _solve_ivp_orbit_words(shooter, system):
+    """The drift orbit scanned by scipy: DOP853 at rtol 1e-11 over the
+    multiples of _ORBIT_LEG up to TIME_CAP, up to the first grid point
+    outside the shooting window. Returns the words, the evaluations they
+    count, the distance of the closest approach and whether the orbit
+    left the window."""
     fn = system.drift.compiled()
-    z = shooter.x.copy()
-    best_t = 0.0
-    best_d = float(np.linalg.norm(z - shooter.y))
-    t = 0.0
-    ended = "cap"
-    try:
-        while t < metrics.TIME_CAP:
-            z = _integrate(fn, z, 0.05, shooter.ctrl)
-            t += 0.05
-            d = float(np.linalg.norm(z - shooter.y))
-            if d < best_d:
-                best_d, best_t = d, t
-    except FlowError:
-        ended = "failed"
-    if best_t == 0.0:
-        return [], 1, ended
-    return [((best_t,), ((1.0,) + (0.0,) * (shooter.nchan - 1),))], 0, ended
+    grid = metrics._ORBIT_LEG * np.arange(1, round(metrics.TIME_CAP / metrics._ORBIT_LEG) + 1)
+    sol = solve_ivp(
+        lambda _t, p: fn(p), (0.0, grid[-1]), shooter.x, method="DOP853",
+        t_eval=grid, rtol=1e-11, atol=1e-12,
+    )
+    assert sol.success
+    P = sol.y.T
+    lo, hi = np.array(shooter.ctrl.window).T
+    inside = ((lo <= P) & (P <= hi)).all(axis=1)
+    left = not inside.all()
+    if left:
+        P = P[: int(np.argmin(inside))]
+    d = np.linalg.norm(P - shooter.y, axis=1)
+    start = float(np.linalg.norm(shooter.x - shooter.y))
+    if not len(d) or d.min() >= start:
+        return [], 1, start, left
+    k = int(np.argmin(d))
+    return [((grid[k],), ((1.0,) + (0.0,) * (shooter.nchan - 1),))], 0, float(d[k]), left
 
 
-def test_lane_orbit_scan_equals_the_scalar_scan():
+def test_dense_coefficients_are_scipys():
+    from scipy.integrate._ivp.rk import RK45
+
+    assert np.array_equal(flows._DP_DENSE, RK45.P)
+    # at the end of a step the extension is the fifth-order solution
+    np.testing.assert_allclose(flows._DP_DENSE.sum(axis=1), flows._DP_B5, atol=1e-15)
+
+
+def test_dense_orbit_scan_matches_solve_ivp():
     # per bundled drift, three drifted searches in one call: between two
     # window points both ways, and from next to the center, where the
     # shears' and the saddle's drifts are slow enough to run to TIME_CAP
-    ends, worded = set(), set()
+    lefts, worded = set(), set()
     for name in BUNDLED:
         spec = load_spec(SYS_DIR / f"{name}.sys")
         lo, hi = np.array(spec.window).T
@@ -803,12 +873,42 @@ def test_lane_orbit_scan_equals_the_scalar_scan():
         ]
         got = metrics._drift_orbit_words(shooters, spec)
         for sh, words in zip(shooters, got):
-            ref, evals, ended = _scalar_orbit_words(sh, spec)
-            assert words == ref and sh.evals == evals
-            ends.add(ended)
+            ref, evals, dist, left = _solve_ivp_orbit_words(sh, spec)
+            assert sh.evals == evals
+            assert [w[0] for w in words] == [w[0] for w in ref]  # the same grid point
+            assert [w[1] for w in words] == [w[1] for w in ref]
+            if words:
+                end = replay_word(spec, sh.x, tuple(zip(*words[0])))
+                assert abs(float(np.linalg.norm(end - sh.y)) - dist) <= 1e-6
+            lefts.add(left)
             worded.add(bool(words))
-    assert ends == {"cap", "failed"} and worded == {True, False}
+    assert lefts == {True, False} and worded == {True, False}
     assert metrics._drift_orbit_words([], shear()) == []
+
+
+def test_a_drift_orbit_takes_few_rounds(monkeypatch):
+    # every orbit is one lane up to TIME_CAP: a handful of DP54 rounds,
+    # where 0.05-long legs took two rounds each
+    rounds = [0]
+    mix = flows._mix
+
+    def counted_mix(coef, K, dim):
+        rounds[0] += coef is flows._DP_B5  # once per round
+        return mix(coef, K, dim)
+
+    monkeypatch.setattr(flows, "_mix", counted_mix)
+    for name in ("planar_shear", "unicycle"):
+        spec = load_spec(SYS_DIR / f"{name}.sys")
+        lo, hi = np.array(spec.window).T
+        for x, y in ((0.3, 0.6), (0.51, 0.3), (0.7, 0.25)):
+            a, b = lo + x * (hi - lo), lo + y * (hi - lo)
+            shooters = [
+                metrics._Shooter(spec, p, q, 0.05, fixed_drift=True, drift_in_cost=False)
+                for p, q in ((a, b), (b, a))
+            ]
+            rounds[0] = 0
+            metrics._drift_orbit_words(shooters, spec)
+            assert 1 <= rounds[0] <= 20
 
 
 def _loop_length_reference(
@@ -836,10 +936,11 @@ def _loop_length_reference(
     legs = [
         Stream(
             Shooter(system, a, b, endpoint_tol / 4, fixed_drift=True, drift_in_cost=True),
-            np.random.default_rng([seed, pi, k]),
+            seed,
+            metrics._LOOP_LEG,
         )
-        for pi, yp in enumerate(probes)
-        for k, (a, b) in enumerate(((x, yp), (yp, x)))
+        for yp in probes
+        for a, b in ((x, yp), (yp, x))
     ]
     metrics._evaluate([
         (leg.shooter, word)
@@ -883,10 +984,10 @@ def test_loop_lengths_equal_the_per_point_search(name, seed):
 
 
 # points where the drift vanishes (the stationary word closes) mixed with
-# points whose legs shoot and find loops: the shear's drift (x2, 0) is zero
-# on x2 = 0, the saddle's (0, 0, sin(x1)) on x1 = 0
+# points whose legs shoot and find loops at seed 4: the shear's drift
+# (x2, 0) is zero on x2 = 0, the saddle's (0, 0, sin(x1)) on x1 = 0
 MIXED_POINTS = {
-    "shear": [(0.0, 1.0), (0.7, 0.0), (1.0, -1.0), (0.0, 0.0), (-1.2, 0.5), (0.5, -0.3)],
+    "shear": [(0.0, 1.0), (0.7, 0.0), (0.3, 1.0), (0.0, 0.0), (-1.2, 0.5), (0.5, -0.3)],
     "saddle3d": [(0.5, 0.5, 0.5), (0.0, 0.3, -0.2), (-0.8, 0.2, 0.4), (1.0, -0.5, 0.0)],
 }
 MIXED_SYSTEMS = {"shear": shear(), "saddle3d": saddle3d()}

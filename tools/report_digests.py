@@ -44,7 +44,12 @@ non-constant control family. After those come the ops of the benchmark's
 `certify` workload (`check planar_shear --grid 3`, `check saddle3d --grid
 2` and `reach unicycle`), each at seeds 1 to 12: the one workload whose
 failed ops turn with the seed (saddle3d's oracle reads AGREE at seed 8
-alone). Each group of lines was appended after
+alone). After those come the `found` lines: the ops of the `steer`
+workload again, each at seeds 1 to 12, each line naming the estimates
+that have a value (for `dist`, which of forward, reverse and
+extended_driftless; for `loop`, how many grid points of how many, and
+which, by index) in plain text, so that a change to shooting shows how
+its answers moved in one diff. Each group of lines was appended after
 all the lines before it, so the lines before a group are those of a
 run that lacks it.
 
@@ -160,6 +165,9 @@ def _runs(systems: list[str], workload):
     for seed in BENCH_SEEDS:
         for op in workload("certify", seed):
             yield op.kind, op.system, seed, op.grid, op.points
+    for seed in BENCH_SEEDS:
+        for op in workload("steer", seed):
+            yield "found " + op.kind, op.system, seed, op.grid, op.points
 
 
 def _walk_digest(spec, seed: int, grid: int) -> str:
@@ -194,6 +202,16 @@ def _verdict_digest(g, spec, seed: int, grid: int | None) -> str:
     return _sha(repr((verdict.status, points)).encode())
 
 
+def _found(payload) -> str:
+    """The estimates of a `dist` or `loop` report that have a value."""
+    m = payload["metrics"]
+    if m["kind"] == "steering_cost":
+        names = ("forward", "reverse", "extended_driftless")
+        return ",".join(k for k in names if m[k]["value"] is not None) or "none"
+    found = [str(i) for i, e in enumerate(m["entries"]) if e["value"] is not None]
+    return f"{len(found)}/{len(m['entries'])} " + (",".join(found) or "none")
+
+
 def _digest(g, spec, command: str, seed: int, grid: int | None, points) -> tuple[str, str]:
     """(exit code, digests) of one run; `points` are given `dist` endpoints."""
     if command == "walks":
@@ -215,6 +233,9 @@ def _digest(g, spec, command: str, seed: int, grid: int | None, points) -> tuple
     overrides: dict = {"seed": seed}
     if grid:
         overrides["grid_per_axis"] = grid
+    found = command.startswith("found")
+    if found:
+        command = command.split()[1]
     if command.startswith("dist"):
         lo = [a for a, _ in spec.window]
         hi = [b for _, b in spec.window]
@@ -225,6 +246,8 @@ def _digest(g, spec, command: str, seed: int, grid: int | None, points) -> tuple
         if points is not None:
             overrides["from_point"], overrides["to_point"] = map(list, points)
     rep = g.run_pipeline(spec, command.split()[0], overrides)
+    if found:
+        return str(rep.exit_code), _found(rep.payload)
     out = _sha(rep.to_json().encode())
     if rep.cloud is not None:
         c = rep.cloud
