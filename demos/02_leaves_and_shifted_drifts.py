@@ -24,7 +24,7 @@ base = np.array([0.0, 0.0, 0.0])
 leaf = sample_leaf(fam, base, budget=12, max_duration=1.5, rng_seed=0)
 
 print("leaf through the origin (steering only moves x3, at a varying speed):")
-for (pt, _word), frame in list(zip(leaf.visits, leaf.frames))[:6]:
+for pt, frame in zip(leaf.points[:6], leaf.frames[:6]):
     # the frame stretches x3 by the speed ratio and leaves x1, x2 alone
     print("  visited", np.round(pt, 3), " frame diagonal", np.round(np.diag(frame), 3))
 

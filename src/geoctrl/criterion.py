@@ -26,6 +26,7 @@ Monte-Carlo reachability oracle corroborates separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,16 +124,16 @@ def sign_change_on_leaf(
 
     Values in [-eps_sign, eps_sign] are treated as zero and certify
     nothing. The base point participates alongside the visits. C runs on
-    the base and then on the visits in order, and stops at the first
-    point where the largest value so far is above eps_sign and the
-    smallest below -eps_sign: the witness is that pair, and
+    the base and then on the visit points (`leaf.points`) in order, and
+    stops at the first point where the largest value so far is above
+    eps_sign and the smallest below -eps_sign: the witness is that pair, and
     `samples_used` counts the points evaluated. The running extremes
     are picked as `max`/`min` pick them, so a nan at the base is both
     and no sign change is found, while a later nan is passed over.
     """
     used = 0
     holds = False
-    for p in [leaf.base] + [y for y, _ in leaf.visits]:
+    for p in chain([leaf.base], leaf.points):
         v = float(C(p))
         if not used:
             y_pos = y_neg = p

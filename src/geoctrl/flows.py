@@ -43,14 +43,19 @@ every bundled system) needs no integrator: a segment is y + tau * v,
 its frame is exactly I and the walk carries none. The inflated window
 is a box, and a box is convex, so a segment leaves it iff its endpoint
 does, which is all the stepper ever tested. Such a walk steps tuples
-of Python floats, whose + and * round as numpy's elementwise ones do;
-its visits become arrays when its `LeafSample` is built.
+of Python floats, whose + and * round as numpy's elementwise ones do.
 
 Walks draw their word lengths, generators, signs and durations from
 raw 64-bit values of their generator (`_Source`), exactly as the
-`Generator` calls `integers` and `uniform` read them. A leaf's shifted
-drifts cost numpy calls per leaf, not Python calls per visit: one
-kernel call per drift over every visit and one stacked solve per walk.
+`Generator` calls `integers` and `uniform` read them. A walk records
+its visits flat: per visit its state, its last segment as (field index,
+sign, duration) and its depth in the walk, and a `LeafSample` holds
+them as arrays, its points (V, n), moves (V, 3), depths (V,) and
+frames (V, n, n). No segment object or prefix word is built per visit;
+`LeafSample.visits` and `walks()` build them when read. A leaf's
+shifted drifts cost numpy calls per leaf, not Python calls per visit:
+one kernel call per drift over every visit and one stacked solve per
+walk, the walks cut where the depth is 1.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
@@ -733,32 +739,96 @@ def fields_equal(a, b) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LeafSample:
+    """The walks of a leaf from `base`, their visits held as arrays.
+
+    Visit j is the point points[j] that a walk reached with its
+    depths[j]-th segment, moves[j] = (field index, sign, duration) the
+    segment itself; a walk starts at a visit of depth 1, and a walk
+    whose first segment never fitted the window made no visit. Visits
+    are in draw order, walk after walk.
+    """
+
     base: np.ndarray
-    visits: tuple[tuple[np.ndarray, ControlWord], ...]
+    points: np.ndarray  # (V, n)
+    moves: np.ndarray  # (V, 3) float: field index, sign, duration
+    depths: np.ndarray  # (V,) intp: the visit's segment count in its walk
     discarded: int  # walk attempts that escaped the window
-    # per visit, the frame D psi_w(base) of its word w; None when every
-    # generator is constant, so that every frame is exactly I
-    frames: tuple[np.ndarray, ...] | None = None
+    # (V, n, n): per visit, the frame D psi_w(base) of its word w; None
+    # when every generator is constant, so that every frame is exactly I
+    frames: np.ndarray | None
+
+    def __init__(
+        self,
+        base: np.ndarray,
+        visits: Sequence[tuple[np.ndarray, ControlWord]],
+        discarded: int,
+        frames: Sequence[np.ndarray] | None = None,
+    ):
+        """A leaf from (point, prefix word) visits and, per visit, its frame."""
+        n, count = len(base), len(visits)
+        self._fill(
+            base,
+            np.array([y for y, _ in visits], dtype=float).reshape(count, n),
+            np.array(
+                [(w[-1].field_index, w[-1].sign, w[-1].duration) for _, w in visits], dtype=float
+            ).reshape(count, 3),
+            np.array([len(w) for _, w in visits], dtype=np.intp),
+            discarded,
+            None if frames is None else np.array(frames, dtype=float).reshape(count, n, n),
+        )
+
+    def _fill(self, *values) -> None:
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    @classmethod
+    def _of(
+        cls, base: np.ndarray, walked: tuple[list, list, list, int], framed: bool
+    ) -> LeafSample:
+        """The leaf of `_walks`' record: states (a point, and its frame
+        flattened after it where framed), moves, depths and discards."""
+        states, moves, depths, discarded = walked
+        n, count = len(base), len(states)
+        S = np.array(states, dtype=float).reshape(count, n * (n + 1) if framed else n)
+        leaf = object.__new__(cls)
+        leaf._fill(
+            base,
+            np.ascontiguousarray(S[:, :n]),
+            np.array(moves, dtype=float).reshape(count, 3),
+            np.array(depths, dtype=np.intp),
+            discarded,
+            np.ascontiguousarray(S[:, n:].reshape(count, n, n)) if framed else None,
+        )
+        return leaf
 
     def __eq__(self, other):
         return fields_equal(self, other) if isinstance(other, LeafSample) else NotImplemented
 
     __hash__ = None
 
-    def walks(self) -> list[Walk]:
-        """The visits regrouped into the walks that made them, in draw order.
+    @cached_property
+    def visits(self) -> tuple[tuple[np.ndarray, ControlWord], ...]:
+        """(point, prefix word) per visit, built on first read."""
+        visits = []
+        word: list[Segment] = []
+        moves, depths = self.moves.tolist(), self.depths.tolist()
+        for y, (i, sign, tau), depth in zip(self.points, moves, depths):
+            del word[depth - 1 :]
+            word.append(Segment(int(i), int(sign), tau))
+            visits.append((y, tuple(word)))
+        return tuple(visits)
 
-        A one-segment word starts a new walk, so a walk whose first
-        segment never fitted the window made no visit and is no walk.
-        """
-        walks: list[list[tuple[np.ndarray, ControlWord]]] = []
-        for visit in self.visits:
-            if len(visit[1]) == 1:
-                walks.append([])
-            walks[-1].append(visit)
-        return [tuple(walk) for walk in walks]
+    def _bounds(self) -> list[tuple[int, int]]:
+        """(start, stop) of each walk's visits."""
+        starts = np.flatnonzero(self.depths == 1).tolist()
+        return list(zip(starts, starts[1:] + [len(self.depths)]))
+
+    def walks(self) -> list[Walk]:
+        """The visits regrouped into the walks that made them, in draw order."""
+        visits = self.visits
+        return [visits[start:stop] for start, stop in self._bounds()]
 
     def shifted_drifts(self, drifts: Sequence[VectorField]) -> Iterator[np.ndarray | None]:
         """Per walk, in draw order, the drifts at its visits shifted to the base.
@@ -776,30 +846,26 @@ class LeafSample:
         deepest such visit first, when its walk is yielded: a drift
         undefined there raises `EvalDomainError` then and not before.
         """
-        if not self.visits:
+        if not len(self.points):
             return
-        points = np.array([y for y, _ in self.visits])
+        frames = self.frames
         with np.errstate(all="ignore"):
-            values = np.stack([f.compiled()(points) for f in drifts], axis=-1)
-            if self.frames is not None:
-                frames = np.array(self.frames)
+            values = np.stack([f.compiled()(self.points) for f in drifts], axis=-1)
+            if frames is not None:
                 sound = np.isfinite(frames).all(axis=(1, 2))
                 sound[sound] = np.linalg.cond(frames[sound]) <= MAX_FRAME_COND
         # the visits where some kernel value is not finite
         redo = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2))).tolist()
-        start = 0
-        for walk in self.walks():
-            stop = start + len(walk)
-            if self.frames is not None and not sound[start:stop].all():
+        for start, stop in self._bounds():
+            if frames is not None and not sound[start:stop].all():
                 yield None
-            else:
-                for j in [j for j in redo if start <= j < stop][::-1]:
-                    values[j] = evaluate_fields(drifts, self.visits[j][0])
-                rows = values[start:stop]
-                if self.frames is not None:
-                    rows = np.linalg.solve(frames[start:stop], rows)
-                yield rows[::-1].transpose(1, 0, 2).reshape(len(self.base), -1)
-            start = stop
+                continue
+            for j in [j for j in redo if start <= j < stop][::-1]:
+                values[j] = evaluate_fields(drifts, self.points[j])
+            rows = values[start:stop]
+            if frames is not None:
+                rows = np.linalg.solve(frames[start:stop], rows)
+            yield rows[::-1].transpose(1, 0, 2).reshape(len(self.base), -1)
 
 
 def sample_leaf(
@@ -831,24 +897,26 @@ Attempt = tuple[object, tuple[int, int], float]
 
 def _walks(
     start, m: int, budget: int, max_duration: float, source: _Source
-) -> Generator[Attempt, object, tuple[list, int]]:
+) -> Generator[Attempt, object, tuple[list, list, list, int]]:
     """`sample_leaf`'s walks from start as a coroutine over its segment attempts.
 
     Yields each attempt and receives its end state, or None where the
-    flow failed; returns the visits as (state, word) pairs and the
-    discard count. Draws come from source alone, so they do not depend
-    on when the end states arrive. They are the numbers of the
-    `Generator` calls `integers(1, 9)` (the word length), then per
-    attempt `integers(0, m)` (none when m == 1), `random()` (the sign)
-    and `uniform(0.0, max_duration)`.
+    flow failed; returns the visits flat, as `LeafSample._of` reads
+    them: their states, their (field_index, sign, duration) moves and
+    their depths in their walks, and the discard count. Draws come from
+    source alone, so they do not depend on when the end states arrive.
+    They are the numbers of the `Generator` calls `integers(1, 9)` (the
+    word length), then per attempt `integers(0, m)` (none when m == 1),
+    `random()` (the sign) and `uniform(0.0, max_duration)`.
     """
-    visits: list[tuple[object, ControlWord]] = []
+    states: list = []
+    moves: list[tuple[int, int, float]] = []
+    depths: list[int] = []
     discarded = 0
     for _ in range(budget):
         length = 1 + source.index(8)
         y = start
-        word: list[Segment] = []
-        for _ in range(length):
+        for depth in range(1, length + 1):
             for _ in range(3):
                 idx = source.index(m)
                 sign = 1 if source.uniform(0.0, 1.0) < 0.5 else -1
@@ -861,12 +929,13 @@ def _walks(
                     discarded += 1
                     continue
                 y = end
-                word.append(Segment(idx, sign, tau))
-                visits.append((y, tuple(word)))
+                states.append(y)
+                moves.append((idx, sign, tau))
+                depths.append(depth)
                 break
             else:
                 break  # three failed attempts end the walk
-    return visits, discarded
+    return states, moves, depths, discarded
 
 
 def sample_leaves(
@@ -919,10 +988,7 @@ def sample_leaves(
                     if not _in_box(end, ctrl.window):
                         end = None
             except StopIteration as stop:
-                visits, discarded = stop.value
-            states = np.array([y for y, _ in visits], dtype=float).reshape(len(visits), n)
-            visits = tuple(zip(states, (word for _, word in visits)))
-            leaves.append(LeafSample(x, visits, discarded))
+                leaves.append(LeafSample._of(x, stop.value, framed=False))
         return leaves
 
     kernels = {key: (V.compiled(), V.compiled_jacobian()) for key, V in signed.items()}
@@ -941,11 +1007,8 @@ def sample_leaves(
         for j, end in settled:
             try:
                 y, key, tau = walks[j].send(end)
-            except StopIteration as stop:
-                visits, discarded = stop.value  # states are a point and its frame
-                frames = tuple(s[n:].reshape(n, n) for s, _ in visits)
-                visits = tuple((s[:n], word) for s, word in visits)
-                leaves[j] = LeafSample(bases[j], visits, discarded, frames)
+            except StopIteration as stop:  # states are a point and its frame
+                leaves[j] = LeafSample._of(bases[j], stop.value, framed=True)
                 continue
             new.append((_Lane(j, [(tau, key)], ctrl), y))
         return new

@@ -15,6 +15,11 @@ proves the second and third stages equal (`_k3_is_k2`): when every
 field reads only coordinates whose components are constants in every
 field, the two stages are evaluated at states that agree in every
 column the fields read, so the second stage is the third bit for bit.
+A step's stage states share one buffer, control terms are added into
+each kernel's fresh output, and the RK4 sum ((k1 + 2 k2) + 2 k3) + k4
+accumulates in k1: in-place ufuncs, each with the operands of the plain
+expression in their order, so every bit is the same. Lanes that retire
+leave every per-lane array through one index (`np.flatnonzero`, `take`).
 The controls are piecewise constant with segment ends quantized
 to the step grid; the realized inputs are therefore still admissible
 controls, just drawn from a slightly coarsened family, which is all an
@@ -304,7 +309,7 @@ def _run(
     per stage. So every stage sum is bit for bit that of calling every
     kernel at every stage. Where `_k3_is_k2` holds, the second stage
     serves as the third, which it equals bit for bit, so a step takes
-    three field evaluations.
+    three field evaluations, and 2 k2 is formed once and added twice.
     """
     m = len(system.controls)
     drift_fns = [d.compiled() for d in system.drifts]
@@ -326,6 +331,7 @@ def _run(
     didx = np.zeros(n_traj, dtype=np.intp)
 
     def rhs(Y: np.ndarray, masks: list[np.ndarray], terms: list) -> np.ndarray:
+        # every kernel's output is fresh, so the sum goes on in place in it
         if n_drifts == 1:
             out = drift_fns[0](Y)
         else:
@@ -334,7 +340,10 @@ def _run(
                 if mask.any():
                     out[mask] = fn(Y[mask])
         for i, term in enumerate(terms):
-            out = out + (U[:, i : i + 1] * control_fns[i](Y) if term is None else term)
+            if term is None:
+                term = control_fns[i](Y)
+                np.multiply(U[:, i : i + 1], term, out=term)
+            out += term
         return out
 
     def record(t: float) -> bool:
@@ -357,16 +366,32 @@ def _run(
                 seg_end[due] = t + dur
             masks = [didx == j for j in range(n_drifts)] if n_drifts > 1 else []
             terms = [None if v is None else U[:, i : i + 1] * v for i, v in enumerate(values)]
+            # the stage states X + (h/2) k and X + h k, in one buffer
+            stage = np.empty_like(X)
             k1 = rhs(X, masks, terms)
-            k2 = rhs(X + 0.5 * h * k1, masks, terms)
-            k3 = k2 if k3_is_k2 else rhs(X + 0.5 * h * k2, masks, terms)
-            k4 = rhs(X + h * k3, masks, terms)
-            X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            np.add(X, np.multiply(0.5 * h, k1, out=stage), out=stage)
+            k2 = rhs(stage, masks, terms)
+            if k3_is_k2:
+                k3 = k2
+            else:
+                np.add(X, np.multiply(0.5 * h, k2, out=stage), out=stage)
+                k3 = rhs(stage, masks, terms)
+            np.add(X, np.multiply(h, k3, out=stage), out=stage)
+            k4 = rhs(stage, masks, terms)
+            # X + (h/6) (((k1 + 2 k2) + 2 k3) + k4), summed into k1
+            twice = np.multiply(2, k2, out=stage)
+            k1 += twice
+            k1 += twice if k3_is_k2 else np.multiply(2, k3, out=k3)
+            k1 += k4
+            X += np.multiply(h / 6.0, k1, out=k1)
             t += h
             live = _inside(X, roam)
             if not live.all():
                 draws.live[ids[~live]] = False  # a retired lane never draws again
-                ids, X, U, seg_end, didx = (a[live] for a in (ids, X, U, seg_end, didx))
+                keep = np.flatnonzero(live)
+                ids, X, U, seg_end, didx = (
+                    a.take(keep, axis=0) for a in (ids, X, U, seg_end, didx)
+                )
                 if not len(ids):
                     break
             if (step_i + 1) % stride_steps == 0 or step_i == n_steps - 1:

@@ -1,4 +1,4 @@
-"""Metamorphic relations: a change of coordinates keeps every answer.
+"""Metamorphic relations, and the corpus of specs with known answers.
 
 Each relation maps a spec to the same system written in other
 coordinates: y = phi(x), the fields pushed forward by phi and the window
@@ -6,6 +6,11 @@ mapped onto its image. `check` at the spec's own grid and seed must then
 give the transformed spec the same status, the same count of grid
 points where the condition holds, the same oracle status and the same
 exit code as the spec itself.
+
+The specs of `tests/corpus/` each get the answer the theory gives them
+from `check` at a stated grid and their own seed. A spec that gets a
+wrong answer today is a strict expected failure, its reason the
+ROADMAP item that fixes it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from geoctrl.report import run_pipeline
 from geoctrl.system import load_spec
 
 SYS_DIR = Path(__file__).resolve().parents[1] / "systems"
+CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
 def _rewrite(spec, names, components, window):
@@ -189,3 +195,50 @@ def _own_steering(command):
 def test_scaling_the_controls_keeps_what_shooting_finds(command, scale):
     spec = _scaled_controls(load_spec(SYS_DIR / "planar_shear.sys"), scale)
     assert _steering_answers(spec, command) == _own_steering(command)
+
+
+CERTIFIED = "CONTROLLABLE_CERTIFIED"
+EVIDENCE = "UNCONTROLLABLE_EVIDENCE"
+ITEM_4 = "ROADMAP item 4: certificates hold at grid points, not over the window"
+ITEM_13 = "ROADMAP item 13: regularity is checked at grid points, not over the window"
+
+
+def _corpus_answers(name, grid):
+    """What `check` says of a corpus spec at the grid (its own where None)."""
+    spec = load_spec(CORPUS_DIR / f"{name}.sys")
+    rep = run_pipeline(spec, "check", {"grid_per_axis": grid})
+    status = rep.payload["verdict"]["status"] if "verdict" in rep.payload else None
+    oracle = rep.payload.get("oracle", {})
+    return {
+        "status": status,
+        "certified": status == CERTIFIED,
+        "oracle": oracle.get("status"),
+        "exact": oracle.get("exact"),
+        "exit_code": rep.exit_code,
+    }
+
+
+@pytest.mark.parametrize(
+    "name,grid,want",
+    [
+        # a non-constant control: the framed ODE walks end to end
+        ("wavy", 3, {"status": CERTIFIED, "oracle": "AGREE", "exit_code": 0}),
+        (
+            "wavy_up",
+            3,
+            {"status": EVIDENCE, "oracle": "AGREE", "exit_code": 0, "exact": False},
+        ),
+        # today CERTIFIED, DISAGREE and exit 2: the band falls between
+        # two grid columns
+        pytest.param(
+            "band", 11, {"certified": False}, marks=pytest.mark.xfail(strict=True, reason=ITEM_4)
+        ),
+        # today exit 2: the rank drop at x1 = 0.13 falls between grid points
+        pytest.param(
+            "notch", None, {"exit_code": 3}, marks=pytest.mark.xfail(strict=True, reason=ITEM_13)
+        ),
+    ],
+)
+def test_a_corpus_spec_gets_its_answer(name, grid, want):
+    got = _corpus_answers(name, grid)
+    assert {key: got[key] for key in want} == want

@@ -10,7 +10,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flow_reference import FlowError, _integrate, flow, pushforward_along
+from flow_reference import (
+    FlowError,
+    _integrate,
+    flow,
+    pushforward_along,
+    tuple_sample_leaves,
+)
 from geoctrl import flows
 from geoctrl.criterion import _prepare, _step_control
 from geoctrl.expr import add, const, mul, sin, var
@@ -700,6 +706,60 @@ def test_sample_leaves_equals_the_scalar_walk_loop(name, variant):
         assert discarded > 0
 
 
+def _visit_bytes(visits):
+    return [(y.dtype.str, y.shape, y.tobytes(), repr(word)) for y, word in visits]
+
+
+def _assert_leaf_equals_tuple_leaf(leaf, ref, drifts):
+    """An array leaf against the tuple leaf of the same walks: its base,
+    discards, visits, walks, frames and shifted drifts, byte for byte."""
+    assert leaf.base.tobytes() == ref.base.tobytes()
+    assert leaf.discarded == ref.discarded
+    assert _visit_bytes(leaf.visits) == _visit_bytes(ref.visits)
+    assert [_visit_bytes(w) for w in leaf.walks()] == [_visit_bytes(w) for w in ref.walks()]
+    if ref.frames is None:
+        assert leaf.frames is None
+    else:
+        n = len(ref.base)
+        assert leaf.frames.shape == (len(ref.frames), n, n)
+        assert [F.tobytes() for F in leaf.frames] == [F.tobytes() for F in ref.frames]
+    got, want = list(leaf.shifted_drifts(drifts)), list(ref.shifted_drifts(drifts))
+    assert len(got) == len(want) == len(ref.walks())
+    for W, R in zip(got, want):
+        assert (W is None) == (R is None)
+        if W is not None:
+            assert (W.dtype, W.shape, W.tobytes()) == (R.dtype, R.shape, R.tobytes())
+    return len(ref.visits)
+
+
+WIGGLY_DRIFTS = [VectorField.parse(["x2", "x1^2"], N2), VectorField.parse(["1", "x1"], N2)]
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["wiggly"])
+def test_array_leaves_equal_the_tuple_leaves(name):
+    # the walks that recorded a Segment and a prefix word per visit, and
+    # the leaf that held those tuples, against the array leaves
+    if name == "wiggly":  # non-constant: every visit carries its frame
+        family, drifts = _family(*WIGGLY), WIGGLY_DRIFTS
+        window, duration = ((-2.0, 2.0), (-2.0, 2.0)), 2.0
+        step = StepControl(window=inflate_window(window))
+    else:
+        spec = load_spec(SYS_DIR / f"{name}.sys")
+        family, _ = _prepare(spec, None, None, 2)
+        drifts, window, duration = spec.drifts, spec.window, spec.walk_duration()
+        step = _step_control(spec)
+    pts = list(window_grid(window, 2))
+    visits = 0
+    for seed, budget in ((0, 1), (3, 5), (7, 9)):
+        seeds = _point_seeds(seed, len(pts))
+        leaves = sample_leaves(family, pts, budget, duration, seeds, step)
+        refs = tuple_sample_leaves(family, pts, budget, duration, seeds, step)
+        assert len(leaves) == len(refs) == len(pts)
+        for leaf, ref in zip(leaves, refs):
+            visits += _assert_leaf_equals_tuple_leaf(leaf, ref, drifts)
+    assert visits > 10 * len(pts)
+
+
 def test_only_non_constant_families_step_lanes(monkeypatch):
     stepped = []
     step_lanes = flows._step_lanes
@@ -771,6 +831,13 @@ def _generator_walks(m, budget, max_duration, rng, refused):
     return attempts, words, discarded
 
 
+def _flat_words(words):
+    """Prefix words as `_walks` records them: each word's last segment
+    as (field_index, sign, duration), and its length."""
+    last = [(w[-1].field_index, w[-1].sign, w[-1].duration) for w in words]
+    return last, [len(w) for w in words]
+
+
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -810,8 +877,8 @@ def test_a_rejected_bounded_draw_reads_on(seed):
             attempts.append((key, tau))
             end = None if refused[len(attempts) - 1] else y + 1
     except StopIteration as stop:
-        visits, discarded = stop.value
-    assert (attempts, [w for _, w in visits], discarded) == want
+        _, moves, depths, discarded = stop.value
+    assert (attempts, _flat_words(want[1]), discarded) == (want[0], (moves, depths), want[2])
     assert ref_rng.bit_generator.random_raw() == rng.bit_generator.random_raw()
 
 
@@ -833,8 +900,8 @@ def test_walk_draws_read_what_the_generator_calls_draw(m):
                 attempts.append((key, tau))
                 end = None if refused[len(attempts) - 1] else y + 1
         except StopIteration as stop:
-            visits, discarded = stop.value
-        assert (attempts, [w for _, w in visits], discarded) == want
+            _, moves, depths, discarded = stop.value
+        assert (attempts, _flat_words(want[1]), discarded) == (want[0], (moves, depths), want[2])
         # both consumed the same raw values and hold the same buffered half
         state = ref_rng.bit_generator.state
         assert (source.half is not None) == bool(state["has_uint32"])

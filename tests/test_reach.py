@@ -334,17 +334,52 @@ def _reference_cloud(system, x0, T, n_traj, seed) -> ReachCloud:
     return _cloud_from(pts, ids, times, n_traj, x0, system.window)
 
 
+# the stepper's edge cases, each held to the former oracle below
+ORACLE_CASES = {
+    # a non-constant control, behind a drift that turns the lanes
+    "sin_control": _sys2(["x2", "0 - x1"], ["1", "0.1*sin(x1)"]),
+    # lanes that reach x1 < -1 turn nan there, each at its own step
+    "turns_nan": _sys2(["0", "x1"], ["1", "sqrt(x1 + 1)"]),
+    # every lane leaves the roaming window at the same step, x1 = 8 t
+    "retire_at_once": _sys2(["8", "0"]),
+}
+
+
+def _spy_steps(monkeypatch) -> list[tuple[int, int, int]]:
+    """(rows, nan rows, rows inside) of every roaming-window test of `_run`."""
+    seen = []
+    inside = reach._inside
+
+    def spy(X, box):
+        ok = inside(X, box)
+        if box[0, 1] == 3.0:  # the roaming window of WIN2
+            seen.append((len(X), int(np.isnan(X).any(axis=1).sum()), int(ok.sum())))
+        return ok
+
+    monkeypatch.setattr(reach, "_inside", spy)
+    return seen
+
+
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_cloud_matches_the_former_oracle(name, seed):
-    system = FAMILIES[name]
+@pytest.mark.parametrize("name", sorted(FAMILIES) + sorted(ORACLE_CASES))
+def test_cloud_matches_the_former_oracle(name, seed, monkeypatch):
+    system = (FAMILIES | ORACLE_CASES)[name]
     x0 = _center(system)
+    steps = _spy_steps(monkeypatch)
     cloud = simulate_reach(system, x0, T=3.0, n_traj=40, seed=seed)
     want = _reference_reach(system, x0, 3.0, 40, seed)
     assert len(want[0]) > 0
     for a, b in zip((cloud.points, cloud.traj_ids, cloud.times), want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+    if name == "turns_nan":
+        # some step turns lanes nan while others step on
+        assert any(0 < nan < rows for rows, nan, _ in steps)
+    elif name == "retire_at_once":
+        # 40 lanes step on, all inside, until one step retires them all
+        assert steps[-1] == (40, 0, 0)
+        assert all(kept == rows == 40 for rows, _, kept in steps[:-1])
+        assert cloud.record_times.tolist() == pytest.approx([0.0, 0.1, 0.2])
 
 
 def _count_kernel_calls(monkeypatch) -> dict:
